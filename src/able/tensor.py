@@ -329,13 +329,13 @@ def gelu(a) -> Tensor:
     """Tanh-form gelu; self-consistent forward/backward pair."""
     a = _wrap(a)
     x = a.data
-    inner = _GELU_C * (x + 0.044715 * x**3)
+    inner = _GELU_C * (x + 0.044715 * (x * x * x))
     t = np.tanh(inner)
     out = 0.5 * x * (1.0 + t)
 
     def vjp(g):
-        d_inner = _GELU_C * (1.0 + 3 * 0.044715 * x**2)
-        d = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * d_inner
+        d_inner = _GELU_C * (1.0 + 3 * 0.044715 * (x * x))
+        d = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * d_inner
         return (g * d,)
 
     return _make(out, (a,), vjp)

@@ -4,14 +4,14 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
 
 from . import tensor as T
 from .dataio import Dataset, save_checkpoint
-from .errors import ContractError, DomainError, NumericalFailure
+from .errors import ContractError, DataFormatError, DomainError, NumericalFailure
 from .operator import AbleNetwork, ModelConfig, build_network, count_flops
 
 
@@ -127,6 +127,8 @@ def scheduled_lr(config: TrainConfig, epoch: int) -> float:
 def evaluate(net: AbleNetwork, dataset: Dataset, batch_size: int = 50) -> tuple:
     """(mean relative L2, per-sample values); exact mean via fsum, so the
     result does not depend on sample order or batch grouping."""
+    if batch_size < 1:
+        raise ContractError("batch size must be >= 1")
     per_sample = []
     with T.no_grad():
         for start in range(0, dataset.samples, batch_size):
@@ -245,6 +247,9 @@ def split_dataset(dataset: Dataset, n_test: int, seed: int) -> tuple:
 def restore_network(model_config_dict: dict, params: dict) -> AbleNetwork:
     """Rebuild a network from checkpoint header + tensors, verifying names/shapes."""
     cfg_kwargs = dict(model_config_dict)
+    unknown = sorted(set(cfg_kwargs) - {f.name for f in fields(ModelConfig)})
+    if unknown:
+        raise DataFormatError(f"checkpoint header has unknown model key(s): {unknown}")
     if cfg_kwargs.get("act_flags") is not None:
         cfg_kwargs["act_flags"] = tuple(cfg_kwargs["act_flags"])
     net = build_network(ModelConfig(**cfg_kwargs), seed=0)

@@ -2,6 +2,7 @@
 
 import json
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -180,6 +181,28 @@ def test_eval_corrupt_checkpoint_refused(trained_run):
     blob[:8] = b"XXXXXXXX"
     bad.write_bytes(bytes(blob))
     assert main(["eval", "--checkpoint", str(bad), "--data", str(tmp / "data.bin")]) == 3
+
+
+def test_eval_zero_batch_size_usage_error(trained_run, capsys):
+    tmp, _ = trained_run
+    rc = main(["eval", "--checkpoint", str(tmp / "run1/model.ckpt"),
+               "--data", str(tmp / "data.bin"), "--batch-size", "0"])
+    assert rc == 2
+    assert "batch size" in capsys.readouterr().err
+
+
+def test_eval_unknown_model_key_is_file_error(trained_run, tmp_path, capsys):
+    tmp, _ = trained_run
+    blob = (tmp / "run1/model.ckpt").read_bytes()
+    (hlen,) = struct.unpack_from("<I", blob, 8)
+    header = json.loads(blob[12:12 + hlen])
+    header["model"]["warp_factor"] = 9
+    raw = json.dumps(header).encode("utf-8")
+    bad = tmp_path / "unknown_key.ckpt"
+    bad.write_bytes(blob[:8] + struct.pack("<I", len(raw)) + raw + blob[12 + hlen:])
+    rc = main(["eval", "--checkpoint", str(bad), "--data", str(tmp / "data.bin")])
+    assert rc == 3
+    assert "warp_factor" in capsys.readouterr().err
 
 
 def test_eval_architecture_mismatch_named(trained_run, tmp_path, capsys):

@@ -179,8 +179,38 @@ def test_darcy_rejects_nonpositive_coefficient():
 
 
 def test_darcy_nonconvergence_reported():
+    # a two-phase medium needs ~23 iterations; a constant one is solved in one
+    grid = Grid((32, 32))
+    a = pde.make_darcy_coefficient(pde.GrfSpec(**pde.DARCY_GRF), grid, seed=0)[0]
     with pytest.raises(NumericalFailure, match="iterations"):
-        pde.solve_darcy(np.ones((32, 32)), 1.0, Grid((32, 32)), max_iter=2)
+        pde.solve_darcy(a, 1.0, grid, max_iter=2)
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_sine_basis_orthonormal_and_diagonalises_laplacian(n):
+    basis, eig = pde._dirichlet_sine_basis(n)
+    assert np.allclose(basis @ basis.T, np.eye(n), atol=1e-14)
+    h = 1.0 / n
+    matvec = pde._darcy_operator(np.ones((n, n)), h)
+    # dense operator, one column per unit vector
+    dense = np.stack([matvec(e.reshape(n, n)).ravel() for e in np.eye(n * n)], axis=1)
+    s2 = np.kron(basis, basis)
+    expected = np.diag((eig[:, None] + eig[None, :]).ravel() / (h * h))
+    assert np.allclose(s2 @ dense @ s2.T, expected, atol=1e-10 * expected.max())
+
+
+def test_darcy_constant_coefficient_one_iteration():
+    grid = Grid((32, 32))
+    u = pde.solve_darcy(np.full((32, 32), 4.0), 1.0, grid, max_iter=1)
+    assert pde.darcy_residual(np.full((32, 32), 4.0), 1.0, u, grid) < 1e-10
+
+
+def test_darcy_two_phase_iterations_grid_independent():
+    # Jacobi-preconditioned CG needed more than 250 iterations here
+    grid = Grid((64, 64))
+    a = pde.make_darcy_coefficient(pde.GrfSpec(**pde.DARCY_GRF), grid, seed=4)[0]
+    u = pde.solve_darcy(a, 1.0, grid, max_iter=40)
+    assert pde.darcy_residual(a, 1.0, u, grid) < 1e-9
 
 
 # ---- dataset container --------------------------------------------------------------
