@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractError, DataFormatError, NumericalFailure
+from .errors import ContractError, DataFormatError, NumericalFailure, UnsupportedSizeError
 from .frame import Grid
 from .pde import (BURGERS_GRF, DARCY_GRF, GrfSpec, darcy_residual,
                   make_darcy_coefficient, sample_grf, solve_burgers, solve_darcy)
@@ -91,6 +91,10 @@ def dataset_read(path) -> Dataset:
         off += 8 + 4 + 4 + 4 + 8
     except struct.error as exc:
         raise DataFormatError(f"corrupt dataset header: {exc}") from exc
+    try:
+        grid = Grid(extents)
+    except (ContractError, UnsupportedSizeError) as exc:
+        raise DataFormatError(f"corrupt dataset header: {exc}") from exc
     if dtag not in _DTYPE_TAGS:
         raise DataFormatError(f"unknown dtype tag {dtag}")
     dtype = _DTYPE_TAGS[dtag]
@@ -111,7 +115,7 @@ def dataset_read(path) -> Dataset:
         meta = json.loads(blob[off:].decode("utf-8")) if meta_len else {}
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DataFormatError(f"corrupt metadata block: {exc}") from exc
-    return Dataset(Grid(extents), inputs, targets, meta)
+    return Dataset(grid, inputs, targets, meta)
 
 
 # ---- dataset builders ------------------------------------------------------------
@@ -233,6 +237,8 @@ def load_checkpoint(path):
         off += 4
         header = json.loads(blob[off:off + hlen].decode("utf-8"))
         off += hlen
+        if not isinstance(header, dict) or not isinstance(header.get("model"), dict):
+            raise DataFormatError("checkpoint header must be a JSON object with a 'model' object")
         (count,) = struct.unpack_from("<I", blob, off)
         off += 4
         params = {}

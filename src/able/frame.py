@@ -228,10 +228,6 @@ class DensityNetwork:
         return out
 
 
-def density_energies(f: T.Tensor, net: DensityNetwork) -> T.Tensor:
-    return net.energies(f)
-
-
 def density_from_energies(energies: T.Tensor, temperature, grid: Optional[Grid] = None,
                           per_channel: bool = False) -> DensityField:
     """Temperature softmax over the slice axis; rows sum to one by construction."""

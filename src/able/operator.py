@@ -46,13 +46,6 @@ def mode_indices(k_max: int, extent: int) -> np.ndarray:
     return np.concatenate([np.arange(k_max), np.arange(extent - k_max, extent)])
 
 
-def _mix_spec(ndim: int, cross: bool) -> str:
-    sp = _EINSUM_SPATIAL[:ndim]
-    if cross:
-        return f"bi{sp}q,io{sp}pq->bo{sp}p"
-    return f"bi{sp}m,io{sp}m->bo{sp}m"
-
-
 def _pointwise_spec(ndim: int) -> str:
     sp = _EINSUM_SPATIAL[:ndim]
     return f"bi{sp},io->bo{sp}"

@@ -14,11 +14,19 @@ unitary inverse FFT.
 
 Tensors are immutable once built; optimizers mutate parameter buffers
 in place between steps, which is outside the taped region.
+
+Every two-operand contraction (`einsum2`), forward and both VJP products,
+runs as one batched BLAS matmul through a transpose/reshape plan cached
+per (spec, shapes); `np.einsum` is kept only in the independent oracles
+(`reference.fno_layer`, `operator.materialize_kernel`,
+`operator.apply_dense_kernel`).
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
+import math
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -255,14 +263,6 @@ def mul(a, b) -> Tensor:
     return _make(ad * bd, (a, b), lambda g: (g * np.conj(bd), g * np.conj(ad)))
 
 
-def complex_mul(a, b) -> Tensor:
-    """Elementwise complex product; both operands must already be complex."""
-    a, b = _wrap(a), _wrap(b)
-    if not (a.is_complex and b.is_complex):
-        raise ContractError("complex_mul expects complex operands; use to_complex first")
-    return mul(a, b)
-
-
 def div(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
     ad, bd = a.data, b.data
@@ -410,20 +410,81 @@ def matmul(a, b) -> Tensor:
     return _make(out, (a, b), vjp)
 
 
-def einsum2(spec: str, a, b) -> Tensor:
-    """Two-operand einsum whose adjoint is again an einsum.
+@functools.lru_cache(maxsize=256)
+def _matmul_plan(spec: str, shape_a: tuple, shape_b: tuple) -> tuple:
+    """Lower a two-operand einsum onto one `np.matmul`.
 
-    Requires every index of each operand to appear in the output or the
-    other operand, which holds for all contractions used here.
+    Indices fall into four groups: batch (both operands and the output),
+    left (first operand and output), right (second operand and output) and
+    summed (both operands only). Each operand is transposed to
+    (batch, left, summed) / (batch, summed, right) and reshaped to 3-D; the
+    product is reshaped back and transposed to the output order. Returns
+    (perm_a, shape3_a, perm_b, shape3_b, product_shape, perm_out).
     """
-    a, b = _wrap(a), _wrap(b)
     lhs, s_out = spec.split("->")
     s_a, s_b = lhs.split(",")
-    out = np.einsum(spec, a.data, b.data)
+    for what, sub in (("first operand", s_a), ("second operand", s_b), ("output", s_out)):
+        if len(set(sub)) != len(sub):
+            raise ContractError(f"einsum2 {spec!r}: repeated index in the {what}")
+    if len(s_a) != len(shape_a) or len(s_b) != len(shape_b):
+        raise ContractError(f"einsum2 {spec!r}: operand ranks {len(shape_a)}, "
+                            f"{len(shape_b)} do not match the spec")
+    sizes: dict = {}
+    for sub, shape in ((s_a, shape_a), (s_b, shape_b)):
+        for c, n in zip(sub, shape):
+            if sizes.setdefault(c, n) != n:
+                raise ContractError(f"einsum2 {spec!r}: index {c!r} has extents "
+                                    f"{sizes[c]} and {n}")
+    for c in s_out:
+        if c not in sizes:
+            raise ContractError(f"einsum2 {spec!r}: output index {c!r} is in no operand")
+    for c in sizes:
+        if c not in s_out and not (c in s_a and c in s_b):
+            raise ContractError(f"einsum2 {spec!r}: index {c!r} is in one operand only "
+                                "and not in the output")
+    batch = [c for c in s_out if c in s_a and c in s_b]
+    left = [c for c in s_out if c in s_a and c not in s_b]
+    right = [c for c in s_out if c in s_b and c not in s_a]
+    summed = [c for c in s_a if c in s_b and c not in s_out]
+
+    def size(group):
+        return math.prod(sizes[c] for c in group)
+
+    product = batch + left + right
+    return (tuple(s_a.index(c) for c in batch + left + summed),
+            (size(batch), size(left), size(summed)),
+            tuple(s_b.index(c) for c in batch + summed + right),
+            (size(batch), size(summed), size(right)),
+            tuple(sizes[c] for c in product),
+            tuple(product.index(c) for c in s_out))
+
+
+def _contract(spec: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    perm_a, shape_a, perm_b, shape_b, shape_p, perm_out = _matmul_plan(spec, a.shape, b.shape)
+    p = np.matmul(a.transpose(perm_a).reshape(shape_a), b.transpose(perm_b).reshape(shape_b))
+    return p.reshape(shape_p).transpose(perm_out)
+
+
+def _conj(x: np.ndarray) -> np.ndarray:
+    return np.conj(x) if np.iscomplexobj(x) else x
+
+
+def einsum2(spec: str, a, b) -> Tensor:
+    """Two-operand einsum whose adjoint is again a two-operand einsum.
+
+    The forward product and both VJP products each run as one cached
+    batched matmul (`_matmul_plan`). Every index of each operand must appear
+    in the output or the other operand, and no index may repeat within an
+    operand; other specs raise ContractError.
+    """
+    a, b = _wrap(a), _wrap(b)
+    out = _contract(spec, a.data, b.data)
+    lhs, s_out = spec.split("->")
+    s_a, s_b = lhs.split(",")
 
     def vjp(g):
-        ga = np.einsum(f"{s_out},{s_b}->{s_a}", g, np.conj(b.data))
-        gb = np.einsum(f"{s_a},{s_out}->{s_b}", np.conj(a.data), g)
+        ga = _contract(f"{s_out},{s_b}->{s_a}", g, _conj(b.data)) if a.requires_grad else None
+        gb = _contract(f"{s_a},{s_out}->{s_b}", _conj(a.data), g) if b.requires_grad else None
         return ga, gb
 
     return _make(out, (a, b), vjp)

@@ -205,6 +205,39 @@ def test_eval_unknown_model_key_is_file_error(trained_run, tmp_path, capsys):
     assert "warp_factor" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("header", [[1, 2], {"weights": {}}, {"model": 3}],
+                         ids=["not-an-object", "no-model", "model-not-an-object"])
+def test_eval_checkpoint_header_without_model_object_is_file_error(
+        trained_run, tmp_path, capsys, header):
+    tmp, _ = trained_run
+    blob = (tmp / "run1/model.ckpt").read_bytes()
+    (hlen,) = struct.unpack_from("<I", blob, 8)
+    raw = json.dumps(header).encode("utf-8")
+    bad = tmp_path / "headless.ckpt"
+    bad.write_bytes(blob[:8] + struct.pack("<I", len(raw)) + raw + blob[12 + hlen:])
+    rc = main(["eval", "--checkpoint", str(bad), "--data", str(tmp / "data.bin")])
+    assert rc == 3
+    assert "model" in capsys.readouterr().err
+
+
+def _hand_written_dataset(path, extents, samples=2):
+    """ABLEDS01 file whose header carries `extents` and a consistent payload."""
+    points = int(np.prod(extents))
+    header = struct.pack(f"<I{len(extents)}IQIIIQ", len(extents), *extents, samples,
+                         1, 1, 0, 0)
+    path.write_bytes(b"ABLEDS01" + header + np.zeros(2 * samples * points).tobytes())
+    return path
+
+
+@pytest.mark.parametrize("extents", [(12,), (4, 4, 4)], ids=["non-power-of-two", "rank-3"])
+def test_eval_dataset_bad_grid_is_file_error(trained_run, tmp_path, capsys, extents):
+    tmp, _ = trained_run
+    data = _hand_written_dataset(tmp_path / "bad_grid.bin", extents)
+    rc = main(["eval", "--checkpoint", str(tmp / "run1/model.ckpt"), "--data", str(data)])
+    assert rc == 3
+    assert "dataset header" in capsys.readouterr().err
+
+
 def test_eval_architecture_mismatch_named(trained_run, tmp_path, capsys):
     tmp, cfg = trained_run
     cfg2 = write_config(tmp_path, {"task": "darcy",

@@ -88,16 +88,6 @@ def test_sqrt_quarter_tensor():
     assert np.array_equal(out.data, np.full((4,), 0.5))
 
 
-def test_complex_mul_value():
-    out = T.complex_mul(T.tensor(np.array(1 + 1j)), T.tensor(np.array(1 - 1j)))
-    assert out.data == pytest.approx(2.0 + 0.0j)
-
-
-def test_complex_mul_rejects_real():
-    with pytest.raises(ContractError):
-        T.complex_mul(T.tensor(np.ones(3)), T.tensor(np.ones(3) + 0j))
-
-
 def test_sqrt_negative_rejected():
     with pytest.raises(DomainError):
         T.sqrt(T.tensor(np.array([-1.0])))
@@ -198,6 +188,61 @@ def test_einsum2_gradient_diagonal_mixing():
         return T.tsum(T.abs2(T.einsum2("bim,iom->bom", T.tensor(x), t)))
 
     assert_grad_matches(loss_w, w)
+
+
+# every contraction the operator builds, as (spec, shape_a, shape_b): the
+# pointwise path, M=1 mixing, diagonal and cross mixing, in 1-D and 2-D
+OPERATOR_CONTRACTIONS = [
+    ("bix,io->box", (2, 3, 8), (3, 4)),
+    ("bixy,io->boxy", (2, 3, 4, 4), (3, 4)),
+    ("bix,iox->box", (2, 3, 6), (3, 4, 6)),
+    ("bixy,ioxy->boxy", (2, 3, 4, 2), (3, 4, 4, 2)),
+    ("bimx,ioxm->bomx", (2, 3, 2, 6), (3, 4, 6, 2)),
+    ("bimxy,ioxym->bomxy", (2, 3, 2, 4, 2), (3, 4, 4, 2, 2)),
+    ("biqx,ioxpq->bopx", (2, 3, 2, 6), (3, 4, 6, 3, 2)),
+    ("biqxy,ioxypq->bopxy", (2, 3, 2, 4, 2), (3, 4, 4, 2, 3, 2)),
+]
+
+
+@pytest.mark.parametrize("complex_operands", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("spec,shape_a,shape_b", OPERATOR_CONTRACTIONS,
+                         ids=[c[0] for c in OPERATOR_CONTRACTIONS])
+def test_einsum2_operator_contractions(spec, shape_a, shape_b, complex_operands):
+    if complex_operands:
+        a, b = randc(shape_a, seed=51), randc(shape_b, seed=52)
+    else:
+        a, b = rng(51).standard_normal(shape_a), rng(52).standard_normal(shape_b)
+    want = np.einsum(spec, a, b)
+    got = T.einsum2(spec, T.tensor(a), T.tensor(b)).data
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def loss_a(t):
+        return T.tsum(T.abs2(T.einsum2(spec, t, T.tensor(b))))
+
+    def loss_b(t):
+        return T.tsum(T.abs2(T.einsum2(spec, T.tensor(a), t)))
+
+    assert_grad_matches(loss_a, a)
+    assert_grad_matches(loss_b, b)
+
+
+def test_einsum2_rejects_index_in_one_operand_only():
+    # 'k' is neither in the output nor in the other operand
+    with pytest.raises(ContractError, match="one operand only"):
+        T.einsum2("bik,io->bo", T.tensor(np.ones((2, 3, 4))), T.tensor(np.ones((3, 5))))
+
+
+def test_einsum2_rejects_repeated_index_in_an_operand():
+    with pytest.raises(ContractError, match="repeated index"):
+        T.einsum2("bii,io->bo", T.tensor(np.ones((2, 3, 3))), T.tensor(np.ones((3, 5))))
+
+
+def test_einsum2_rejects_mismatched_extents():
+    # 'i' and 'q' swap extents, so the summed block sizes agree; only a
+    # per-index check catches it
+    with pytest.raises(ContractError, match="extents"):
+        T.einsum2("biq,iqo->bo", T.tensor(np.ones((2, 2, 3))), T.tensor(np.ones((3, 2, 5))))
 
 
 def test_take_put_modes_adjoint_gradient():
