@@ -115,7 +115,12 @@ def dataset_read(path) -> Dataset:
         meta = json.loads(blob[off:].decode("utf-8")) if meta_len else {}
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DataFormatError(f"corrupt metadata block: {exc}") from exc
-    return Dataset(grid, inputs, targets, meta)
+    if not isinstance(meta, dict):
+        raise DataFormatError("metadata block is not a JSON object")
+    try:
+        return Dataset(grid, inputs, targets, meta)
+    except ContractError as exc:
+        raise DataFormatError(f"corrupt dataset payload: {exc}") from exc
 
 
 # ---- dataset builders ------------------------------------------------------------

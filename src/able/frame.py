@@ -1,12 +1,15 @@
 """Learnable per-point densities and the adaptive lifted transform.
 
 A density field assigns each grid point a probability vector over M
-slices. Scaling a signal by the square root of each slice and applying
-the unitary FFT lifts it into (frequency x slice) coefficients; the
-synthesis direction applies the inverse FFT per slice, reweights by the
-same square roots and sums over slices. Because the slice weights sum to
-one pointwise, analysis preserves the grid norm and synthesis after
-analysis is the identity, for every admissible density.
+slices. `lift` scales a signal by the square root of each slice and
+applies the unitary FFT; `synthesize` applies the inverse FFT per slice,
+reweights by the same square roots and sums over slices. Because the slice
+weights sum to one pointwise, analysis preserves the grid norm and
+synthesis after analysis is the identity, for every admissible density.
+These two are the only code that transforms lifted data, which is
+slice-major, (batch, channels, M, frequency...); the frame API and the
+operator layers both call them. A square-root density of None stands for
+a single slice of density one and skips the weighting.
 
 Square roots on the density path keep the exact forward value but use an
 epsilon-regularized derivative so one-hot densities (the low-temperature
@@ -57,11 +60,6 @@ class Grid:
         return int(np.prod(self.extents))
 
 
-def spatial_axes(ndim_spatial: int) -> tuple:
-    """Axes carrying space in the (batch, channel, spatial..., slice) layout."""
-    return tuple(range(2, 2 + ndim_spatial))
-
-
 @dataclass
 class DensityField:
     """Discrete p(x, m): nonnegative, summing to one over m at every point.
@@ -98,7 +96,7 @@ class DensityField:
 
 @dataclass
 class LiftedCoefficients:
-    """Analysis coefficients on (batch, channels, frequency..., slice)."""
+    """Analysis coefficients, slice-major: (batch, channels, M, frequency...)."""
 
     values: T.Tensor
     grid: Grid
@@ -244,12 +242,36 @@ def density_from_energies(energies: T.Tensor, temperature, grid: Optional[Grid] 
 
 # ---- forward / inverse transform --------------------------------------------
 
-def _sqrt_density(p: DensityField) -> T.Tensor:
-    """(batch, 1 or C, spatial..., M) broadcastable against channel-major fields."""
+def sqrt_density(p: DensityField) -> T.Tensor:
+    """sqrt(p) slice-major, (batch, 1 or C, M, spatial...), to weight lifted data."""
     sp = T.sqrt(p.values, grad_eps=SQRT_GRAD_EPS)
-    if not p.per_channel:
-        sp = T.reshape(sp, sp.shape[:1] + (1,) + sp.shape[1:])
-    return sp
+    if p.per_channel:
+        return T.moveaxis(sp, -1, 2)
+    sp = T.moveaxis(sp, -1, 1)
+    return T.reshape(sp, sp.shape[:1] + (1,) + sp.shape[1:])
+
+
+def lift(f: T.Tensor, sp: Optional[T.Tensor]) -> T.Tensor:
+    """(batch, C, spatial...) -> unitary FFT of f * sp, (batch, C, M, frequency...).
+
+    `sp` is `sqrt_density(p)`, or None for a single slice of density one.
+    """
+    z = T.reshape(f, f.shape[:2] + (1,) + f.shape[2:])
+    if sp is not None:
+        z = T.mul(z, sp)
+    return T.fft(T.to_complex(z), axes=tuple(range(3, z.ndim)))
+
+
+def synthesize(c: T.Tensor, sp: Optional[T.Tensor]) -> T.Tensor:
+    """Inverse FFT per slice, reweight by `sp`, sum over slices: (batch, C, spatial...).
+
+    With `sp` None the single slice's inverse FFT is returned with the slice
+    axis dropped, which saves the copy a sum would make.
+    """
+    z = T.ifft(c, axes=tuple(range(3, c.ndim)))
+    if sp is None:
+        return T.reshape(z, z.shape[:2] + z.shape[3:])
+    return T.tsum(T.mul(z, sp), axis=2)
 
 
 def _check_compatible(f: T.Tensor, p: DensityField) -> None:
@@ -265,39 +287,28 @@ def _check_compatible(f: T.Tensor, p: DensityField) -> None:
         raise ContractError("per-channel density channel count does not match field")
 
 
-def able_forward(f: T.Tensor, p: DensityField, validate: bool = True) -> LiftedCoefficients:
+def able_forward(f: T.Tensor, p: DensityField) -> LiftedCoefficients:
     """Analysis: FFT of the square-root-density-weighted field, one slice per m."""
-    if validate:
-        p.validate()
+    p.validate()
     _check_compatible(f, p)
-    sp = _sqrt_density(p)
-    fe = T.reshape(f, f.shape + (1,))
-    prod = T.mul(fe, sp)
-    if not prod.is_complex:
-        prod = T.to_complex(prod)
-    coeffs = T.fft(prod, axes=spatial_axes(p.grid.dims))
-    return LiftedCoefficients(coeffs, p.grid, p.per_channel)
+    return LiftedCoefficients(lift(f, sqrt_density(p)), p.grid, p.per_channel)
 
 
-def able_inverse(c, p: DensityField, validate: bool = True) -> T.Tensor:
+def able_inverse(c, p: DensityField) -> T.Tensor:
     """Synthesis: inverse FFT per slice, reweight by sqrt(p), sum over slices.
 
     The same formula is applied to any coefficient tensor; on the image of
     the forward transform it is the exact left inverse.
     """
-    if validate:
-        p.validate()
+    p.validate()
     values = c.values if isinstance(c, LiftedCoefficients) else c
-    if values.shape[-1] != p.slices:
+    if values.shape[2:3] != (p.slices,):
         raise ContractError("coefficient slice count does not match density")
-    d = p.grid.dims
-    if tuple(values.shape[2:2 + d]) != p.grid.extents:
+    if tuple(values.shape[3:]) != p.grid.extents:
         raise ContractError("coefficient frequency shape does not match grid")
     if values.shape[0] != p.values.shape[0]:
         raise ContractError("coefficient and density batch sizes differ")
-    per_slice = T.ifft(values, axes=spatial_axes(d))
-    weighted = T.mul(per_slice, _sqrt_density(p))
-    return T.tsum(weighted, axis=-1)
+    return synthesize(values, sqrt_density(p))
 
 
 # ---- diagnostics --------------------------------------------------------------

@@ -1,12 +1,13 @@
 """Spectral operator layers on the adaptive frame, and their dense oracle.
 
-A layer computes a per-point density from its input, lifts each slice
-with the unitary FFT, mixes the retained low frequencies with learnable
-complex weights (per slice, or across slice pairs in the cross variant),
-synthesizes back, and adds a pointwise linear path. With a single slice
-the density is identically one and the layer reduces to a plain Fourier
-layer, which the code short-circuits: softmax over one logit is exactly 1,
-so the square-root weighting is the identity and is skipped.
+A layer computes a per-point density from its input, lifts it with
+`frame.lift`, mixes the retained low frequencies with learnable complex
+weights (per slice, or across slice pairs in the cross variant),
+synthesizes back with `frame.synthesize`, and adds a pointwise linear
+path; one pipeline serves every slice count. With a single slice the
+density is identically one and the layer reduces to a plain Fourier
+layer: it passes no square-root density (None), so the lifted transform
+skips the weighting, which softmax over one logit makes the identity.
 
 Frequency truncation keeps, per axis, the k_max lowest nonnegative and
 the k_max lowest negative wavenumbers in the natural FFT layout, so
@@ -29,7 +30,7 @@ from . import fft as _fft
 from . import tensor as T
 from .errors import ContractError
 from .frame import (DensityField, DensityNetConfig, DensityNetwork, Grid,
-                    SQRT_GRAD_EPS, density_from_energies, spatial_axes,
+                    density_from_energies, lift, sqrt_density, synthesize,
                     uniform_density)
 
 _EINSUM_SPATIAL = "xy"
@@ -134,44 +135,14 @@ class AbleLayer:
             raise ContractError(f"channel count {f.shape[1]} != layer width {self.in_channels}")
         extents = tuple(f.shape[2:])
         idx = self._index_lists(extents)
-        axes = spatial_axes(self.ndim)
-
-        if self.density_net is None:
-            # single slice: the density is identically one, so this is the
-            # plain Fourier path with no slice axis at all
-            coeff = T.fft(T.to_complex(f), axes=axes)
-            kept = T.take_modes(coeff, axes=axes, index_lists=idx)
-            w = T.reshape(self.multiplier.weights,
-                          self.multiplier.weights.shape[:2 + self.ndim])
-            sp_spec = _EINSUM_SPATIAL[:self.ndim]
-            mixed = T.einsum2(f"bi{sp_spec},io{sp_spec}->bo{sp_spec}", kept, w)
-            padded = T.put_modes(mixed, axes=axes, index_lists=idx, full_extents=extents)
-            spectral = T.real(T.ifft(padded, axes=axes))
-        else:
-            # slice-major layout (batch, C, M, spatial...): transforms run on
-            # the trailing contiguous axes
-            p = self.density(f)
-            sp = T.sqrt(p.values, grad_eps=SQRT_GRAD_EPS)
-            if self.density_cfg.per_channel:
-                sp = T.moveaxis(sp, -1, 2)          # (B, C, M, spatial...)
-            else:
-                sp = T.reshape(T.moveaxis(sp, -1, 1),
-                               (sp.shape[0], 1, self.slices) + tuple(sp.shape[1:-1]))
-            z = T.to_complex(T.mul(T.reshape(f, f.shape[:2] + (1,) + extents), sp))
-            m_axes = tuple(ax + 1 for ax in axes)
-            m_idx = idx
-            coeff = T.fft(z, axes=m_axes)
-            kept = T.take_modes(coeff, axes=m_axes, index_lists=m_idx)
-            sp_spec = _EINSUM_SPATIAL[:self.ndim]
-            if self.kind == "cross":
-                mix = f"biq{sp_spec},io{sp_spec}pq->bop{sp_spec}"
-            else:
-                mix = f"bim{sp_spec},io{sp_spec}m->bom{sp_spec}"
-            mixed = T.einsum2(mix, kept, self.multiplier.weights)
-            padded = T.put_modes(mixed, axes=m_axes, index_lists=m_idx,
-                                 full_extents=extents)
-            synth = T.mul(T.ifft(padded, axes=m_axes), sp)
-            spectral = T.real(T.tsum(synth, axis=2))
+        axes = tuple(range(3, 3 + self.ndim))      # frequency axes of lifted data
+        sp = sqrt_density(self.density(f)) if self.density_net is not None else None
+        kept = T.take_modes(lift(f, sp), axes=axes, index_lists=idx)
+        xy = _EINSUM_SPATIAL[:self.ndim]
+        mix = f"biq{xy},io{xy}pq->bop{xy}" if self.kind == "cross" else f"bim{xy},io{xy}m->bom{xy}"
+        mixed = T.einsum2(mix, kept, self.multiplier.weights)
+        padded = T.put_modes(mixed, axes=axes, index_lists=idx, full_extents=extents)
+        spectral = T.real(synthesize(padded, sp))
 
         local = T.einsum2(_pointwise_spec(self.ndim), f, self.pointwise)
         local = T.add(local, T.reshape(self.bias, (1, -1) + (1,) * self.ndim))

@@ -9,6 +9,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import config as run_config   # config imports this module; looked up at call time
 from . import tensor as T
 from .dataio import Dataset, save_checkpoint
 from .errors import ContractError, DataFormatError, DomainError, NumericalFailure
@@ -178,7 +179,7 @@ def train(net: AbleNetwork, train_set: Dataset, test_set: Dataset,
     opt = Adam(params, lr=config.learning_rate, beta1=config.beta1, beta2=config.beta2,
                eps=config.eps, weight_decay=config.weight_decay,
                decay_names=spectral_weight_names(params))
-    shuffle_rng = np.random.default_rng(_stream_seed(config.seed, "shuffle"))
+    shuffle_rng = np.random.default_rng(run_config.stream_seed(config.seed, "shuffle"))
     metrics = Metrics(flops=count_flops(net, train_set.grid))
     best_params = {n: p.data.copy() for n, p in params.items()}
 
@@ -228,19 +229,12 @@ def train(net: AbleNetwork, train_set: Dataset, test_set: Dataset,
     return metrics
 
 
-def _stream_seed(seed: int, name: str) -> np.random.SeedSequence:
-    """Named deterministic substream; stable across runs and platforms."""
-    import hashlib
-
-    digest = hashlib.sha256(name.encode("utf-8")).digest()
-    return np.random.SeedSequence([seed, int.from_bytes(digest[:8], "little")])
-
-
 def split_dataset(dataset: Dataset, n_test: int, seed: int) -> tuple:
     """Deterministic shuffled train/test split."""
     if n_test >= dataset.samples:
         raise ContractError("test split must leave at least one training sample")
-    order = np.random.default_rng(_stream_seed(seed, "data")).permutation(dataset.samples)
+    rng = np.random.default_rng(run_config.stream_seed(seed, "data"))
+    order = rng.permutation(dataset.samples)
     return dataset.subset(order[n_test:]), dataset.subset(order[:n_test])
 
 

@@ -202,7 +202,7 @@ def run_frame_properties(seeds: Sequence[int] = (0, 1),
                 if m == 1:
                     plain = _fft.fft_unitary(f.data, axes=tuple(range(2, 2 + grid.dims)))
                     uni = uniform_density(grid, 1)
-                    red = np.max(np.abs(able_forward(f, uni).values.data[..., 0] - plain))
+                    red = np.max(np.abs(able_forward(f, uni).values.data[:, :, 0] - plain))
                     report.add(
                         name=f"fourier_reduction[{tag}]",
                         claim="single-slice transform bit-matches the plain FFT",

@@ -220,12 +220,14 @@ def test_eval_checkpoint_header_without_model_object_is_file_error(
     assert "model" in capsys.readouterr().err
 
 
-def _hand_written_dataset(path, extents, samples=2):
+def _hand_written_dataset(path, extents, samples=2, fill=0.0, meta=b""):
     """ABLEDS01 file whose header carries `extents` and a consistent payload."""
     points = int(np.prod(extents))
     header = struct.pack(f"<I{len(extents)}IQIIIQ", len(extents), *extents, samples,
-                         1, 1, 0, 0)
-    path.write_bytes(b"ABLEDS01" + header + np.zeros(2 * samples * points).tobytes())
+                         1, 1, 0, len(meta))
+    payload = np.zeros(2 * samples * points)
+    payload[0] = fill
+    path.write_bytes(b"ABLEDS01" + header + payload.tobytes() + meta)
     return path
 
 
@@ -236,6 +238,19 @@ def test_eval_dataset_bad_grid_is_file_error(trained_run, tmp_path, capsys, exte
     rc = main(["eval", "--checkpoint", str(tmp / "run1/model.ckpt"), "--data", str(data)])
     assert rc == 3
     assert "dataset header" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fill,meta,message", [(np.nan, b"", "non-finite"),
+                                                (0.0, b"1", "JSON object")],
+                         ids=["non-finite-payload", "metadata-not-an-object"])
+def test_train_bad_dataset_payload_is_file_error(trained_run, tmp_path, capsys, fill, meta,
+                                                 message):
+    tmp, cfg = trained_run
+    data = _hand_written_dataset(tmp_path / "bad_payload.bin", (32,), samples=8, fill=fill,
+                                 meta=meta)
+    rc = main(["train", "--config", str(cfg), "--data", str(data), "--out", str(tmp_path / "x")])
+    assert rc == 3
+    assert message in capsys.readouterr().err
 
 
 def test_eval_architecture_mismatch_named(trained_run, tmp_path, capsys):

@@ -161,9 +161,9 @@ def test_m1_uniform_density_reduces_to_plain_fft_bitwise():
     p = frame.uniform_density(g, 1, batch=2)
     lifted = frame.able_forward(f, p)
     plain = fft.fft_unitary(f.data, axes=(2,))
-    assert np.max(np.abs(lifted.values.data[..., 0] - plain)) <= 1e-14
+    assert np.max(np.abs(lifted.values.data[:, :, 0] - plain)) <= 1e-14
     back = frame.able_inverse(lifted, p)
-    plain_back = fft.ifft_unitary(lifted.values.data[..., 0], axes=(2,))
+    plain_back = fft.ifft_unitary(lifted.values.data[:, :, 0], axes=(2,))
     assert np.max(np.abs(back.data - plain_back)) <= 1e-14
 
 
@@ -257,7 +257,7 @@ def test_gradient_flows_through_density_path():
     f = T.tensor(rng(91).standard_normal((1, 1, 16)))
     p = frame.density_from_energies(net.energies(f), cfg.temperature)
     lifted = frame.able_forward(f, p)
-    target = T.tensor(randc((1, 1, 16, 2), seed=92))
+    target = T.tensor(randc((1, 1, 2, 16), seed=92))
     loss = T.tsum(T.abs2(T.sub(lifted.values, target)))
     T.tape_backward(loss)
     grads = [w.grad for w in net.weights]

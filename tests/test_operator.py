@@ -8,6 +8,7 @@ from able import reference
 from able import tensor as T
 from able.errors import ContractError
 from able.frame import DensityField, DensityNetConfig, Grid, uniform_density
+from able.training import gradient_check, relative_l2
 
 
 def rng(seed):
@@ -155,6 +156,59 @@ def test_per_channel_requires_matching_widths():
     cfg = DensityNetConfig(slices=2, arch="mlp2", hidden=8, per_channel=True)
     with pytest.raises(ContractError):
         op.AbleLayer(2, 3, 2, 1, density=cfg, rng=rng(0))
+
+
+# ---- variant matrix -------------------------------------------------------------------
+
+VARIANT_HEADS = {"1d-fd4": (1, "fd4", 16), "1d-mlp2": (1, "mlp2", 16), "2d-mlp2": (2, "mlp2", 8)}
+
+
+@pytest.mark.parametrize("learn_t", [False, True], ids=["fixed-T", "learned-T"])
+@pytest.mark.parametrize("per_channel", [False, True], ids=["shared", "per-channel"])
+@pytest.mark.parametrize("kind", ["diagonal", "cross"])
+@pytest.mark.parametrize("head", list(VARIANT_HEADS))
+def test_variant_matrix(head, kind, per_channel, learn_t):
+    """Dense kernel, finite-difference gradients and the M=1 reduction, per variant."""
+    ndim, arch, n = VARIANT_HEADS[head]
+    seed = (200 + 8 * list(VARIANT_HEADS).index(head) + 4 * (kind == "cross")
+            + 2 * per_channel + learn_t)
+    width = 3
+
+    def model(slices):
+        return small_model(ndim=ndim, width=width, n_layers=1, k_max=2, slices=slices,
+                           kind=kind, density_arch=arch, per_channel=per_channel,
+                           learn_temperature=learn_t, proj_hidden=6)
+
+    net = op.build_network(model(2), seed=seed)
+    layer = net.layers[0]
+    f = rng(seed).standard_normal((2, width) + (n,) * ndim)
+    got = layer(T.tensor(f)).data
+    want = dense_path(layer, f)
+    assert np.max(np.abs(got - want)) / np.max(np.abs(want)) < 1e-8
+
+    x = rng(seed + 1).standard_normal((1, 1) + (n,) * ndim)
+    y = rng(seed + 2).standard_normal((1, 1) + (n,) * ndim) + 2.0
+    report = gradient_check(net, (x, y), n_params=30, seed=1)
+    assert report["max_rel_err"] < 1e-4, report
+    assert report["density_grad_max"] > 1e-12, "density network got no gradient"
+    if learn_t:
+        # the sampled entries need not include the temperature; check it directly
+        log_t = net.named_parameters()["layers.0.density.log_temperature"]
+        h, base = 1e-6, log_t.data.item()
+        losses = []
+        for value in (base + h, base - h):
+            log_t.data[...] = value
+            with T.no_grad():
+                losses.append(relative_l2(net(T.tensor(x)), T.tensor(y)).item())
+        log_t.data[...] = base
+        fd = (losses[0] - losses[1]) / (2 * h)
+        assert abs(log_t.grad.item() - fd) <= 1e-4 * max(abs(fd), 1e-8), (log_t.grad, fd)
+
+    fourier = op.build_network(model(1), seed=seed).layers[0]
+    w = fourier.multiplier.weights.data
+    want = reference.fno_layer(f, w.reshape(w.shape[:2 + ndim]), fourier.pointwise.data,
+                               fourier.bias.data, k_max=2)
+    assert np.max(np.abs(fourier(T.tensor(f)).data - want)) < 1e-12
 
 
 # ---- translation invariance ---------------------------------------------------------
