@@ -22,7 +22,7 @@ from .config import (RunConfig, config_key_help, load_config, stream_seed,
 from .dataio import (Dataset, dataset_read, dataset_write, load_checkpoint,
                      make_burgers_dataset, make_darcy_dataset)
 from .errors import (AbleError, ContractError, DataFormatError, DomainError,
-                     NumericalFailure)
+                     NumericalFailure, UnsupportedSizeError)
 from .operator import ModelConfig, build_network, count_flops
 from .pde import GrfSpec
 from .training import evaluate, restore_network, split_dataset, train
@@ -81,11 +81,10 @@ def cmd_train(args) -> int:
     dataset = dataset_read(args.data)
     model_cfg = _finalize_model(config, dataset)
     net = build_network(model_cfg, seed=stream_seed(config.seed, "init"))
-    train_cfg = replace(config.train, seed=config.seed)
     train_set, test_set = split_dataset(dataset, config.data.n_test, seed=config.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    metrics = train(net, train_set, test_set, train_cfg,
+    metrics = train(net, train_set, test_set, config.train,
                     checkpoint_path=out / "model.ckpt")
     with open(out / "metrics.jsonl", "w", encoding="utf-8") as fh:
         for record in metrics.records:
@@ -179,18 +178,18 @@ def cmd_verify(args) -> int:
 def cmd_sweep(args) -> int:
     config = load_config(args.config, args.set)
     dataset = dataset_read(args.data)
-    values = [json.loads(v) for v in args.values.split(",")]
     train_set, test_set = split_dataset(dataset, config.data.n_test, seed=config.seed)
     rows = []
-    for value in values:
+    for value in args.values:
         if args.axis == "M":
-            model_cfg = replace(config.model, slices=int(value))
+            if not isinstance(value, int):
+                raise ContractError(f"slice counts are integers, got {value!r}")
+            model_cfg = replace(config.model, slices=value)
         else:
             model_cfg = replace(config.model, temperature=float(value))
         model_cfg = _finalize_model(replace(config, model=model_cfg), dataset)
         net = build_network(model_cfg, seed=stream_seed(config.seed, "init"))
-        train_cfg = replace(config.train, seed=config.seed)
-        metrics = train(net, train_set, test_set, train_cfg)
+        metrics = train(net, train_set, test_set, config.train)
         flops = count_flops(net, dataset.grid)
         seconds = [r["seconds"] for r in metrics.records if r["epoch"] > 0]
         rows.append({
@@ -239,20 +238,39 @@ def cmd_rate_study(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    m_list = tuple(int(v) for v in args.m_list.split(","))
-    n_list = tuple(int(v) for v in args.n_list.split(","))
-    result = verify_mod.complexity_scaling_check(m_list=m_list, n_list=n_list)
+    result = verify_mod.complexity_scaling_check(m_list=args.m_list, n_list=args.n_list)
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         _write_json(out / "bench.json", result)
-    print(f"slice-count slope: {result['m_slope']:.3f} over M={list(m_list)}")
+    print(f"slice-count slope: {result['m_slope']:.3f} over M={list(args.m_list)}")
     print(f"grid-size exponent (after log factor): {result['n_exponent_after_log']:.3f}")
     print(f"single-slice layer vs plain Fourier layer: {result['m1_vs_fno_ratio']:.3f}x")
     return 0
 
 
 # ---- parser -----------------------------------------------------------------------
+
+def _number_list(text: str) -> list:
+    """argparse type: comma-separated JSON numbers."""
+    try:
+        values = [json.loads(v) for v in text.split(",")]
+    except json.JSONDecodeError:
+        values = None
+    if not values or not all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                             for v in values):
+        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
+    return values
+
+
+def _int_list(text: str) -> tuple:
+    """argparse type: comma-separated integers."""
+    try:
+        return tuple(int(v) for v in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}") from None
+
 
 def _add_config_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", default=None, help="JSON config file")
@@ -303,7 +321,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_args(p)
     p.add_argument("--data", required=True)
     p.add_argument("--axis", choices=("M", "T"), required=True)
-    p.add_argument("--values", required=True, help="comma-separated values")
+    p.add_argument("--values", required=True, type=_number_list,
+                   help="comma-separated values")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_sweep)
 
@@ -316,8 +335,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="measure layer-forward complexity scaling",
                        epilog=epilog, formatter_class=raw)
-    p.add_argument("--m-list", default="1,2,4,8")
-    p.add_argument("--n-list", default="1024,4096,16384")
+    p.add_argument("--m-list", type=_int_list, default="1,2,4,8")
+    p.add_argument("--n-list", type=_int_list, default="1024,4096,16384")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_bench)
     return parser
@@ -328,7 +347,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ContractError, DomainError) as exc:
+    except (ContractError, DomainError, UnsupportedSizeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (DataFormatError, FileNotFoundError, IsADirectoryError, PermissionError) as exc:

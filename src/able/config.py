@@ -68,19 +68,45 @@ TASK_DATA_DEFAULTS = {
 }
 
 
-def _dataclass_from(cls, values: dict, path: str):
-    known = {f.name for f in fields(cls)}
-    unknown = set(values) - known
+def _expected_type(value, default) -> Optional[str]:
+    """What `value` should have been, given its field's default; None if it fits."""
+    if default is None:                 # act_flags: per-layer switches
+        if value is None or (isinstance(value, (list, tuple))
+                             and all(isinstance(v, bool) for v in value)):
+            return None
+        return "null or a list of booleans"
+    if isinstance(default, bool):
+        return None if isinstance(value, bool) else "a boolean"
+    if isinstance(default, int):
+        return None if isinstance(value, int) and not isinstance(value, bool) else "an integer"
+    if isinstance(default, float):
+        ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+        return None if ok else "a number"
+    return None if isinstance(value, str) else "a string"
+
+
+def dataclass_from(cls, values, path: str, base: Optional[dict] = None):
+    """Build `cls` from a JSON object laid over `base`, rejecting unknown keys
+    and values whose type does not match the field's default."""
+    if not isinstance(values, dict):
+        raise ContractError(f"config key {path!r} must be an object, got {values!r}")
+    defaults = {f.name: f.default for f in fields(cls)}
+    unknown = set(values) - set(defaults)
     if unknown:
         raise ContractError(f"unknown config key(s) under {path}: {sorted(unknown)}")
-    coerced = dict(values)
-    if "act_flags" in coerced and coerced["act_flags"] is not None:
-        coerced["act_flags"] = tuple(coerced["act_flags"])
-    return cls(**coerced)
+    values = {**(base or {}), **values}
+    for name, value in values.items():
+        want = _expected_type(value, defaults[name])
+        if want is not None:
+            raise ContractError(f"config key {path}.{name} must be {want}, got {value!r}")
+    return cls(**values)
 
 
 def build_run_config(raw: dict) -> RunConfig:
-    """Task defaults, overlaid with the user's values; unknown keys rejected."""
+    """Task defaults, overlaid with the user's values; unknown keys rejected.
+
+    The trainer's seed is the run seed; a `train.seed` that differs is refused.
+    """
     known_top = {"task", "seed", "model", "train", "data"}
     unknown = set(raw) - known_top
     if unknown:
@@ -88,14 +114,20 @@ def build_run_config(raw: dict) -> RunConfig:
     task = raw.get("task", "burgers")
     if task not in TASKS:
         raise ContractError(f"unknown task {task!r}; expected one of {TASKS}")
-    model_values = {**TASK_MODEL_DEFAULTS[task], **raw.get("model", {})}
-    data_values = {**TASK_DATA_DEFAULTS[task], **raw.get("data", {})}
+    seed = raw.get("seed", 0)
+    if _expected_type(seed, 0) is not None:
+        raise ContractError(f"config key seed must be an integer, got {seed!r}")
+    train = raw.get("train", {})
+    if isinstance(train, dict) and train.get("seed", seed) != seed:
+        raise ContractError(f"train.seed {train['seed']!r} differs from the run seed {seed}; "
+                            "set the top-level seed instead")
     return RunConfig(
         task=task,
-        seed=int(raw.get("seed", 0)),
-        model=_dataclass_from(ModelConfig, model_values, "model"),
-        train=_dataclass_from(TrainConfig, raw.get("train", {}), "train"),
-        data=_dataclass_from(DataConfig, data_values, "data"),
+        seed=seed,
+        model=dataclass_from(ModelConfig, raw.get("model", {}), "model",
+                             TASK_MODEL_DEFAULTS[task]),
+        train=dataclass_from(TrainConfig, train, "train", {"seed": seed}),
+        data=dataclass_from(DataConfig, raw.get("data", {}), "data", TASK_DATA_DEFAULTS[task]),
     )
 
 
@@ -124,16 +156,9 @@ def load_config(path: Optional[str], overrides: Optional[list] = None) -> RunCon
     return build_run_config(raw)
 
 
-def effective_config_dict(config: RunConfig) -> dict:
-    out = asdict(config)
-    if out["model"].get("act_flags") is not None:
-        out["model"]["act_flags"] = list(out["model"]["act_flags"])
-    return out
-
-
 def write_effective_config(config: RunConfig, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(effective_config_dict(config), fh, indent=2, sort_keys=True)
+        json.dump(asdict(config), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 

@@ -1,7 +1,8 @@
 """Exception taxonomy shared across the package.
 
-The CLI maps these onto exit codes: data/file problems -> 3,
-numerical failures -> 4, failed verification checks -> 1.
+The CLI maps these onto exit codes: contract, domain and size errors
+-> 2, data/file problems -> 3, numerical failures -> 4, failed
+verification checks -> 1.
 """
 
 

@@ -1,13 +1,16 @@
 """Learnable per-point densities and the adaptive lifted transform.
 
 A density field assigns each grid point a probability vector over M
-slices. `lift` scales a signal by the square root of each slice and
+slices. It is stored slice-major, (batch, heads, M, spatial...), with one
+head for a density shared by all channels or one per channel; broadcasting
+over the head axis makes the shared case a per-channel density with one
+channel. `lift` scales a signal by the square root of each slice and
 applies the unitary FFT; `synthesize` applies the inverse FFT per slice,
 reweights by the same square roots and sums over slices. Because the slice
 weights sum to one pointwise, analysis preserves the grid norm and
 synthesis after analysis is the identity, for every admissible density.
 These two are the only code that transforms lifted data, which is
-slice-major, (batch, channels, M, frequency...); the frame API and the
+slice-major too, (batch, channels, M, frequency...); the frame API and the
 operator layers both call them. A square-root density of None stands for
 a single slice of density one and skips the weighting.
 
@@ -64,31 +67,29 @@ class Grid:
 class DensityField:
     """Discrete p(x, m): nonnegative, summing to one over m at every point.
 
-    values has shape (batch, spatial..., M) in shared mode or
-    (batch, channels, spatial..., M) in per-channel mode.
+    values has shape (batch, heads, M, spatial...): one head for a density
+    shared by all channels, or one per channel.
     """
 
     values: T.Tensor
     grid: Grid
-    per_channel: bool = False
 
     @property
     def slices(self) -> int:
-        return self.values.shape[-1]
+        return self.values.shape[2]
 
     def validate(self, tol: float = 1e-10) -> None:
         v = self.values.data
-        expected_ndim = 1 + self.grid.dims + 1 + (1 if self.per_channel else 0)
-        if v.ndim != expected_ndim:
+        if v.ndim != 3 + self.grid.dims:
             raise ContractError(
                 f"density rank {v.ndim} does not match grid dims {self.grid.dims}")
-        spatial = v.shape[-1 - self.grid.dims:-1]
+        spatial = v.shape[3:]
         if spatial != self.grid.extents:
             raise ContractError(
                 f"density spatial shape {spatial} != grid extents {self.grid.extents}")
         if np.any(v < -tol) or np.any(v > 1.0 + tol):
             raise ContractError("density entries outside [0, 1]")
-        rows = v.sum(axis=-1)
+        rows = v.sum(axis=2)
         if np.max(np.abs(rows - 1.0)) > tol:
             raise ContractError(
                 f"density rows must sum to 1, worst residual {np.max(np.abs(rows - 1.0)):.3e}")
@@ -100,14 +101,11 @@ class LiftedCoefficients:
 
     values: T.Tensor
     grid: Grid
-    per_channel: bool = False
 
 
-def uniform_density(grid: Grid, slices: int, batch: int = 1,
-                    channels: Optional[int] = None) -> DensityField:
-    shape = (batch,) + ((channels,) if channels else ()) + grid.extents + (slices,)
-    vals = T.Tensor(np.full(shape, 1.0 / slices))
-    return DensityField(vals, grid, per_channel=channels is not None)
+def uniform_density(grid: Grid, slices: int, batch: int = 1) -> DensityField:
+    vals = T.Tensor(np.full((batch, 1, slices) + grid.extents, 1.0 / slices))
+    return DensityField(vals, grid)
 
 
 # ---- density network --------------------------------------------------------
@@ -151,7 +149,8 @@ class DensityNetwork:
         self.config = config
         self.in_channels = in_channels
         self.ndim = ndim
-        m_out = config.slices * (in_channels if config.per_channel else 1)
+        self.heads = in_channels if config.per_channel else 1
+        m_out = config.slices * self.heads
         if config.arch == "fd4":
             h = config.hidden
             widths = [3 * in_channels + 1, h, h // 2, h, m_out]
@@ -200,7 +199,10 @@ class DensityNetwork:
         return T.moveaxis(feats, 1, -1)
 
     def energies(self, f: T.Tensor) -> T.Tensor:
-        """Per-point energies; (batch, spatial..., M) or (batch, C, spatial..., M)."""
+        """Per-point energies, slice-major: (batch, heads, M, spatial...).
+
+        heads is the channel count for per-channel densities, else one.
+        """
         if f.ndim != 2 + self.ndim:
             raise ContractError(f"expected (batch, channels, spatial...), got {f.shape}")
         if f.shape[1] != self.in_channels:
@@ -219,36 +221,27 @@ class DensityNetwork:
         else:
             h = act(T.add(T.matmul(x, self.weights[0]), self.biases[0]))
             out = T.add(T.matmul(h, self.weights[1]), self.biases[1])
-        if self.config.per_channel:
-            # (batch, spatial..., C*M) -> (batch, C, spatial..., M)
-            out = T.reshape(out, out.shape[:-1] + (self.in_channels, self.config.slices))
-            out = T.moveaxis(out, -2, 1)
-        return out
+        # (batch, spatial..., heads*M) -> (batch, heads, M, spatial...)
+        out = T.reshape(out, out.shape[:-1] + (self.heads, self.config.slices))
+        return T.moveaxis(out, (-2, -1), (1, 2))
 
 
-def density_from_energies(energies: T.Tensor, temperature, grid: Optional[Grid] = None,
-                          per_channel: bool = False) -> DensityField:
+def density_from_energies(energies: T.Tensor, temperature,
+                          grid: Optional[Grid] = None) -> DensityField:
     """Temperature softmax over the slice axis; rows sum to one by construction."""
     t_val = temperature.item() if isinstance(temperature, T.Tensor) else float(temperature)
     if t_val <= 0:
         raise DomainError("temperature must be positive")
     scaled = T.div(energies, temperature if isinstance(temperature, T.Tensor) else t_val)
-    p = T.softmax(scaled, axis=-1)
-    if grid is None:
-        start = 2 if per_channel else 1
-        grid = Grid(p.shape[start:-1])
-    return DensityField(p, grid, per_channel=per_channel)
+    p = T.softmax(scaled, axis=2)
+    return DensityField(p, grid if grid is not None else Grid(p.shape[3:]))
 
 
 # ---- forward / inverse transform --------------------------------------------
 
 def sqrt_density(p: DensityField) -> T.Tensor:
-    """sqrt(p) slice-major, (batch, 1 or C, M, spatial...), to weight lifted data."""
-    sp = T.sqrt(p.values, grad_eps=SQRT_GRAD_EPS)
-    if p.per_channel:
-        return T.moveaxis(sp, -1, 2)
-    sp = T.moveaxis(sp, -1, 1)
-    return T.reshape(sp, sp.shape[:1] + (1,) + sp.shape[1:])
+    """sqrt(p), (batch, heads, M, spatial...), to weight lifted data."""
+    return T.sqrt(p.values, grad_eps=SQRT_GRAD_EPS)
 
 
 def lift(f: T.Tensor, sp: Optional[T.Tensor]) -> T.Tensor:
@@ -283,15 +276,16 @@ def _check_compatible(f: T.Tensor, p: DensityField) -> None:
             f"field spatial shape {tuple(f.shape[2:])} != grid extents {p.grid.extents}")
     if f.shape[0] != p.values.shape[0]:
         raise ContractError("field and density batch sizes differ")
-    if p.per_channel and f.shape[1] != p.values.shape[1]:
-        raise ContractError("per-channel density channel count does not match field")
+    if p.values.shape[1] not in (1, f.shape[1]):
+        raise ContractError(
+            f"density has {p.values.shape[1]} channel heads; the field has {f.shape[1]} channels")
 
 
 def able_forward(f: T.Tensor, p: DensityField) -> LiftedCoefficients:
     """Analysis: FFT of the square-root-density-weighted field, one slice per m."""
     p.validate()
     _check_compatible(f, p)
-    return LiftedCoefficients(lift(f, sqrt_density(p)), p.grid, p.per_channel)
+    return LiftedCoefficients(lift(f, sqrt_density(p)), p.grid)
 
 
 def able_inverse(c, p: DensityField) -> T.Tensor:
@@ -314,6 +308,6 @@ def able_inverse(c, p: DensityField) -> T.Tensor:
 # ---- diagnostics --------------------------------------------------------------
 
 def density_entropy(p_values: np.ndarray) -> float:
-    """Mean Shannon entropy over all grid points of a density array."""
+    """Mean Shannon entropy over all grid points of a slice-major density array."""
     p = np.clip(np.asarray(p_values), 1e-300, 1.0)
-    return float(np.mean(-(p * np.log(p)).sum(axis=-1)))
+    return float(np.mean(-(p * np.log(p)).sum(axis=2)))

@@ -15,8 +15,11 @@ k_max = N/2 retains the full spectrum.
 
 `materialize_kernel` assembles the equivalent dense kernel
 sum_m sqrt(p(x,m)) r(x-z; m) sqrt(p(z,m)) by inverse-transforming the
-zero-padded multiplier and gathering displacements; it is the O(N^2)
-reference path the spectral implementation is tested against.
+zero-padded multiplier and gathering displacements; it reads the density
+slice-major and broadcasts a shared density's single head over the
+channels, so one contraction covers shared and per-channel densities. It
+is the O(N^2) reference path the spectral implementation is tested
+against.
 """
 
 from __future__ import annotations
@@ -122,8 +125,7 @@ class AbleLayer:
         if self.density_net is None:
             return uniform_density(grid, 1, batch=f.shape[0])
         e = self.density_net.energies(f)
-        return density_from_energies(e, self.density_net.temperature, grid,
-                                     per_channel=self.density_cfg.per_channel)
+        return density_from_energies(e, self.density_net.temperature, grid)
 
     def _index_lists(self, extents: Sequence[int]):
         return [mode_indices(self.multiplier.k_max, n) for n in extents]
@@ -200,33 +202,21 @@ def materialize_kernel(layer: AbleLayer, f: T.Tensor) -> np.ndarray:
     r_flat = r.reshape((cin, cout, points) + tail)
     disp = _flat_displacements(extents)
 
-    pv = p.values.data
-    batch = pv.shape[0]
-    if layer.density_cfg.per_channel and layer.density_net is not None:
-        sq = np.sqrt(pv).reshape(batch, cin, points, m)
+    # sqrt(p) per channel head, (batch, 1 or C, M, P); a shared head broadcasts
+    sq = np.sqrt(p.values.data).reshape(p.values.shape[:3] + (points,))
+    batch = sq.shape[0]
+    syn = np.broadcast_to(sq, (batch, cout, m, points))
+    ana = np.broadcast_to(sq, (batch, cin, m, points))
+    if layer.kind == "cross":
+        terms = [(mi, mj, r_flat[..., mi, mj]) for mi in range(m) for mj in range(m)]
     else:
-        sq_shared = np.sqrt(pv).reshape(batch, points, m)
-        sq = None
+        terms = [(mi, mi, r_flat[..., mi]) for mi in range(m)]
 
     kernel = np.zeros((batch, cout, cin, points, points), dtype=np.complex128)
     for b in range(batch):
-        for mi in range(m):
-            syn = sq[b, :, :, mi] if sq is not None else sq_shared[b, :, mi]
-            anas = [sq[b, :, :, mi2] if sq is not None else sq_shared[b, :, mi2]
-                    for mi2 in range(m)] if layer.kind == "cross" else None
-            if layer.kind == "cross":
-                for mj in range(m):
-                    g = r_flat[:, :, :, mi, mj][:, :, disp]
-                    if sq is None:
-                        kernel[b] += np.einsum("x,icxz,z->cixz", syn, g, sq_shared[b, :, mj])
-                    else:
-                        kernel[b] += np.einsum("cx,icxz,iz->cixz", syn, g, anas[mj])
-            else:
-                g = r_flat[:, :, :, mi][:, :, disp]
-                if sq is None:
-                    kernel[b] += np.einsum("x,icxz,z->cixz", syn, g, syn)
-                else:
-                    kernel[b] += np.einsum("cx,icxz,iz->cixz", syn, g, syn)
+        for mi, mj, r_m in terms:
+            kernel[b] += np.einsum("cx,icxz,iz->cixz", syn[b, :, mi], r_m[:, :, disp],
+                                   ana[b, :, mj])
     return kernel
 
 
@@ -272,6 +262,10 @@ class ModelConfig:
     act_flags: Optional[tuple] = None      # per-layer activation on/off
     coord_features: bool = True
     proj_hidden: int = 64
+
+    def __post_init__(self):
+        if self.act_flags is not None:
+            self.act_flags = tuple(self.act_flags)
 
     def density_config(self) -> DensityNetConfig:
         return DensityNetConfig(

@@ -27,7 +27,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import math
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -90,51 +90,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}, grad={self.requires_grad})"
 
-    # ---- operator sugar -------------------------------------------------
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
-
-    def sum(self, axis=None, keepdims=False):
-        return tsum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return tmean(self, axis=axis, keepdims=keepdims)
-
-    def backward(self):
-        return tape_backward(self)
-
 
 def tensor(data) -> Tensor:
     return Tensor(data)
@@ -142,15 +97,6 @@ def tensor(data) -> Tensor:
 
 def parameter(data) -> Tensor:
     return Tensor(data, requires_grad=True)
-
-
-def zeros(shape, complex_dtype=False) -> Tensor:
-    dt = np.complex128 if complex_dtype else np.float64
-    return Tensor(np.zeros(shape, dtype=dt))
-
-
-def ones(shape) -> Tensor:
-    return Tensor(np.ones(shape, dtype=np.float64))
 
 
 def _wrap(x) -> Tensor:
@@ -238,11 +184,6 @@ def tape_backward(loss: Tensor) -> dict:
             else:
                 grads[id(p)] = pg
     return leaf_grads
-
-
-def zero_grads(params: Iterable[Tensor]) -> None:
-    for p in params:
-        p.grad = None
 
 
 # ---- elementwise arithmetic ----------------------------------------------
@@ -367,9 +308,11 @@ def reshape(a, shape) -> Tensor:
 
 
 def moveaxis(a, src, dst) -> Tensor:
+    # both directions return contiguous arrays, so reductions downstream of a
+    # move run in the same memory order as they would without it
     a = _wrap(a)
     return _make(np.ascontiguousarray(np.moveaxis(a.data, src, dst)), (a,),
-                 lambda g: (np.moveaxis(g, dst, src),))
+                 lambda g: (np.ascontiguousarray(np.moveaxis(g, dst, src)),))
 
 
 def concatenate(parts, axis: int) -> Tensor:

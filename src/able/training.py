@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -240,13 +240,11 @@ def split_dataset(dataset: Dataset, n_test: int, seed: int) -> tuple:
 
 def restore_network(model_config_dict: dict, params: dict) -> AbleNetwork:
     """Rebuild a network from checkpoint header + tensors, verifying names/shapes."""
-    cfg_kwargs = dict(model_config_dict)
-    unknown = sorted(set(cfg_kwargs) - {f.name for f in fields(ModelConfig)})
-    if unknown:
-        raise DataFormatError(f"checkpoint header has unknown model key(s): {unknown}")
-    if cfg_kwargs.get("act_flags") is not None:
-        cfg_kwargs["act_flags"] = tuple(cfg_kwargs["act_flags"])
-    net = build_network(ModelConfig(**cfg_kwargs), seed=0)
+    try:
+        model_config = run_config.dataclass_from(ModelConfig, model_config_dict, "model")
+    except ContractError as exc:
+        raise DataFormatError(f"checkpoint header: {exc}") from exc
+    net = build_network(model_config, seed=0)
     own = net.named_parameters()
     if set(own) != set(params):
         missing = sorted(set(own) ^ set(params))

@@ -146,6 +146,12 @@ def _random_complex(shape, rng):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
+def _slice_major(energies: np.ndarray) -> np.ndarray:
+    """Shared-density energies drawn point-major, (batch, spatial..., M), as
+    the slice-major (batch, 1, M, spatial...) the frame takes."""
+    return np.moveaxis(energies, -1, 1)[:, None]
+
+
 def run_frame_properties(seeds: Sequence[int] = (0, 1),
                          extents_list: Sequence[tuple] = tuple(QUICK_EXTENTS),
                          slices_list: Sequence[int] = tuple(QUICK_SLICES),
@@ -164,12 +170,13 @@ def run_frame_properties(seeds: Sequence[int] = (0, 1),
                 rng = np.random.default_rng(1000 * seed + 10 * m + grid.points)
                 tag = f"N={'x'.join(map(str, extents))},M={m},seed={seed}"
                 f = T.Tensor(_random_complex((1, 1) + grid.extents, rng))
-                energies = T.Tensor(rng.standard_normal((1,) + grid.extents + (m,)) * 2)
+                energies = rng.standard_normal((1,) + grid.extents + (m,)) * 2
+                energies = T.Tensor(_slice_major(energies))
                 p = density_from_energies(energies, 0.8, grid)
                 if inject == "density-normalization":
                     p = DensityField(T.Tensor(p.values.data * 0.9), grid)
 
-                norm_res = float(np.max(np.abs(p.values.data.sum(axis=-1) - 1.0)))
+                norm_res = float(np.max(np.abs(p.values.data.sum(axis=2) - 1.0)))
                 norm_ok = report.add(
                     name=f"density_normalization[{tag}]",
                     claim="density rows sum to one at every grid point",
@@ -215,13 +222,13 @@ def run_frame_properties(seeds: Sequence[int] = (0, 1),
 
 def _temperature_checks(report: PropertyReport) -> None:
     rng = np.random.default_rng(77)
-    energies = T.Tensor(rng.standard_normal((1, 32, 4)) * 2)
+    energies = T.Tensor(_slice_major(rng.standard_normal((1, 32, 4)) * 2))
     low = density_from_energies(energies, 1e-6).values.data
     report.add(
         name="low_temperature_one_hot",
         claim="at vanishing temperature every density row is one-hot",
-        residual=float(1.0 - low.max(axis=-1).min()), tolerance=1e-6)
-    spread = T.Tensor(np.broadcast_to(np.array([3.0, 1.0, -2.0]), (1, 32, 3)).copy())
+        residual=float(1.0 - low.max(axis=2).min()), tolerance=1e-6)
+    spread = T.Tensor(np.broadcast_to(np.array([3.0, 1.0, -2.0])[:, None], (1, 1, 3, 32)).copy())
     high = density_from_energies(spread, 1e6).values.data
     report.add(
         name="high_temperature_uniform",

@@ -41,7 +41,8 @@ def test_criterion_01_parseval_isometry():
             for pair in range(20):
                 rng = np.random.default_rng(hash((extents, m, pair)) % 2**32)
                 f = T.Tensor(_randc((1, 1) + grid.extents, rng))
-                e = T.Tensor(rng.standard_normal((1,) + grid.extents + (m,)) * 2)
+                e = rng.standard_normal((1,) + grid.extents + (m,)) * 2
+                e = T.Tensor(np.moveaxis(e, -1, 1)[:, None])
                 p = density_from_energies(e, 0.8, grid)
                 lifted = able_forward(f, p)
                 nf = np.sum(np.abs(f.data) ** 2)
@@ -148,9 +149,9 @@ def test_criterion_05_temperature_limits():
                                    zero_w, zero_b, 3) for mi in range(m)) / m
     high_t_res = float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
 
-    energies = T.Tensor(rng.standard_normal((1, 64, 4)))
+    energies = T.Tensor(np.moveaxis(rng.standard_normal((1, 64, 4)), -1, 1)[:, None])
     low = density_from_energies(energies, 1e-6).values.data
-    min_max_entry = float(low.max(axis=-1).min())
+    min_max_entry = float(low.max(axis=2).min())
 
     ok = high_t_res < 1e-6 and min_max_entry >= 1.0 - 1e-6
     _report(5, ok, time.perf_counter() - t0, 5,

@@ -3,6 +3,7 @@
 import json
 import re
 import struct
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -135,6 +136,14 @@ def test_train_outputs_exist(trained_run):
     assert len(summary) == 2 and "best_test" in summary[0]
 
 
+def test_effective_config_loads_back(trained_run):
+    tmp, _ = trained_run
+    path = tmp / "run1/effective-config.json"
+    config = load_config(str(path))
+    assert json.loads(json.dumps(asdict(config))) == json.loads(path.read_text())
+    assert config.train.seed == config.seed == TINY_TRAIN["seed"]
+
+
 def test_train_reproducible_checkpoint(trained_run):
     tmp, cfg = trained_run
     assert main(["train", "--config", str(cfg), "--data", str(tmp / "data.bin"),
@@ -191,15 +200,21 @@ def test_eval_zero_batch_size_usage_error(trained_run, capsys):
     assert "batch size" in capsys.readouterr().err
 
 
-def test_eval_unknown_model_key_is_file_error(trained_run, tmp_path, capsys):
-    tmp, _ = trained_run
-    blob = (tmp / "run1/model.ckpt").read_bytes()
+def _checkpoint_with_model(src, dst, **changes):
+    """Copy of checkpoint `src` whose header's model object is updated with `changes`."""
+    blob = src.read_bytes()
     (hlen,) = struct.unpack_from("<I", blob, 8)
     header = json.loads(blob[12:12 + hlen])
-    header["model"]["warp_factor"] = 9
+    header["model"].update(changes)
     raw = json.dumps(header).encode("utf-8")
-    bad = tmp_path / "unknown_key.ckpt"
-    bad.write_bytes(blob[:8] + struct.pack("<I", len(raw)) + raw + blob[12 + hlen:])
+    dst.write_bytes(blob[:8] + struct.pack("<I", len(raw)) + raw + blob[12 + hlen:])
+    return dst
+
+
+def test_eval_unknown_model_key_is_file_error(trained_run, tmp_path, capsys):
+    tmp, _ = trained_run
+    bad = _checkpoint_with_model(tmp / "run1/model.ckpt", tmp_path / "unknown_key.ckpt",
+                                 warp_factor=9)
     rc = main(["eval", "--checkpoint", str(bad), "--data", str(tmp / "data.bin")])
     assert rc == 3
     assert "warp_factor" in capsys.readouterr().err
@@ -376,3 +391,37 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["train"])  # missing required args
     assert exc.value.code == 2
+
+
+# ---- bad values end in their exit code ---------------------------------------------------
+
+BAD_INPUTS = {
+    "train-seed-differs-from-run-seed": (["train", "--set", "train.seed=5"], 2),
+    "seed-not-an-integer": (["train", "--set", "seed=abc"], 2),
+    "model-not-an-object": (["train", "--set", "model=3"], 2),
+    "width-not-an-integer": (["train", "--set", "model.width=abc"], 2),
+    "epochs-not-an-integer": (["train", "--set", "train.epochs=abc"], 2),
+    "act-flags-not-a-list": (["train", "--set", "model.act_flags=5"], 2),
+    "checkpoint-width-not-an-integer": (["eval", "--checkpoint", "{bad_ckpt}"], 3),
+    "sweep-values-not-numbers": (["sweep", "--axis", "M", "--values", "x"], 2),
+    "bench-m-list-not-integers": (["bench", "--m-list", "a"], 2),
+    "bench-n-list-not-powers-of-two": (["bench", "--n-list", "1000"], 2),
+}
+RUN_ARGS = {"train": ["--config", "{cfg}", "--data", "{data}", "--out", "{out}"],
+            "sweep": ["--config", "{cfg}", "--data", "{data}", "--out", "{out}"],
+            "eval": ["--data", "{data}"], "bench": []}
+
+
+@pytest.mark.parametrize("case", list(BAD_INPUTS))
+def test_bad_input_exit_code(trained_run, tmp_path, case):
+    tmp, cfg = trained_run
+    argv, expected = BAD_INPUTS[case]
+    paths = {"cfg": cfg, "data": tmp / "data.bin", "out": tmp_path / "out",
+             "bad_ckpt": _checkpoint_with_model(tmp / "run1/model.ckpt",
+                                                tmp_path / "bad.ckpt", width="abc")}
+    argv = [a.format(**paths) for a in argv + RUN_ARGS[argv[0]]]
+    try:
+        rc = main(argv)
+    except SystemExit as exc:       # argparse rejects a malformed flag value itself
+        rc = exc.code
+    assert rc == expected

@@ -16,11 +16,16 @@ def rng(seed):
     return np.random.default_rng(seed)
 
 
+def slice_major(a, per_channel=False):
+    """Point-major (batch, [C,] spatial..., M) -> the frame's (batch, 1 or C, M, spatial...)."""
+    return np.moveaxis(a, -1, 2) if per_channel else np.moveaxis(a, -1, 1)[:, None]
+
+
 def random_density(grid, m, batch=1, seed=0, channels=None):
     shape = (batch,) + ((channels,) if channels else ()) + grid.extents + (m,)
     e = rng(seed).standard_normal(shape) * 2.0
-    p = T.softmax(T.tensor(e), axis=-1)
-    return frame.DensityField(p, grid, per_channel=channels is not None)
+    p = T.softmax(T.tensor(slice_major(e, channels is not None)), axis=2)
+    return frame.DensityField(p, grid)
 
 
 # ---- grid / density types -----------------------------------------------------
@@ -37,42 +42,43 @@ def test_grid_properties():
 
 def test_density_validate_rejects_bad_rows():
     g = frame.Grid((8,))
-    bad = frame.DensityField(T.tensor(np.full((1, 8, 2), 0.45)), g)
+    bad = frame.DensityField(T.tensor(slice_major(np.full((1, 8, 2), 0.45))), g)
     with pytest.raises(ContractError):
         bad.validate()
 
 
 def test_density_from_energies_rejects_nonpositive_temperature():
     with pytest.raises(DomainError):
-        frame.density_from_energies(T.tensor(np.zeros((1, 8, 2))), 0.0)
+        frame.density_from_energies(T.tensor(slice_major(np.zeros((1, 8, 2)))), 0.0)
 
 
 # ---- softmax density examples ---------------------------------------------------
 
 def test_equal_energies_give_uniform():
-    p = frame.density_from_energies(T.tensor(np.zeros((1, 4, 2))), 1.0)
+    p = frame.density_from_energies(T.tensor(slice_major(np.zeros((1, 4, 2)))), 1.0)
     assert np.allclose(p.values.data, 0.5, atol=1e-15)
 
 
 def test_low_temperature_one_hot():
     e = np.zeros((1, 4, 2))
     e[..., 0] = 1.0
-    p = frame.density_from_energies(T.tensor(e), 1e-4)
-    assert np.all(np.abs(p.values.data[..., 0] - 1.0) < 1e-10)
-    assert np.all(p.values.data[..., 1] < 1e-10)
+    p = frame.density_from_energies(T.tensor(slice_major(e)), 1e-4)
+    assert np.all(np.abs(p.values.data[:, :, 0] - 1.0) < 1e-10)
+    assert np.all(p.values.data[:, :, 1] < 1e-10)
 
 
 def test_high_temperature_uniform():
     e = np.zeros((1, 4, 3))
     e[..., 0], e[..., 1], e[..., 2] = 3.0, 1.0, -2.0
-    p = frame.density_from_energies(T.tensor(e), 1e6)
+    p = frame.density_from_energies(T.tensor(slice_major(e)), 1e6)
     assert np.max(np.abs(p.values.data - 1.0 / 3.0)) < 1e-6
 
 
 def test_entropy_monotone_in_temperature():
     e = rng(5).standard_normal((1, 16, 4)) * 2
     entropies = [
-        frame.density_entropy(frame.density_from_energies(T.tensor(e), t).values.data)
+        frame.density_entropy(frame.density_from_energies(T.tensor(slice_major(e)), t)
+                              .values.data)
         for t in (0.01, 0.1, 1.0, 10.0, 100.0)
     ]
     assert all(b >= a - 1e-12 for a, b in zip(entropies, entropies[1:]))
@@ -80,8 +86,8 @@ def test_entropy_monotone_in_temperature():
 
 def test_low_temperature_limit_max_entry():
     e = rng(6).standard_normal((1, 32, 4))
-    p = frame.density_from_energies(T.tensor(e), 1e-6)
-    assert np.all(p.values.data.max(axis=-1) >= 1.0 - 1e-6)
+    p = frame.density_from_energies(T.tensor(slice_major(e)), 1e-6)
+    assert np.all(p.values.data.max(axis=2) >= 1.0 - 1e-6)
 
 
 # ---- stencil features ------------------------------------------------------------
@@ -115,14 +121,14 @@ def test_zero_network_zero_energies():
     for w in net.weights:
         w.data[...] = 0.0
     e = net.energies(T.tensor(np.zeros((2, 2, 8))))
-    assert np.array_equal(e.data, np.zeros((2, 8, 3)))
+    assert np.array_equal(e.data, np.zeros((2, 1, 3, 8)))
 
 
 def test_fd4_network_shapes_and_channel_check():
     cfg = frame.DensityNetConfig(slices=2, arch="fd4", hidden=16)
     net = frame.DensityNetwork(cfg, in_channels=3, ndim=1, rng=rng(1))
     out = net.energies(T.tensor(rng(2).standard_normal((4, 3, 16))))
-    assert out.shape == (4, 16, 2)
+    assert out.shape == (4, 1, 2, 16)
     with pytest.raises(ContractError):
         net.energies(T.tensor(np.zeros((4, 5, 16))))
 
@@ -137,7 +143,7 @@ def test_per_channel_network_output_layout():
     cfg = frame.DensityNetConfig(slices=4, arch="mlp2", hidden=8, per_channel=True)
     net = frame.DensityNetwork(cfg, in_channels=3, ndim=2, rng=rng(3))
     out = net.energies(T.tensor(rng(4).standard_normal((2, 3, 8, 8))))
-    assert out.shape == (2, 3, 8, 8, 4)
+    assert out.shape == (2, 3, 4, 8, 8)
 
 
 def test_density_network_initial_density_near_uniform():
@@ -224,7 +230,7 @@ def test_one_hot_partition_step_roundtrip_exact():
     pv = np.zeros((1, n, 2))
     pv[0, : n // 2, 0] = 1.0
     pv[0, n // 2:, 1] = 1.0
-    p = frame.DensityField(T.tensor(pv), g)
+    p = frame.DensityField(T.tensor(slice_major(pv)), g)
     f = np.where(np.arange(n) < n // 2, 1.0, -2.0).reshape(1, 1, n)
     back = frame.able_inverse(frame.able_forward(T.tensor(f), p), p)
     direct = sum(
@@ -238,7 +244,7 @@ def test_one_hot_partition_step_roundtrip_exact():
 
 def test_forward_rejects_invalid_density():
     g = frame.Grid((8,))
-    bad = frame.DensityField(T.tensor(np.full((1, 8, 2), 0.4)), g)
+    bad = frame.DensityField(T.tensor(slice_major(np.full((1, 8, 2), 0.4))), g)
     with pytest.raises(ContractError):
         frame.able_forward(T.tensor(np.zeros((1, 1, 8))), bad)
 
@@ -287,6 +293,6 @@ def test_isometry_property(exp, m, seed):
 )
 def test_density_normalization_property(t, seed):
     e = rng(seed).standard_normal((2, 8, 5)) * 4
-    p = frame.density_from_energies(T.tensor(e), t)
-    assert np.max(np.abs(p.values.data.sum(axis=-1) - 1.0)) < 1e-10
+    p = frame.density_from_energies(T.tensor(slice_major(e)), t)
+    assert np.max(np.abs(p.values.data.sum(axis=2) - 1.0)) < 1e-10
     p.validate()

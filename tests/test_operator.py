@@ -242,7 +242,7 @@ def test_one_hot_partition_kernel_vanishes_across_cells():
     pv[0, : n // 2, 0] = 1.0
     pv[0, n // 2:, 1] = 1.0
     # bypass the density net: materialize with an explicit one-hot field
-    field = DensityField(T.tensor(pv), Grid((n,)))
+    field = DensityField(T.tensor(np.moveaxis(pv, -1, 1)[:, None]), Grid((n,)))
     layer.density = lambda f, _field=field: _field
     f = rng(34).standard_normal((1, 1, n))
     kernel = op.materialize_kernel(layer, T.tensor(f))[0, 0, 0]
