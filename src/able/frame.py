@@ -4,15 +4,19 @@ A density field assigns each grid point a probability vector over M
 slices. It is stored slice-major, (batch, heads, M, spatial...), with one
 head for a density shared by all channels or one per channel; broadcasting
 over the head axis makes the shared case a per-channel density with one
-channel. `lift` scales a signal by the square root of each slice and
-applies the unitary FFT; `synthesize` applies the inverse FFT per slice,
-reweights by the same square roots and sums over slices. Because the slice
-weights sum to one pointwise, analysis preserves the grid norm and
-synthesis after analysis is the identity, for every admissible density.
-These two are the only code that transforms lifted data, which is
-slice-major too, (batch, channels, M, frequency...); the frame API and the
-operator layers both call them. A square-root density of None stands for
-a single slice of density one and skips the weighting.
+channel. `lift` (analysis) scales a signal by the square root of each
+slice, applies the unitary FFT and keeps the retained modes; `synthesize`
+zero-fills the retained modes, applies the inverse FFT per slice,
+reweights by the same square roots and sums over slices. For any density
+and mode list synthesis is the adjoint of analysis, so each is one tape
+node whose VJP is the other's numpy kernel. Because the slice weights sum
+to one pointwise the frame is tight: on the full spectrum analysis
+preserves the grid norm and synthesis after analysis is the identity, for
+every admissible density. These two are the only code that transforms
+lifted data, which is slice-major too, (batch, channels, M, modes...); the
+frame API passes the full spectrum and the operator layers pass their
+truncation. A square-root density of None stands for a single slice of
+density one and skips the weighting.
 
 Square roots on the density path keep the exact forward value but use an
 epsilon-regularized derivative so one-hot densities (the low-temperature
@@ -26,6 +30,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import fft as _fft
 from . import tensor as T
 from .errors import ContractError, DomainError, UnsupportedSizeError
 from .fft import is_power_of_two
@@ -244,27 +249,69 @@ def sqrt_density(p: DensityField) -> T.Tensor:
     return T.sqrt(p.values, grad_eps=SQRT_GRAD_EPS)
 
 
-def lift(f: T.Tensor, sp: Optional[T.Tensor]) -> T.Tensor:
-    """(batch, C, spatial...) -> unitary FFT of f * sp, (batch, C, M, frequency...).
+# Synthesis is the adjoint of analysis: the VJP of `lift` synthesizes the
+# zero-filled gradient and the VJP of `synthesize` analyzes the gradient,
+# both through the numpy kernels below.
 
-    `sp` is `sqrt_density(p)`, or None for a single slice of density one.
+def _mode_index(modes) -> tuple:
+    """Open-mesh index of the retained modes over the trailing frequency axes."""
+    return (slice(None),) * 3 + np.ix_(*modes)
+
+
+def _analyze(f: np.ndarray, sp: Optional[np.ndarray], ix: tuple) -> np.ndarray:
+    """Unitary FFT of f * sp per slice, retained modes only."""
+    x = f[:, :, None] if sp is None else f[:, :, None] * sp
+    return _fft.fft_unitary(x, tuple(range(3, x.ndim)))[ix]
+
+
+def _expand(c: np.ndarray, ix: tuple, extents: tuple) -> np.ndarray:
+    """Zero-fill the retained modes into the full spectrum; inverse FFT per slice."""
+    full = np.zeros(c.shape[:3] + tuple(extents), dtype=np.complex128)
+    full[ix] = c
+    return _fft.ifft_unitary(full, tuple(range(3, full.ndim)))
+
+
+def _reweight(z: np.ndarray, sp: Optional[np.ndarray]) -> np.ndarray:
+    """Sum of sp * z over slices; an unweighted single slice is just dropped."""
+    return z[:, :, 0] if sp is None else (z * sp).sum(axis=2)
+
+
+def lift(f: T.Tensor, sp: Optional[T.Tensor], modes) -> T.Tensor:
+    """(batch, C, spatial...) -> retained modes of the unitary FFT of f * sp.
+
+    The result is (batch, C, M, modes...). `sp` is `sqrt_density(p)`, or
+    None for a single slice of density one; `modes` lists the retained
+    frequency indices of each spatial axis.
     """
-    z = T.reshape(f, f.shape[:2] + (1,) + f.shape[2:])
-    if sp is not None:
-        z = T.mul(z, sp)
-    return T.fft(T.to_complex(z), axes=tuple(range(3, z.ndim)))
+    ix = _mode_index(modes)
+    spd = None if sp is None else sp.data
+
+    def vjp(g):
+        z = _expand(g, ix, f.shape[2:])
+        if not f.is_complex:
+            z = z.real
+        df = _reweight(z, spd) if f.requires_grad else None
+        if sp is None:
+            return (df,)
+        return df, (np.real(z * np.conj(f.data[:, :, None])) if sp.requires_grad else None)
+
+    return T._make(_analyze(f.data, spd, ix), (f,) if sp is None else (f, sp), vjp)
 
 
-def synthesize(c: T.Tensor, sp: Optional[T.Tensor]) -> T.Tensor:
-    """Inverse FFT per slice, reweight by `sp`, sum over slices: (batch, C, spatial...).
+def synthesize(c: T.Tensor, sp: Optional[T.Tensor], modes, extents) -> T.Tensor:
+    """Zero-fill the retained modes to `extents`, inverse FFT per slice,
+    reweight by `sp` and sum over slices: (batch, C, spatial...)."""
+    ix = _mode_index(modes)
+    spd = None if sp is None else sp.data
+    z = _expand(c.data, ix, extents)
 
-    With `sp` None the single slice's inverse FFT is returned with the slice
-    axis dropped, which saves the copy a sum would make.
-    """
-    z = T.ifft(c, axes=tuple(range(3, c.ndim)))
-    if sp is None:
-        return T.reshape(z, z.shape[:2] + z.shape[3:])
-    return T.tsum(T.mul(z, sp), axis=2)
+    def vjp(g):
+        dc = _analyze(g, spd, ix) if c.requires_grad else None
+        if sp is None:
+            return (dc,)
+        return dc, (np.real(g[:, :, None] * np.conj(z)) if sp.requires_grad else None)
+
+    return T._make(_reweight(z, spd), (c,) if sp is None else (c, sp), vjp)
 
 
 def _check_compatible(f: T.Tensor, p: DensityField) -> None:
@@ -285,7 +332,8 @@ def able_forward(f: T.Tensor, p: DensityField) -> LiftedCoefficients:
     """Analysis: FFT of the square-root-density-weighted field, one slice per m."""
     p.validate()
     _check_compatible(f, p)
-    return LiftedCoefficients(lift(f, sqrt_density(p)), p.grid)
+    modes = [np.arange(n) for n in p.grid.extents]
+    return LiftedCoefficients(lift(f, sqrt_density(p), modes), p.grid)
 
 
 def able_inverse(c, p: DensityField) -> T.Tensor:
@@ -302,7 +350,8 @@ def able_inverse(c, p: DensityField) -> T.Tensor:
         raise ContractError("coefficient frequency shape does not match grid")
     if values.shape[0] != p.values.shape[0]:
         raise ContractError("coefficient and density batch sizes differ")
-    return synthesize(values, sqrt_density(p))
+    modes = [np.arange(n) for n in p.grid.extents]
+    return synthesize(values, sqrt_density(p), modes, p.grid.extents)
 
 
 # ---- diagnostics --------------------------------------------------------------

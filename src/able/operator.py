@@ -1,13 +1,14 @@
 """Spectral operator layers on the adaptive frame, and their dense oracle.
 
-A layer computes a per-point density from its input, lifts it with
-`frame.lift`, mixes the retained low frequencies with learnable complex
-weights (per slice, or across slice pairs in the cross variant),
-synthesizes back with `frame.synthesize`, and adds a pointwise linear
-path; one pipeline serves every slice count. With a single slice the
-density is identically one and the layer reduces to a plain Fourier
-layer: it passes no square-root density (None), so the lifted transform
-skips the weighting, which softmax over one logit makes the identity.
+A layer computes a per-point density from its input, lifts it onto the
+retained low frequencies with `frame.lift`, mixes them with learnable
+complex weights (per slice, or across slice pairs in the cross variant),
+synthesizes back with `frame.synthesize` and keeps the real part, then
+adds a pointwise linear path; one pipeline serves every slice count. With
+a single slice the density is identically one and the layer reduces to a
+plain Fourier layer: it passes no square-root density (None), so the
+lifted transform skips the weighting, which softmax over one logit makes
+the identity.
 
 Frequency truncation keeps, per axis, the k_max lowest nonnegative and
 the k_max lowest negative wavenumbers in the natural FFT layout, so
@@ -137,14 +138,11 @@ class AbleLayer:
             raise ContractError(f"channel count {f.shape[1]} != layer width {self.in_channels}")
         extents = tuple(f.shape[2:])
         idx = self._index_lists(extents)
-        axes = tuple(range(3, 3 + self.ndim))      # frequency axes of lifted data
         sp = sqrt_density(self.density(f)) if self.density_net is not None else None
-        kept = T.take_modes(lift(f, sp), axes=axes, index_lists=idx)
         xy = _EINSUM_SPATIAL[:self.ndim]
         mix = f"biq{xy},io{xy}pq->bop{xy}" if self.kind == "cross" else f"bim{xy},io{xy}m->bom{xy}"
-        mixed = T.einsum2(mix, kept, self.multiplier.weights)
-        padded = T.put_modes(mixed, axes=axes, index_lists=idx, full_extents=extents)
-        spectral = T.real(synthesize(padded, sp))
+        mixed = T.einsum2(mix, lift(f, sp, idx), self.multiplier.weights)
+        spectral = T.real(synthesize(mixed, sp, idx, extents))
 
         local = T.einsum2(_pointwise_spec(self.ndim), f, self.pointwise)
         local = T.add(local, T.reshape(self.bias, (1, -1) + (1,) * self.ndim))

@@ -9,8 +9,9 @@ from scratch every step.
 Complex tensors follow the paired-reals convention: for a real loss L and
 a complex value x = a + ib, the stored gradient is dL/da + i*dL/db. Under
 this convention a holomorphic op with derivative f' propagates
-grad_in = conj(f') * grad_out, and the adjoint of the unitary FFT is the
-unitary inverse FFT.
+grad_in = conj(f') * grad_out. The FFT is not a tape op: the lifted
+transform in `frame` builds its analysis and synthesis nodes on `_make`
+with hand-written VJPs.
 
 Tensors are immutable once built; optimizers mutate parameter buffers
 in place between steps, which is outside the taped region.
@@ -31,7 +32,6 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from . import fft as _fft
 from .errors import ContractError, DomainError
 
 _grad_enabled = True
@@ -201,7 +201,12 @@ def sub(a, b) -> Tensor:
 def mul(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
     ad, bd = a.data, b.data
-    return _make(ad * bd, (a, b), lambda g: (g * np.conj(bd), g * np.conj(ad)))
+
+    def vjp(g):
+        return (g * np.conj(bd) if a.requires_grad else None,
+                g * np.conj(ad) if b.requires_grad else None)
+
+    return _make(ad * bd, (a, b), vjp)
 
 
 def div(a, b) -> Tensor:
@@ -210,14 +215,10 @@ def div(a, b) -> Tensor:
     out = ad / bd
 
     def vjp(g):
-        return g * np.conj(1.0 / bd), g * np.conj(-ad / (bd * bd))
+        return (g * np.conj(1.0 / bd) if a.requires_grad else None,
+                g * np.conj(-ad / (bd * bd)) if b.requires_grad else None)
 
     return _make(out, (a, b), vjp)
-
-
-def neg(a) -> Tensor:
-    a = _wrap(a)
-    return _make(-a.data, (a,), lambda g: (-g,))
 
 
 def sqrt(a, grad_eps: float = 0.0) -> Tensor:
@@ -346,8 +347,8 @@ def matmul(a, b) -> Tensor:
     out = ad @ bd
 
     def vjp(g):
-        ga = g @ np.conj(np.swapaxes(bd, -1, -2))
-        gb = np.conj(np.swapaxes(ad, -1, -2)) @ g
+        ga = g @ np.conj(np.swapaxes(bd, -1, -2)) if a.requires_grad else None
+        gb = np.conj(np.swapaxes(ad, -1, -2)) @ g if b.requires_grad else None
         return ga, gb
 
     return _make(out, (a, b), vjp)
@@ -468,85 +469,8 @@ def real(a) -> Tensor:
                  lambda g: (g.astype(np.complex128),))
 
 
-def imag(a) -> Tensor:
-    a = _wrap(a)
-    return _make(np.ascontiguousarray(a.data.imag), (a,), lambda g: (1j * g,))
-
-
-def conj(a) -> Tensor:
-    a = _wrap(a)
-    return _make(np.conj(a.data), (a,), lambda g: (np.conj(g),))
-
-
-def to_complex(a) -> Tensor:
-    a = _wrap(a)
-    if a.is_complex:
-        return a
-    return _make(a.data.astype(np.complex128), (a,), lambda g: (g.real,))
-
-
 def abs2(a) -> Tensor:
     """Squared modulus; real output for real or complex input."""
     a = _wrap(a)
     out = np.ascontiguousarray((a.data * np.conj(a.data)).real)
     return _make(out, (a,), lambda g: (2.0 * g * a.data,))
-
-
-# ---- spectral ops ----------------------------------------------------------------
-
-def fft(a, axes) -> Tensor:
-    a = _wrap(a)
-    if not a.is_complex:
-        raise ContractError("fft_unitary expects a complex tensor; apply to_complex first")
-    axes = tuple(axes)
-    return _make(_fft.fft_unitary(a.data, axes), (a,),
-                 lambda g: (_fft.ifft_unitary(g, axes),))
-
-
-def ifft(a, axes) -> Tensor:
-    a = _wrap(a)
-    if not a.is_complex:
-        raise ContractError("ifft_unitary expects a complex tensor; apply to_complex first")
-    axes = tuple(axes)
-    return _make(_fft.ifft_unitary(a.data, axes), (a,),
-                 lambda g: (_fft.fft_unitary(g, axes),))
-
-
-def _mesh_index(ndim: int, axes: Sequence[int], index_lists: Sequence[np.ndarray]):
-    """Open-mesh fancy index touching `axes` (must be consecutive) only."""
-    axes = list(axes)
-    if axes != list(range(axes[0], axes[0] + len(axes))):
-        raise ContractError("mode axes must be consecutive")
-    ix: list = [slice(None)] * ndim
-    k = len(axes)
-    for j, (ax, idx) in enumerate(zip(axes, index_lists)):
-        shape = [1] * k
-        shape[j] = -1
-        ix[ax] = np.asarray(idx, dtype=np.intp).reshape(shape)
-    return tuple(ix)
-
-
-def take_modes(a, axes, index_lists) -> Tensor:
-    """Gather the retained frequency indices along the spatial axes."""
-    a = _wrap(a)
-    ix = _mesh_index(a.ndim, axes, index_lists)
-    full_shape = a.shape
-
-    def vjp(g):
-        out = np.zeros(full_shape, dtype=g.dtype)
-        out[ix] = g
-        return (out,)
-
-    return _make(a.data[ix], (a,), vjp)
-
-
-def put_modes(a, axes, index_lists, full_extents) -> Tensor:
-    """Scatter cropped coefficients back into a zero-padded full spectrum."""
-    a = _wrap(a)
-    out_shape = list(a.shape)
-    for ax, n in zip(axes, full_extents):
-        out_shape[ax] = n
-    ix = _mesh_index(len(out_shape), axes, index_lists)
-    data = np.zeros(tuple(out_shape), dtype=a.data.dtype)
-    data[ix] = a.data
-    return _make(data, (a,), lambda g: (g[ix],))

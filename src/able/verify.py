@@ -26,7 +26,7 @@ from . import fft as _fft
 from . import tensor as T
 from . import reference
 from .dataio import Dataset
-from .errors import DomainError
+from .errors import ContractError, DomainError
 from .frame import (DensityField, DensityNetConfig, Grid, able_forward,
                     able_inverse, density_entropy, density_from_energies,
                     uniform_density)
@@ -562,8 +562,12 @@ def complexity_scaling_check(m_list: Sequence[int] = (1, 2, 4, 8),
 
     Sizes are chosen so arithmetic dominates interpreter overhead and the
     working set stays cache-resident: the fit then reflects the algorithm,
-    not the memory hierarchy.
+    not the memory hierarchy. Each list needs two distinct values for a
+    slope to be fitted.
     """
+    for name, values in (("m_list", m_list), ("n_list", n_list)):
+        if len(set(values)) < 2:
+            raise ContractError(f"{name} needs at least two distinct values, got {list(values)}")
     timing_n = n_list[0]
     f_by_n = {n: np.random.default_rng(seed).standard_normal((1, channels, n))
               for n in n_list}

@@ -38,6 +38,18 @@ def central_difference(f, x0: np.ndarray, h: float = 1e-6) -> np.ndarray:
     return g
 
 
+def central_difference_paired(f, x0: np.ndarray, h: float = 1e-6) -> np.ndarray:
+    """Central-difference gradient of a real scalar f at a real or complex x0.
+
+    For complex x0 the result follows the paired-reals convention,
+    dL/dRe + i dL/dIm.
+    """
+    if not np.iscomplexobj(x0):
+        return central_difference(f, x0.copy(), h=h)
+    return (central_difference(lambda a: f(a + 1j * x0.imag), x0.real.copy(), h=h)
+            + 1j * central_difference(lambda a: f(x0.real + 1j * a), x0.imag.copy(), h=h))
+
+
 def stencil_periodic(f: np.ndarray, kernel) -> np.ndarray:
     """True convolution of a 1-D sequence with a 3-tap kernel, periodic wrap.
 

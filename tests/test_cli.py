@@ -405,7 +405,9 @@ BAD_INPUTS = {
     "checkpoint-width-not-an-integer": (["eval", "--checkpoint", "{bad_ckpt}"], 3),
     "sweep-values-not-numbers": (["sweep", "--axis", "M", "--values", "x"], 2),
     "bench-m-list-not-integers": (["bench", "--m-list", "a"], 2),
-    "bench-n-list-not-powers-of-two": (["bench", "--n-list", "1000"], 2),
+    "bench-n-list-not-powers-of-two": (["bench", "--n-list", "1000,2000"], 2),
+    "bench-single-value-lists": (["bench", "--m-list", "1", "--n-list", "1024"], 2),
+    "bench-repeated-values": (["bench", "--m-list", "2,2", "--n-list", "1024,1024"], 2),
 }
 RUN_ARGS = {"train": ["--config", "{cfg}", "--data", "{data}", "--out", "{out}"],
             "sweep": ["--config", "{cfg}", "--data", "{data}", "--out", "{out}"],

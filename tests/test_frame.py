@@ -9,7 +9,7 @@ from able import fft, frame
 from able import tensor as T
 from able.errors import ContractError, DomainError, UnsupportedSizeError
 
-from oracles import grid_norm_sq, parseval_direct, stencil_periodic
+from oracles import central_difference_paired, grid_norm_sq, parseval_direct, stencil_periodic
 
 
 def rng(seed):
@@ -269,6 +269,66 @@ def test_gradient_flows_through_density_path():
     grads = [w.grad for w in net.weights]
     assert all(g is not None for g in grads)
     assert any(np.max(np.abs(g)) > 1e-12 for g in grads)
+
+
+# ---- lift / synthesize as tape nodes ---------------------------------------------
+
+NODE_EXTENTS = {1: (8,), 2: (4, 8)}
+
+
+def node_case(ndim, heads, truncated, seed):
+    """Extents, retained modes and a square-root density (None, or 1 or 2 heads)."""
+    extents = NODE_EXTENTS[ndim]
+    modes = [np.array([0, 1, n - 1]) if truncated else np.arange(n) for n in extents]
+    sp = None if heads is None else rng(seed).random((1, heads, 3) + extents) + 0.1
+    return extents, modes, sp
+
+
+def assert_node_grad(build_loss, x0):
+    leaf = T.parameter(x0.copy())
+    T.tape_backward(build_loss(leaf))
+    want = central_difference_paired(lambda a: build_loss(T.tensor(a.copy())).item(), x0)
+    assert leaf.grad.dtype == x0.dtype
+    assert np.max(np.abs(leaf.grad - want)) / max(np.max(np.abs(want)), 1e-8) < 1e-5
+
+
+@pytest.mark.parametrize("truncated", [True, False], ids=["truncated", "full"])
+@pytest.mark.parametrize("dtype", [float, complex], ids=["real", "complex"])
+@pytest.mark.parametrize("heads", [None, 1, 2], ids=["sp-none", "shared", "per-channel"])
+@pytest.mark.parametrize("ndim", [1, 2], ids=["1d", "2d"])
+def test_lift_and_synthesize_gradients(ndim, heads, dtype, truncated):
+    extents, modes, sp = node_case(ndim, heads, truncated, seed=100)
+    m = 1 if sp is None else sp.shape[2]
+    kept = tuple(len(k) for k in modes)
+    f = randc((1, 2) + extents, seed=101)
+    c = randc((1, 2, m) + kept, seed=102)
+    f, c = (f, c) if dtype is complex else (f.real.copy(), c.real.copy())
+    w_lift = T.tensor(randc(c.shape, seed=103))
+    w_syn = T.tensor(randc(f.shape, seed=104))
+
+    def lift_loss(x, s):
+        return T.tsum(T.abs2(T.mul(frame.lift(x, s, modes), w_lift)))
+
+    def synthesize_loss(x, s):
+        return T.tsum(T.abs2(T.mul(frame.synthesize(x, s, modes, extents), w_syn)))
+
+    for loss, x0 in ((lift_loss, f), (synthesize_loss, c)):
+        assert_node_grad(lambda t: loss(t, None if sp is None else T.tensor(sp)), x0)
+        if sp is not None:
+            assert_node_grad(lambda t: loss(T.tensor(x0), t), sp)
+
+
+@pytest.mark.parametrize("heads", [None, 1, 2], ids=["sp-none", "shared", "per-channel"])
+@pytest.mark.parametrize("ndim", [1, 2], ids=["1d", "2d"])
+def test_synthesize_is_adjoint_of_lift(ndim, heads):
+    extents, modes, sp = node_case(ndim, heads, truncated=True, seed=110)
+    m = 1 if sp is None else sp.shape[2]
+    f = randc((1, 2) + extents, seed=111)
+    c = randc((1, 2, m) + tuple(len(k) for k in modes), seed=112)
+    s = None if sp is None else T.tensor(sp)
+    lhs = np.vdot(c, frame.lift(T.tensor(f), s, modes).data)
+    rhs = np.vdot(frame.synthesize(T.tensor(c), s, modes, extents).data, f)
+    assert abs(lhs - rhs) <= 1e-12 * np.linalg.norm(f) * np.linalg.norm(c)
 
 
 @settings(max_examples=20, deadline=None)
