@@ -146,8 +146,12 @@ def make_burgers_dataset(samples: int, nu: float, seed: int, resolution: int = 2
     u1, diag = solve_burgers(u0, nu, fine, t_final=t_final)
     energies = diag["energies"]
     meta["solver"] = {
-        "dt": diag["dt"],
+        "rtol": diag["rtol"],
         "steps": diag["steps"],
+        "rejected": diag["rejected"],
+        "dt_min": diag["dt_min"],
+        "dt_max": diag["dt_max"],
+        "error_estimate_max": diag["error_estimate_max"],
         "mean_drift_max": float(diag["mean_drift"].max()),
         "energy_nonincreasing": bool(
             np.all(np.diff(energies, axis=1) <= 1e-12 * energies[:, :1])),

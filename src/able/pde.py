@@ -3,10 +3,12 @@
 These generators are plain numpy (no tape) and use numpy's FFT: they only
 produce training data, and every solver property the package relies on
 (mean conservation, energy dissipation, residuals, determinism) is tested
-directly against independent identities. The Darcy solver is conjugate
-gradients preconditioned with the exact sine-transform inverse of the
-constant-coefficient Laplacian, so its iteration count does not grow with
-the grid.
+directly against independent identities. The Burgers solver chooses each
+time step from a step-doubling error estimate held to a relative
+tolerance, so the step follows the data rather than a fixed cap. The Darcy
+solver is conjugate gradients preconditioned with the exact sine-transform
+inverse of the constant-coefficient Laplacian, so its iteration count does
+not grow with the grid.
 """
 
 from __future__ import annotations
@@ -85,21 +87,34 @@ def make_darcy_coefficient(spec: GrfSpec, grid: Grid, seed: int,
 
 # ---- 1-D viscous Burgers -----------------------------------------------------
 
+_RTOL_MIN = 1e-13   # below this the step-doubling estimate measures FFT roundoff
+_DT_MIN = 1e-10     # a step this small means the flow is not resolved on the grid
+
+
 def solve_burgers(u0: np.ndarray, nu: float, grid: Grid, t_final: float = 1.0,
-                  cfl: float = 0.4, dt_cap: float = 1e-4,
-                  energy_every: int = 200) -> tuple:
+                  rtol: float = 1e-8) -> tuple:
     """Pseudo-spectral solve of u_t + (u^2/2)_x = nu u_xx on the unit circle.
 
-    Conservative flux form with 2/3 dealiasing, integrating-factor RK4 with
-    a fixed step chosen once from the initial data. Returns (u(t_final),
-    diagnostics) where diagnostics carries the recorded energies per sample
-    and the mean drift.
+    Conservative flux form with 2/3 dealiasing and integrating-factor RK4 at
+    a step chosen by step doubling: each attempt takes one full step and two
+    half steps, and estimates the error of the half-step result as
+    max over samples of ||half - full||_2 / ||half||_2 / 15. The half steps
+    are accepted when the estimate is at most `rtol`; either way the next
+    step is scaled by clip(0.9 (rtol/err)^(1/5), 0.2, 4), and the last step
+    is clipped to land on `t_final`. The step sequence follows the whole
+    batch, so a sample solved alone agrees with its batched solve only to
+    within the tolerance. Returns (u(t_final), diagnostics), where
+    diagnostics carries the energy of every sample after every accepted
+    step, the mean drift, and the step statistics.
 
     The k=0 mode is untouched by every term, so the spatial mean is
     conserved to roundoff by construction.
     """
     if nu <= 0:
         raise DomainError("viscosity must be positive")
+    if not rtol >= _RTOL_MIN:
+        raise DomainError(f"rtol={rtol} must be at least {_RTOL_MIN}: a smaller "
+                          "tolerance asks the error estimate to resolve roundoff")
     if grid.dims != 1:
         raise ContractError("burgers solver is 1-D")
     squeeze = u0.ndim == 1
@@ -112,43 +127,67 @@ def solve_burgers(u0: np.ndarray, nu: float, grid: Grid, t_final: float = 1.0,
     k = np.arange(n // 2 + 1, dtype=np.float64)
     flux_coef = -0.5j * 2.0 * np.pi * k * (k <= n / 3)
     lam = -nu * (2 * np.pi * k) ** 2
+    # Parseval weights of the half spectrum: sq_norm(rfft(u)) == n * sum(u**2)
+    weight = np.full(n // 2 + 1, 2.0)
+    weight[0] = weight[-1] = 1.0
 
-    umax = float(np.max(np.abs(u)))
-    dt = min(dt_cap, cfl * (1.0 / n) / max(umax, 1e-12))
-    steps = max(1, math.ceil(t_final / dt))
-    dt = t_final / steps
-
-    e_half = np.exp(lam * dt / 2.0)
-    e_full = np.exp(lam * dt)
+    def sq_norm(v_hat):
+        return np.sum(weight * (v_hat.real**2 + v_hat.imag**2), axis=1)
 
     def nonlinear(v_hat):
         v = np.fft.irfft(v_hat, n=n, axis=1)
         return flux_coef * np.fft.rfft(v * v, axis=1)
 
+    def rk4(v_hat, h, na):
+        e_half = np.exp(lam * h / 2.0)
+        e_full = np.exp(lam * h)
+        nb = nonlinear(e_half * (v_hat + 0.5 * h * na))
+        nc = nonlinear(e_half * v_hat + 0.5 * h * nb)
+        nd = nonlinear(e_full * v_hat + h * e_half * nc)
+        return e_full * v_hat + h / 6.0 * (e_full * na + 2 * e_half * (nb + nc) + nd)
+
     v_hat = np.fft.rfft(u, axis=1)
     mean0 = v_hat[:, 0].real.copy() / n
-
-    energies = [np.mean(u**2, axis=1)]
+    # first guess at Courant number one; the controller corrects it
+    dt = min(t_final, 1.0 / (n * max(float(np.max(np.abs(u))), 1e-12)))
+    t, rejected, err_max, taken = 0.0, 0, 0.0, []
     with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(steps):
+        energies = [sq_norm(v_hat) / n**2]
+        while t < t_final:
+            last = t + dt >= t_final
+            h = t_final - t if last else dt
             na = nonlinear(v_hat)
-            nb = nonlinear(e_half * (v_hat + 0.5 * dt * na))
-            nc = nonlinear(e_half * v_hat + 0.5 * dt * nb)
-            nd = nonlinear(e_full * v_hat + dt * e_half * nc)
-            v_hat = e_full * v_hat + dt / 6.0 * (e_full * na + 2 * e_half * (nb + nc) + nd)
-            if (step + 1) % energy_every == 0 or step == steps - 1:
-                u_now = np.fft.irfft(v_hat, n=n, axis=1)
-                if not np.all(np.isfinite(u_now)):
-                    raise NumericalFailure(
-                        f"burgers solve blew up at step {step + 1}/{steps} (nu={nu}, N={n})")
-                energies.append(np.mean(u_now**2, axis=1))
+            full = rk4(v_hat, h, na)
+            mid = rk4(v_hat, h / 2.0, na)
+            half = rk4(mid, h / 2.0, nonlinear(mid))
+            half_sq = sq_norm(half)
+            ratio = sq_norm(half - full) / np.maximum(half_sq, np.finfo(float).tiny)
+            err = float(np.sqrt(np.max(ratio))) / 15.0
+            where = f"step {len(taken) + 1} (t={t:.6g}, dt={h:.3g}, nu={nu}, N={n})"
+            if not (math.isfinite(err) and np.all(np.isfinite(half_sq))):
+                raise NumericalFailure(f"burgers solve blew up at {where}")
+            if err <= rtol:
+                v_hat = half
+                t = t_final if last else t + h
+                taken.append(h)
+                err_max = max(err_max, err)
+                energies.append(half_sq / n**2)
+            else:
+                rejected += 1
+            dt = h * (4.0 if err == 0 else min(4.0, max(0.2, 0.9 * (rtol / err) ** 0.2)))
+            if dt < _DT_MIN and t < t_final:
+                raise NumericalFailure(f"burgers step fell below {_DT_MIN} at {where}")
 
     u_final = np.fft.irfft(v_hat, n=n, axis=1)
     diagnostics = {
         "energies": np.stack(energies, axis=1),
         "mean_drift": np.abs(v_hat[:, 0].real / n - mean0),
-        "dt": dt,
-        "steps": steps,
+        "rtol": rtol,
+        "steps": len(taken),
+        "rejected": rejected,
+        "dt_min": min(taken, default=0.0),
+        "dt_max": max(taken, default=0.0),
+        "error_estimate_max": err_max,
     }
     return (u_final[0] if squeeze else u_final), diagnostics
 

@@ -98,7 +98,7 @@ def test_burgers_mean_conserved_energy_dissipated():
     grid = Grid((256,))
     x = np.arange(256) / 256
     u0 = np.sin(2 * np.pi * x)
-    u1, diag = pde.solve_burgers(u0, nu=0.1, grid=grid, energy_every=100)
+    u1, diag = pde.solve_burgers(u0, nu=0.1, grid=grid)
     assert abs(u1.mean() - u0.mean()) < 1e-10
     energies = diag["energies"][0]
     assert np.all(np.diff(energies) < 0), "energy must strictly decrease for this flow"
@@ -109,7 +109,7 @@ def test_burgers_energy_nonincreasing_on_grf_data(nu):
     grid = Grid((512,))
     spec = pde.GrfSpec(**pde.BURGERS_GRF)
     u0 = pde.sample_grf(spec, grid, seed=17, n_samples=2)
-    _, diag = pde.solve_burgers(u0, nu=nu, grid=grid, t_final=0.2, energy_every=200)
+    _, diag = pde.solve_burgers(u0, nu=nu, grid=grid, t_final=0.2)
     en = diag["energies"]
     assert np.all(np.diff(en, axis=1) <= 1e-12 * en[:, :1])
     assert diag["mean_drift"].max() < 1e-9
@@ -127,13 +127,56 @@ def test_burgers_grid_self_convergence():
     assert np.sqrt(np.mean((coarse - fine) ** 2)) < 1e-6
 
 
+def _grf_burgers_data(samples=2):
+    # the initial data of test_burgers_energy_nonincreasing_on_grf_data
+    return pde.sample_grf(pde.GrfSpec(**pde.BURGERS_GRF), Grid((512,)), seed=17,
+                          n_samples=samples)
+
+
+def _relative_l2(a, b):
+    return np.max(np.linalg.norm(a - b, axis=-1) / np.linalg.norm(b, axis=-1))
+
+
+@pytest.mark.parametrize("nu", [0.1, 0.01, 0.001])
+def test_burgers_step_self_convergence(nu):
+    # a 1000x tighter tolerance moves the solution by less than 10 rtol
+    grid, rtol = Grid((512,)), 1e-8
+    u0 = _grf_burgers_data()
+    coarse, _ = pde.solve_burgers(u0, nu=nu, grid=grid, t_final=0.2, rtol=rtol)
+    fine, _ = pde.solve_burgers(u0, nu=nu, grid=grid, t_final=0.2, rtol=rtol / 1000)
+    assert _relative_l2(coarse, fine) < 10 * rtol
+
+
+def test_burgers_batch_independent_within_tolerance():
+    # the step sequence follows the whole batch, so a sample solved alone
+    # takes other steps and agrees only to within the tolerance
+    grid, rtol = Grid((512,)), 1e-8
+    u0 = _grf_burgers_data(samples=3)
+    batched, _ = pde.solve_burgers(u0, nu=0.01, grid=grid, t_final=0.2, rtol=rtol)
+    for i in range(3):
+        alone, _ = pde.solve_burgers(u0[i], nu=0.01, grid=grid, t_final=0.2, rtol=rtol)
+        assert _relative_l2(alone, batched[i]) < 10 * rtol
+
+
 def test_burgers_blowup_detected_with_named_step():
     grid = Grid((64,))
     x = np.arange(64) / 64
-    u0 = 50.0 * np.sin(2 * np.pi * x)
+    u0 = 1e160 * np.sin(2 * np.pi * x)   # u*u overflows in the first flux
     with pytest.raises(NumericalFailure, match="step"):
-        pde.solve_burgers(u0, nu=1e-6, grid=grid, dt_cap=0.05, cfl=100.0,
-                          energy_every=1)
+        pde.solve_burgers(u0, nu=1e-6, grid=grid)
+
+
+def test_burgers_step_below_floor_refused():
+    grid = Grid((64,))
+    x = np.arange(64) / 64
+    with pytest.raises(NumericalFailure, match="fell below"):
+        pde.solve_burgers(1e9 * np.sin(2 * np.pi * x), nu=1e-6, grid=grid)
+
+
+@pytest.mark.parametrize("rtol", [0.0, -1e-8, 1e-16])
+def test_burgers_rejects_roundoff_tolerance(rtol):
+    with pytest.raises(DomainError):
+        pde.solve_burgers(np.zeros(64), nu=0.1, grid=Grid((64,)), rtol=rtol)
 
 
 def test_burgers_rejects_nonpositive_viscosity():
@@ -288,6 +331,13 @@ def test_make_burgers_dataset_deterministic():
     assert np.array_equal(a.inputs, b.inputs)
     assert np.array_equal(a.targets, b.targets)
     assert a.inputs.shape == (3, 1, 64)
+    solver = a.meta["solver"]
+    assert set(solver) == {"rtol", "steps", "rejected", "dt_min", "dt_max",
+                           "error_estimate_max", "mean_drift_max", "energy_nonincreasing"}
+    assert solver == b.meta["solver"]
+    assert solver["rtol"] == 1e-8 and solver["steps"] > 0
+    assert 0 < solver["dt_min"] <= solver["dt_max"] <= 0.05
+    assert solver["error_estimate_max"] <= solver["rtol"]
 
 
 def test_make_burgers_dataset_empty():
