@@ -8,9 +8,10 @@ Operator layers mix retained low modes per slice (or across slice pairs)
 and reduce to the plain Fourier layer when M = 1.
 
 The package is self-contained: dense-tensor reverse-mode autodiff, a
-radix-2 unitary FFT, PDE data generators (viscous Burgers, Darcy flow),
-a deterministic trainer, and a verification harness turning the method's
-exact identities and approximation rates into executable checks.
+unitary power-of-two contract over numpy's FFT, PDE data generators
+(viscous Burgers, Darcy flow), a deterministic trainer, and a
+verification harness turning the method's exact identities and
+approximation rates into executable checks.
 """
 
 from . import config, dataio, fft, frame, operator, pde, reference, tensor, training, verify

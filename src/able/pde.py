@@ -89,6 +89,7 @@ def make_darcy_coefficient(spec: GrfSpec, grid: Grid, seed: int,
 
 _RTOL_MIN = 1e-13   # below this the step-doubling estimate measures FFT roundoff
 _DT_MIN = 1e-10     # a step this small means the flow is not resolved on the grid
+_MAX_ATTEMPTS = 100_000   # accepted plus rejected steps; ~1000x a resolved solve
 
 
 def solve_burgers(u0: np.ndarray, nu: float, grid: Grid, t_final: float = 1.0,
@@ -177,6 +178,9 @@ def solve_burgers(u0: np.ndarray, nu: float, grid: Grid, t_final: float = 1.0,
             dt = h * (4.0 if err == 0 else min(4.0, max(0.2, 0.9 * (rtol / err) ** 0.2)))
             if dt < _DT_MIN and t < t_final:
                 raise NumericalFailure(f"burgers step fell below {_DT_MIN} at {where}")
+            if len(taken) + rejected >= _MAX_ATTEMPTS and t < t_final:
+                raise NumericalFailure(f"burgers solve made {_MAX_ATTEMPTS} attempts "
+                                       f"without reaching t_final={t_final} at {where}")
 
     u_final = np.fft.irfft(v_hat, n=n, axis=1)
     diagnostics = {

@@ -1,8 +1,9 @@
 """Reference implementations used as comparison oracles.
 
-Plain numpy, no tape, no shared code with the adaptive layer: a classic
-Fourier layer (truncate low modes, mix channels per mode, synthesize,
-add a pointwise linear path). The adaptive layer with one slice must
+Plain numpy, no tape, and no code shared with the adaptive layer but the
+unitary FFT, which the tests check against the direct DFT sum: a classic
+Fourier layer (truncate low modes, mix channels per mode, synthesize, add
+a pointwise linear path). The adaptive layer with one slice must
 reproduce this bit-for-bit up to roundoff.
 """
 

@@ -560,10 +560,13 @@ def complexity_scaling_check(m_list: Sequence[int] = (1, 2, 4, 8),
                              repeats: int = 9, seed: int = 0) -> dict:
     """Measured layer-forward scaling in slice count and grid size.
 
-    Sizes are chosen so arithmetic dominates interpreter overhead and the
-    working set stays cache-resident: the fit then reflects the algorithm,
-    not the memory hierarchy. Each list needs two distinct values for a
-    slope to be fitted.
+    Each time is the best of round-robin wall times of one no-grad layer
+    forward. The M slope fits log time against log M at the first grid
+    size; every forward also pays a fixed per-call Python cost, so the
+    slope measures how the whole forward grows with M, not the FFT
+    arithmetic alone. The ratio sets the M=1 layer against the plain-numpy
+    Fourier layer on the same input. Each list needs two distinct values
+    for a slope to be fitted.
     """
     for name, values in (("m_list", m_list), ("n_list", n_list)):
         if len(set(values)) < 2:

@@ -78,9 +78,20 @@ def test_roundtrip_identity():
     assert np.max(np.abs(fwd - x)) < 1e-12
 
 
-def test_non_power_of_two_rejected():
-    with pytest.raises(UnsupportedSizeError):
-        fft.fft_unitary(np.zeros(12, dtype=np.complex128), axes=(0,))
+@pytest.mark.parametrize("transform", [fft.fft_unitary, fft.ifft_unitary],
+                         ids=["fft", "ifft"])
+@pytest.mark.parametrize("shape, axes, rejected", [
+    ((12,), (0,), True),
+    ((8, 12), (0, 1), True),
+    ((12, 8), (1,), False),      # untransformed axes may have any length
+], ids=["len12", "8x12-axes01", "12x8-axis1"])
+def test_non_power_of_two_rejected(transform, shape, axes, rejected):
+    x = random_complex(shape, seed=13)
+    if rejected:
+        with pytest.raises(UnsupportedSizeError):
+            transform(x, axes=axes)
+    else:
+        assert transform(x, axes=axes).shape == shape
 
 
 def test_batched_transform_matches_per_row():

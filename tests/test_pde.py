@@ -173,6 +173,15 @@ def test_burgers_step_below_floor_refused():
         pde.solve_burgers(1e9 * np.sin(2 * np.pi * x), nu=1e-6, grid=grid)
 
 
+def test_burgers_attempt_limit_refused(monkeypatch):
+    # unbounded, this input needs about 6e7 steps, each above the dt floor
+    monkeypatch.setattr(pde, "_MAX_ATTEMPTS", 50)
+    grid = Grid((64,))
+    x = np.arange(64) / 64
+    with pytest.raises(NumericalFailure, match=r"50 attempts .*step \d+ \(t=.*N=64\)"):
+        pde.solve_burgers(1e6 * np.sin(2 * np.pi * x), nu=1e-6, grid=grid)
+
+
 @pytest.mark.parametrize("rtol", [0.0, -1e-8, 1e-16])
 def test_burgers_rejects_roundoff_tolerance(rtol):
     with pytest.raises(DomainError):
