@@ -1,5 +1,8 @@
 #!/usr/bin/env python3
-"""Run all approximation-rate studies and print a summary table.
+"""Run all approximation-rate studies once each and print a summary table.
+
+With --out, each study's result is also written as <out>/<study>.json and
+<out>/<study>.csv, the files `able rate-study` writes.
 
 Usage: python scripts/run_rate_studies.py [--out results/rates] [--with-2d]
 """
@@ -8,27 +11,22 @@ import argparse
 from pathlib import Path
 
 from able import verify
-from able.cli import main as cli_main
+from able.cli import write_rate_study
 
 
 def run(args):
-    studies = [
-        ("step", verify.fourier_step_truncation_study, -0.5),
-        ("partition", verify.able_partition_approximation_study, -1.0),
-        ("joint", verify.joint_truncation_partition_study, -0.5),
-    ]
-    if args.with_2d:
-        studies.append(("radial2d", verify.radial_step_partition_study_2d, -0.5))
-
     print(f"{'study':<12} {'slope':>8} {'CI':>20} {'expected':>9}")
-    for name, fn, expected in studies:
-        result = fn()
+    for name, study in verify.RATE_STUDIES.items():
+        if name == "radial2d" and not args.with_2d:
+            continue
+        result = study()
+        expected = result.extras.get("expected_slope",
+                                     result.extras.get("expected_slope_upper_bound"))
         lo, hi = result.slope_ci
         print(f"{name:<12} {result.fitted_slope:>8.4f} "
               f"[{lo:>8.4f}, {hi:>8.4f}] {expected:>9.2f}")
         if args.out:
-            cli_main(["rate-study", "--study", name,
-                      "--out", str(Path(args.out) / name)])
+            write_rate_study(result, Path(args.out) / name)
 
 
 if __name__ == "__main__":

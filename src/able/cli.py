@@ -1,5 +1,11 @@
 """Command-line entry point: gen / train / eval / verify / sweep / rate-study / bench.
 
+`sweep` is the one loop that trains a network per value of M or T. Each
+row it writes to sweep.json and sweep.csv carries the final and best test
+loss, seconds per epoch, analytic flops, and the mean density entropy of
+the trained network's first adaptive layer on the first (up to four)
+training inputs at the row's temperature (0 for M = 1).
+
 Exit codes: 0 success, 1 failed verification checks, 2 usage or config
 error, 3 file or format error, 4 numerical failure.
 """
@@ -179,6 +185,7 @@ def cmd_sweep(args) -> int:
     config = load_config(args.config, args.set)
     dataset = dataset_read(args.data)
     train_set, test_set = split_dataset(dataset, config.data.n_test, seed=config.seed)
+    probe = train_set.inputs[:4]
     rows = []
     for value in args.values:
         if args.axis == "M":
@@ -198,6 +205,8 @@ def cmd_sweep(args) -> int:
             "best_test": metrics.best_test,
             "seconds_per_epoch": float(np.mean(seconds)) if seconds else 0.0,
             "flops_total": flops["total"],
+            "density_entropy": verify_mod.entropy_vs_temperature_at_fixed_weights(
+                net, probe, [model_cfg.temperature])[0],
         })
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -210,20 +219,13 @@ def cmd_sweep(args) -> int:
     for row in rows:
         label = " (plain Fourier baseline)" if args.axis == "M" and row["value"] == 1 else ""
         print(f"{args.axis}={row['value']}{label}: best test {row['best_test']:.6f}, "
-              f"flops {row['flops_total']:.3e}")
+              f"flops {row['flops_total']:.3e}, density entropy {row['density_entropy']:.4f}")
     return 0
 
 
-def cmd_rate_study(args) -> int:
-    if args.study == "step":
-        result = verify_mod.fourier_step_truncation_study()
-    elif args.study == "partition":
-        result = verify_mod.able_partition_approximation_study()
-    elif args.study == "joint":
-        result = verify_mod.joint_truncation_partition_study()
-    else:
-        result = verify_mod.radial_step_partition_study_2d()
-    prefix = Path(args.out)
+def write_rate_study(result: verify_mod.RateStudyResult, prefix) -> None:
+    """Write a rate study as `<prefix>.json` (full result) and `<prefix>.csv` (x, error)."""
+    prefix = Path(prefix)
     prefix.parent.mkdir(parents=True, exist_ok=True)
     _write_json(prefix.with_suffix(".json"), result.to_dict())
     with open(prefix.with_suffix(".csv"), "w", newline="", encoding="utf-8") as fh:
@@ -231,6 +233,11 @@ def cmd_rate_study(args) -> int:
         writer.writerow(["x", "error"])
         for x, e in zip(result.x_values, result.errors):
             writer.writerow([x, e])
+
+
+def cmd_rate_study(args) -> int:
+    result = verify_mod.RATE_STUDIES[args.study]()
+    write_rate_study(result, args.out)
     lo, hi = result.slope_ci
     print(f"{args.study}: fitted slope {result.fitted_slope:.4f} "
           f"(bootstrap CI [{lo:.4f}, {hi:.4f}])")
@@ -328,8 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rate-study", help="approximation-rate studies with slope fits",
                        epilog=epilog, formatter_class=raw)
-    p.add_argument("--study", choices=("step", "partition", "joint", "radial2d"),
-                   required=True)
+    p.add_argument("--study", choices=tuple(verify_mod.RATE_STUDIES), required=True)
     p.add_argument("--out", required=True, help="output path prefix (.csv/.json)")
     p.set_defaults(func=cmd_rate_study)
 

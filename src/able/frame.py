@@ -124,7 +124,6 @@ class DensityNetConfig:
     temperature: float = 0.8
     learn_temperature: bool = False
     residual: bool = True       # fd4 only: identity skip, first hidden into third
-    activation: str = "silu"
 
     def __post_init__(self):
         if self.arch not in ("mlp2", "fd4"):
@@ -214,17 +213,16 @@ class DensityNetwork:
             raise ContractError(
                 f"channel count {f.shape[1]} does not match network width {self.in_channels}")
         x = self._features(f)
-        act = T.ACTIVATIONS[self.config.activation]
         if self.config.arch == "fd4":
-            h1 = act(T.add(T.matmul(x, self.weights[0]), self.biases[0]))
-            h2 = act(T.add(T.matmul(h1, self.weights[1]), self.biases[1]))
+            h1 = T.silu(T.add(T.matmul(x, self.weights[0]), self.biases[0]))
+            h2 = T.silu(T.add(T.matmul(h1, self.weights[1]), self.biases[1]))
             pre3 = T.add(T.matmul(h2, self.weights[2]), self.biases[2])
             if self.config.residual:
                 pre3 = T.add(pre3, h1)
-            h3 = act(pre3)
+            h3 = T.silu(pre3)
             out = T.add(T.matmul(h3, self.weights[3]), self.biases[3])
         else:
-            h = act(T.add(T.matmul(x, self.weights[0]), self.biases[0]))
+            h = T.silu(T.add(T.matmul(x, self.weights[0]), self.biases[0]))
             out = T.add(T.matmul(h, self.weights[1]), self.biases[1])
         # (batch, spatial..., heads*M) -> (batch, heads, M, spatial...)
         out = T.reshape(out, out.shape[:-1] + (self.heads, self.config.slices))

@@ -60,13 +60,8 @@ def _pointwise_spec(ndim: int) -> str:
 class SpectralMultiplier:
     """Learnable complex mode weights, diagonal R(k,m) or cross R(k; m, m')."""
 
-    kind: str
     k_max: int
     weights: T.Tensor
-
-    @property
-    def slices(self) -> int:
-        return self.weights.shape[-1]
 
 
 def make_multiplier(kind: str, k_max: int, in_channels: int, out_channels: int,
@@ -78,7 +73,7 @@ def make_multiplier(kind: str, k_max: int, in_channels: int, out_channels: int,
     shape = (in_channels, out_channels) + modes + tail
     scale = 1.0 / (in_channels * out_channels)
     w = scale * (rng.random(shape) + 1j * rng.random(shape))
-    return SpectralMultiplier(kind, k_max, T.parameter(w))
+    return SpectralMultiplier(k_max, T.parameter(w))
 
 
 class AbleLayer:
@@ -331,14 +326,18 @@ class AbleNetwork:
         out = T.einsum2(_pointwise_spec(self.config.ndim), x, w)
         return T.add(out, T.reshape(b, (1, -1) + (1,) * self.config.ndim))
 
-    def forward(self, f: T.Tensor) -> T.Tensor:
+    def lift_input(self, f: T.Tensor) -> T.Tensor:
+        """The input lifted to the layer width: what the first layer sees."""
         if f.ndim != 2 + self.config.ndim:
             raise ContractError(f"expected (batch, channels, spatial...), got {f.shape}")
         if f.shape[1] != self.config.in_channels:
             raise ContractError(
                 f"input channels {f.shape[1]} != configured {self.config.in_channels}")
         x = self._coords(f) if self.config.coord_features else f
-        x = self._pointwise(x, self.lift_w, self.lift_b)
+        return self._pointwise(x, self.lift_w, self.lift_b)
+
+    def forward(self, f: T.Tensor) -> T.Tensor:
+        x = self.lift_input(f)
         for layer in self.layers:
             x = layer(x)
         act = T.ACTIVATIONS[self.config.activation]

@@ -136,18 +136,17 @@ def _project(g: np.ndarray, like: np.ndarray) -> np.ndarray:
 
 # ---- backward pass -------------------------------------------------------
 
-def tape_backward(loss: Tensor) -> dict:
-    """Reverse sweep from a real scalar loss; returns {leaf_tensor: grad}.
+def tape_backward(loss: Tensor) -> None:
+    """Reverse sweep from a real scalar loss, accumulating into each leaf's `.grad`.
 
-    Also stores the gradient on each leaf's `.grad`. Every node of the
-    recorded graph is visited exactly once.
+    Every node of the recorded graph is visited exactly once.
     """
     if loss.size != 1:
         raise ContractError(f"loss must be scalar, got shape {loss.shape}")
     if loss.is_complex:
         raise ContractError("loss must be real")
     if not loss.requires_grad:
-        return {}
+        return
 
     tape: list[Tensor] = []
     seen = set()
@@ -166,14 +165,12 @@ def tape_backward(loss: Tensor) -> dict:
                 stack.append((p, False))
 
     grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    leaf_grads: dict[Tensor, np.ndarray] = {}
     for node in reversed(tape):
         g = grads.pop(id(node), None)
         if g is None:
             continue
         if node._vjp is None:
             node.grad = g if node.grad is None else node.grad + g
-            leaf_grads[node] = node.grad
             continue
         for p, pg in zip(node._parents, node._vjp(g)):
             if pg is None or not p.requires_grad:
@@ -183,7 +180,6 @@ def tape_backward(loss: Tensor) -> dict:
                 grads[id(p)] = grads[id(p)] + pg
             else:
                 grads[id(p)] = pg
-    return leaf_grads
 
 
 # ---- elementwise arithmetic ----------------------------------------------

@@ -7,7 +7,13 @@ fixed tolerance. Rate studies reproduce the provable approximation laws
 for bounded-variation targets: Fourier truncation of a step decays like
 K^(-1/2), a zero-mode partition approximant of a sawtooth like 1/M, and
 the windowed-truncation combination like (KM)^(-1/2). Slopes are fitted
-on log-log points with a bootstrap confidence interval.
+on log-log points with a bootstrap confidence interval; `RATE_STUDIES`
+names each study once for `able rate-study` and the scripts.
+
+`entropy_vs_temperature_at_fixed_weights` reads the density entropy of a
+built network across a temperature ladder; `able sweep` reports it per
+trained row. `complexity_scaling_check` times layer forwards for the
+slice-count and grid-size scaling laws.
 
 The `inject` hooks corrupt the harness's own data path (never the library)
 so the suite can prove it actually detects failures.
@@ -25,14 +31,12 @@ import numpy as np
 from . import fft as _fft
 from . import tensor as T
 from . import reference
-from .dataio import Dataset
 from .errors import ContractError, DomainError
 from .frame import (DensityField, DensityNetConfig, Grid, able_forward,
                     able_inverse, density_entropy, density_from_energies,
                     uniform_density)
-from .operator import (AbleLayer, ModelConfig, apply_dense_kernel, build_network,
-                       kernel_diagonals, materialize_kernel)
-from .training import TrainConfig, train
+from .operator import (AbleLayer, apply_dense_kernel, kernel_diagonals,
+                       materialize_kernel)
 
 
 # ---- report structures ---------------------------------------------------------
@@ -67,10 +71,6 @@ class PropertyReport:
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
-
-    @property
-    def failures(self) -> list:
-        return [c for c in self.checks if not c.passed]
 
     def to_dict(self) -> dict:
         return {
@@ -487,46 +487,33 @@ def radial_step_partition_study_2d(m_list: Sequence[int] = (4, 16, 64),
                            extras={"expected_slope_upper_bound": -0.5})
 
 
-# ---- temperature sweep -----------------------------------------------------------------
+RATE_STUDIES = {
+    "step": fourier_step_truncation_study,
+    "partition": able_partition_approximation_study,
+    "joint": joint_truncation_partition_study,
+    "radial2d": radial_step_partition_study_2d,
+}
+
+
+# ---- density entropy at fixed weights ---------------------------------------------------
 
 def entropy_vs_temperature_at_fixed_weights(net, probe: np.ndarray,
                                             t_list: Sequence[float]) -> list:
-    """Mean density entropy of the first adaptive layer across a T ladder."""
+    """Mean density entropy of the first adaptive layer across a T ladder.
+
+    The layer sees the lifted probe, as in the network's forward; a network
+    without an adaptive layer (M = 1) reads entropy 0 at every T.
+    """
     layer = next((l for l in net.layers if l.density_net is not None), None)
     if layer is None:
-        return [math.log(1.0)] * len(t_list)
+        return [0.0] * len(t_list)
     with T.no_grad():
-        x = net._coords(T.Tensor(probe)) if net.config.coord_features else T.Tensor(probe)
-        lifted = net._pointwise(x, net.lift_w, net.lift_b)
-        energies = layer.density_net.energies(lifted)
+        energies = layer.density_net.energies(net.lift_input(T.Tensor(probe)))
     out = []
     for t in t_list:
         p = density_from_energies(energies, t)
         out.append(density_entropy(p.values.data))
     return out
-
-
-def temperature_sweep(model: ModelConfig, train_set: Dataset, test_set: Dataset,
-                      t_list: Sequence[float], budget_epochs: int,
-                      train_config: Optional[TrainConfig] = None,
-                      seed: int = 0) -> dict:
-    """One training run per temperature at a shared seed and budget."""
-    rows = []
-    probe = train_set.inputs[: min(4, train_set.samples)]
-    for t in t_list:
-        cfg_t = ModelConfig(**{**asdict(model), "temperature": float(t)})
-        net = build_network(cfg_t, seed=seed)
-        tc = train_config or TrainConfig(epochs=budget_epochs, batch_size=10, seed=seed)
-        tc = TrainConfig(**{**asdict(tc), "epochs": budget_epochs, "seed": seed})
-        metrics = train(net, train_set, test_set, tc)
-        ent = entropy_vs_temperature_at_fixed_weights(net, probe, [t])[0]
-        rows.append({
-            "temperature": float(t),
-            "final_test": metrics.records[-1]["test_loss"],
-            "best_test": metrics.best_test,
-            "density_entropy": ent,
-        })
-    return {"rows": rows, "budget_epochs": budget_epochs, "seed": seed}
 
 
 # ---- complexity scaling ---------------------------------------------------------------
@@ -562,10 +549,12 @@ def complexity_scaling_check(m_list: Sequence[int] = (1, 2, 4, 8),
 
     Each time is the best of round-robin wall times of one no-grad layer
     forward. The M slope fits log time against log M at the first grid
-    size; every forward also pays a fixed per-call Python cost, so the
-    slope measures how the whole forward grows with M, not the FFT
-    arithmetic alone. The ratio sets the M=1 layer against the plain-numpy
-    Fourier layer on the same input. Each list needs two distinct values
+    size, all M timed in one round-robin; every forward also pays a fixed
+    per-call Python cost, so the slope measures how the whole forward
+    grows with M, not the FFT arithmetic alone. The ratio sets the M=1
+    layer against the plain-numpy Fourier layer on the same input, from a
+    separate head-to-head round-robin of just those two, which also gives
+    `m1_time` and `fno_time`. Each list needs two distinct values
     for a slope to be fitted.
     """
     for name, values in (("m_list", m_list), ("n_list", n_list)):
@@ -593,7 +582,7 @@ def complexity_scaling_check(m_list: Sequence[int] = (1, 2, 4, 8),
         pair = _interleaved_best_times(
             [lambda: m1_layer(m1_x),
              lambda: reference.fno_layer(x_np, w, pw, b, k_max)], repeats)
-    m_times[0], fno_time = pair[0], pair[1]
+    m1_time, fno_time = pair
 
     layer2 = _make_layer("diagonal", 2, seed=seed + 99, channels=channels, k_max=k_max)
     with T.no_grad():
@@ -606,7 +595,7 @@ def complexity_scaling_check(m_list: Sequence[int] = (1, 2, 4, 8),
     return {
         "m_list": list(m_list), "m_times": m_times, "m_slope": m_slope,
         "n_list": list(n_list), "n_times": n_times, "n_exponent_after_log": n_exponent,
-        "fno_time": fno_time, "m1_time": m_times[0],
-        "m1_vs_fno_ratio": m_times[0] / fno_time,
+        "fno_time": fno_time, "m1_time": m1_time,
+        "m1_vs_fno_ratio": m1_time / fno_time,
         "timing_n": timing_n,
     }

@@ -320,19 +320,34 @@ def test_sweep_m_axis_includes_fno_baseline(trained_run, capsys):
     rows = json.loads((tmp / "sweep/sweep.json").read_text())["rows"]
     assert [r["value"] for r in rows] == [1, 2]
     assert rows[1]["flops_total"] > rows[0]["flops_total"]
+    # one slice: the density is identically one, so its entropy is exactly zero
+    assert rows[0]["density_entropy"] == 0.0
+    assert 0.0 < rows[1]["density_entropy"] <= np.log(2) + 1e-12
     assert "plain Fourier baseline" in capsys.readouterr().out
     csv_lines = (tmp / "sweep/sweep.csv").read_text().splitlines()
     assert len(csv_lines) == 3
+    assert "density_entropy" in csv_lines[0].split(",")
 
 
 def test_sweep_t_axis_budget_zero_constant_rows(trained_run):
     tmp, cfg = trained_run
     assert main(["sweep", "--config", str(cfg), "--data", str(tmp / "data.bin"),
-                 "--axis", "T", "--values", "0.5,1.0", "--set", "train.epochs=0",
+                 "--axis", "T", "--values", "2.0,0.5,1.0", "--set", "train.epochs=0",
                  "--out", str(tmp / "sweep_t")]) == 0
     rows = json.loads((tmp / "sweep_t/sweep.json").read_text())["rows"]
-    assert len(rows) == 2
-    assert all(np.isfinite(r["final_test"]) for r in rows)
+    assert [r["value"] for r in rows] == [2.0, 0.5, 1.0]
+    assert all(np.isfinite(r["final_test"]) and np.isfinite(r["density_entropy"])
+               for r in rows)
+
+
+def test_sweep_huge_t_density_entropy_is_log_two(trained_run):
+    tmp, cfg = trained_run
+    assert main(["sweep", "--config", str(cfg), "--data", str(tmp / "data.bin"),
+                 "--axis", "T", "--values", "1e6", "--set", "train.epochs=2",
+                 "--out", str(tmp / "sweep_huge_t")]) == 0
+    rows = json.loads((tmp / "sweep_huge_t/sweep.json").read_text())["rows"]
+    # at huge temperature the 2-slice density is uniform even after training
+    assert abs(rows[0]["density_entropy"] - np.log(2)) < 1e-6
 
 
 def test_eval_identity_model_zero_loss(tmp_path):

@@ -370,8 +370,7 @@ def test_learnable_temperature_stays_positive_and_gets_gradient():
     # even a hostile update cannot make the effective temperature nonpositive
     log_t.data[...] = -50.0
     with T.no_grad():
-        lifted = net._pointwise(net._coords(T.tensor(f)), net.lift_w, net.lift_b)
-        p = net.layers[0].density(lifted)
+        p = net.layers[0].density(net.lift_input(T.tensor(f)))
     p.validate()
 
 

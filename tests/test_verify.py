@@ -110,7 +110,7 @@ def test_radial_2d_study_reports_negative_slope():
     assert result.fitted_slope < -0.45
 
 
-# ---- temperature sweep ---------------------------------------------------------------
+# ---- density entropy at fixed weights ------------------------------------------------
 
 def synthetic_dataset(samples=12, n=32, seed=0):
     from able.dataio import Dataset
@@ -122,33 +122,43 @@ def synthetic_dataset(samples=12, n=32, seed=0):
     return Dataset(Grid((n,)), xs, 0.7 * xs, {})
 
 
-def test_temperature_sweep_budget_zero_initial_losses():
-    from able.operator import ModelConfig
+def test_temperature_sweep_budget_zero_initial_losses(tmp_path):
+    # `able sweep --axis T` at budget 0 reports, per row, the test loss of the
+    # untrained network built from the "init" stream at that row's temperature
+    import json
+    from dataclasses import replace
+
+    from able.cli import main
+    from able.config import load_config, stream_seed
+    from able.dataio import dataset_write
+    from able.operator import build_network
+    from able.training import evaluate, split_dataset
 
     ds = synthetic_dataset()
-    model = ModelConfig(ndim=1, in_channels=1, out_channels=1, width=4, n_layers=1,
-                        k_max=4, slices=2, density_arch="mlp2", density_hidden=8,
-                        proj_hidden=8)
-    result = verify.temperature_sweep(model, ds.subset(range(8)), ds.subset(range(8, 12)),
-                                      t_list=(0.5, 1.0, 2.0), budget_epochs=0, seed=3)
-    rows = result["rows"]
-    assert [r["temperature"] for r in rows] == [0.5, 1.0, 2.0]
-    assert all(np.isfinite(r["final_test"]) for r in rows)
-    # budget 0: every model is the same initial network, so only T varies
-    assert len({round(r["final_test"], 15) for r in rows}) >= 1
+    dataset_write(ds, tmp_path / "data.bin")
+    (tmp_path / "config.json").write_text(json.dumps({
+        "task": "burgers", "seed": 3,
+        "model": {"width": 4, "n_layers": 1, "k_max": 4, "slices": 2,
+                  "density_arch": "mlp2", "density_hidden": 8, "proj_hidden": 8},
+        "train": {"epochs": 0, "batch_size": 4},
+        "data": {"n_test": 4},
+    }))
+    t_list = (0.5, 1.0, 2.0)
+    assert main(["sweep", "--config", str(tmp_path / "config.json"),
+                 "--data", str(tmp_path / "data.bin"), "--axis", "T",
+                 "--values", ",".join(map(str, t_list)), "--out", str(tmp_path / "sweep")]) == 0
+    rows = json.loads((tmp_path / "sweep/sweep.json").read_text())["rows"]
+    assert [r["value"] for r in rows] == list(t_list)
 
-
-def test_temperature_sweep_huge_t_density_stays_uniform():
-    from able.operator import ModelConfig
-
-    ds = synthetic_dataset(seed=4)
-    model = ModelConfig(ndim=1, in_channels=1, out_channels=1, width=4, n_layers=1,
-                        k_max=4, slices=2, density_arch="mlp2", density_hidden=8,
-                        proj_hidden=8, temperature=1e6)
-    result = verify.temperature_sweep(model, ds.subset(range(8)), ds.subset(range(8, 12)),
-                                      t_list=(1e6,), budget_epochs=2, seed=3)
-    # entropy of a 2-slice uniform density is log 2; tolerance 1e-3 on p itself
-    assert abs(result["rows"][0]["density_entropy"] - np.log(2)) < 1e-6
+    config = load_config(str(tmp_path / "config.json"))
+    _, test_set = split_dataset(ds, config.data.n_test, seed=config.seed)
+    for row, temperature in zip(rows, t_list):
+        model = replace(config.model, ndim=1, in_channels=1, out_channels=1,
+                        temperature=temperature)
+        net = build_network(model, seed=stream_seed(config.seed, "init"))
+        initial_loss, _ = evaluate(net, test_set, config.train.batch_size)
+        assert np.isfinite(row["final_test"])
+        assert row["final_test"] == initial_loss
 
 
 def test_entropy_ladder_monotone_at_fixed_weights():
