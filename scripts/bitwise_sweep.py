@@ -1,0 +1,103 @@
+#!/usr/bin/env python3
+"""Bitwise regression sweep: the loss, output and every gradient of a fixed
+set of small networks, to show that a change leaves the numbers untouched.
+
+The sweep builds 96 networks, every valid combination of a 1-D grid (32
+points) or a non-square 2-D grid (16 x 32), M from 1 to 4, diagonal or cross
+mixing, a shared or per-channel density, an fd4 (1-D only) or mlp2 density
+head and a fixed or learned temperature, each with a truncated spectrum. For
+each it runs one forward and backward pass of the relative L2 loss on fixed
+data and records the loss, the output and the gradient of every parameter.
+
+Run it once per tree, with that tree's package on the path, then compare:
+
+    PYTHONPATH=src python scripts/bitwise_sweep.py --out new.npz
+    PYTHONPATH=<other tree>/src python scripts/bitwise_sweep.py --out old.npz
+    python scripts/bitwise_sweep.py --compare old.npz new.npz
+
+--compare lists each array that differs, or that only one file holds, and
+exits 1 if there is any, else 0.
+"""
+
+import argparse
+import itertools
+import os
+import sys
+
+# one BLAS thread, so the products are summed in the same order on every run
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
+
+GRIDS = {1: ((32,), 6), 2: ((16, 32), 4)}   # ndim -> (extents, k_max)
+BATCH = 2
+
+
+def variants():
+    """(name, ModelConfig keyword arguments) for every network of the sweep."""
+    for ndim, m, kind, per_channel, arch, learn_t in itertools.product(
+            (1, 2), (1, 2, 3, 4), ("diagonal", "cross"), (False, True),
+            ("fd4", "mlp2"), (False, True)):
+        if arch == "fd4" and ndim != 1:
+            continue
+        name = (f"{ndim}d-M{m}-{kind}-{'perchannel' if per_channel else 'shared'}"
+                f"-{arch}-{'learnedT' if learn_t else 'fixedT'}")
+        yield name, dict(ndim=ndim, slices=m, kind=kind, per_channel=per_channel,
+                         density_arch=arch, learn_temperature=learn_t,
+                         k_max=GRIDS[ndim][1], width=4, n_layers=2, proj_hidden=8,
+                         density_hidden=8)
+
+
+def sweep() -> dict:
+    from able import tensor as T
+    from able.operator import ModelConfig, build_network
+    from able.training import relative_l2
+
+    arrays = {}
+    for i, (name, kwargs) in enumerate(variants()):
+        extents = GRIDS[kwargs["ndim"]][0]
+        net = build_network(ModelConfig(**kwargs), seed=i)
+        data = np.random.default_rng(1000 + i).standard_normal((2, BATCH, 1) + extents)
+        out = net(T.tensor(data[0]))
+        loss = relative_l2(out, T.tensor(data[1]))
+        T.tape_backward(loss)
+        arrays[f"{name}/loss"] = loss.data
+        arrays[f"{name}/output"] = out.data
+        for pname, p in net.named_parameters().items():
+            arrays[f"{name}/grad/{pname}"] = p.grad
+    return arrays
+
+
+def compare(path_a: str, path_b: str) -> int:
+    with np.load(path_a) as a, np.load(path_b) as b:
+        differ = sorted(set(a.files) ^ set(b.files))
+        for key in sorted(set(a.files) & set(b.files)):
+            x, y = a[key], b[key]
+            if x.shape != y.shape or x.dtype != y.dtype or not np.array_equal(x, y):
+                differ.append(key)
+        total = len(set(a.files) | set(b.files))
+    for key in differ:
+        print(f"differs: {key}")
+    print(f"{len(differ)} of {total} arrays differ")
+    return 1 if differ else 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    group = parser.add_mutually_exclusive_group(required=True)
+    group.add_argument("--out", metavar="FILE.npz", help="run the sweep and write its arrays")
+    group.add_argument("--compare", nargs=2, metavar=("A", "B"),
+                       help="compare two sweep files array by array")
+    args = parser.parse_args(argv)
+    if args.compare:
+        return compare(*args.compare)
+    arrays = sweep()
+    np.savez(args.out, **arrays)
+    print(f"wrote {len(arrays)} arrays of {len(list(variants()))} networks to {args.out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

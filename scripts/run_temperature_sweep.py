@@ -8,6 +8,11 @@ entropy per temperature from <out>/sweep/sweep.json. Last it rebuilds the
 same initial network and checks that its density entropy at fixed weights
 is monotone over the temperature ladder.
 
+At the default budget the entropies do not tell the temperatures apart:
+the density head's last layer starts at 0.1 of its usual scale, so the
+density starts near uniform, and ten epochs leave every row within about
+2e-3 of log M (0.691-0.693 for M = 2 at every T), trained or not.
+
 Usage: python scripts/run_temperature_sweep.py [--out results/temperature_sweep]
        [--budget 10] [--temperatures 0.2,...] [--samples 50] [--seed 0]
 """

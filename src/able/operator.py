@@ -355,22 +355,36 @@ def build_network(config: ModelConfig, seed: int = 0) -> AbleNetwork:
 
 # ---- flop accounting -----------------------------------------------------------
 
+def _transform_flops(extents: Sequence[int], kept: Sequence[int], analysis: bool) -> float:
+    """One pruned transform's flops, 5 N log2 N per line each pass computes."""
+    total = 0.0
+    for a, n in enumerate(extents):
+        before = extents[:a] if analysis else kept[:a]
+        after = kept[a + 1:] if analysis else extents[a + 1:]
+        total += float(np.prod(before)) * float(np.prod(after)) * 5.0 * n * np.log2(n)
+    return total
+
+
 def count_flops(net: AbleNetwork, grid: Grid) -> dict:
     """Analytic per-forward flop estimate, broken down by term.
 
     Convention (documented, not a hardware claim): one complex multiply-add
-    is 8 real flops; each length-N transform costs 5 N log2 N real flops;
-    forward and inverse transforms are counted separately.
+    is 8 real flops; each length-N line transform costs 5 N log2 N real
+    flops; forward and inverse transforms are counted separately. The fft
+    term counts only the lines the pruned transform computes: along axis a,
+    analysis transforms prod(N_b, b < a) * prod(K_b, b > a) lines and
+    synthesis prod(K_b, b < a) * prod(N_b, b > a), with N the grid extents
+    and K the retained mode counts.
     """
     cfg = net.config
     points = grid.points
-    logn = float(np.log2(points))
     fft_term = mixing_term = pointwise_term = density_term = 0.0
     for layer in net.layers:
         m = layer.slices
-        fft_term += m * (layer.in_channels + layer.out_channels) * 5.0 * points * logn
-        modes_total = float(np.prod([len(mode_indices(layer.multiplier.k_max, n))
-                                     for n in grid.extents]))
+        kept = [len(mode_indices(layer.multiplier.k_max, n)) for n in grid.extents]
+        fft_term += m * (layer.in_channels * _transform_flops(grid.extents, kept, True)
+                         + layer.out_channels * _transform_flops(grid.extents, kept, False))
+        modes_total = float(np.prod(kept))
         heads = m * m if layer.kind == "cross" else m
         mixing_term += heads * modes_total * layer.in_channels * layer.out_channels * 8.0
         pointwise_term += points * layer.in_channels * layer.out_channels * 2.0

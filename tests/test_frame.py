@@ -356,3 +356,60 @@ def test_density_normalization_property(t, seed):
     p = frame.density_from_energies(T.tensor(slice_major(e)), t)
     assert np.max(np.abs(p.values.data.sum(axis=2) - 1.0)) < 1e-10
     p.validate()
+
+
+# ---- pruned transform: bitwise against the all-axes FFT ----------------------------
+
+def kept_modes(extents, truncated):
+    """The operator layers' truncation (two lowest nonnegative and two lowest
+    negative wavenumbers per axis), or the full spectrum."""
+    return [np.r_[0:2, n - 2:n] if truncated else np.arange(n) for n in extents]
+
+
+@pytest.mark.parametrize("truncated", [True, False], ids=["truncated", "full"])
+@pytest.mark.parametrize("dtype", [float, complex], ids=["real", "complex"])
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("extents", [(16,), (16, 16), (8, 32), (32, 16)], ids=str)
+def test_lift_and_synthesize_bitwise_equal_all_axes_fft(extents, m, dtype, truncated):
+    modes = kept_modes(extents, truncated)
+    mesh = (slice(None),) * 3 + np.ix_(*modes)
+    axes = tuple(range(3, 3 + len(extents)))
+    f = randc((2, 3) + extents, seed=120)
+    f = f if dtype is complex else f.real.copy()
+    sp = None if m == 1 else rng(121).random((2, 1, m) + extents) + 0.1
+    s = None if sp is None else T.tensor(sp)
+    x = f[:, :, None] if sp is None else f[:, :, None] * sp
+    lifted = fft.fft_unitary(x, axes)[mesh]
+    assert np.array_equal(frame.lift(T.tensor(f), s, modes).data, lifted)
+
+    c = randc(lifted.shape, seed=122)
+    c = c if dtype is complex else c.real.copy()
+    full = np.zeros(c.shape[:3] + extents, dtype=complex)
+    full[mesh] = c
+    z = fft.ifft_unitary(full, axes)
+    want = z[:, :, 0] if sp is None else (z * sp).sum(axis=2)
+    assert np.array_equal(frame.synthesize(T.tensor(c), s, modes, extents).data, want)
+
+
+def record_fft_calls(monkeypatch):
+    calls = []
+    for name in ("fft_unitary", "ifft_unitary"):
+        def spy(a, axes, _inner=getattr(fft, name), _name=name):
+            calls.append((_name, np.shape(a), tuple(axes)))
+            return _inner(a, axes)
+        monkeypatch.setattr(fft, name, spy)
+    return calls
+
+
+def test_2d_transform_runs_later_passes_on_retained_lines_only(monkeypatch):
+    extents = (64, 64)
+    modes = [np.r_[0:8, 56:64]] * 2     # k_max 8 on each axis: 16 of 64 modes
+    f = T.tensor(randc((1, 2) + extents, seed=130))
+    calls = record_fft_calls(monkeypatch)
+    c = frame.lift(f, None, modes)
+    assert calls == [("fft_unitary", (1, 2, 1, 64, 64), (4,)),
+                     ("fft_unitary", (1, 2, 1, 64, 16), (3,))]
+    calls.clear()
+    frame.synthesize(c, None, modes, extents)
+    assert calls == [("ifft_unitary", (1, 2, 1, 16, 64), (4,)),
+                     ("ifft_unitary", (1, 2, 1, 64, 64), (3,))]

@@ -397,6 +397,16 @@ def test_flops_fft_nlogn_law():
     assert b["fft"] / a["fft"] == pytest.approx(2 * np.log2(512) / np.log2(256))
 
 
+def test_flops_fft_2d_counts_only_the_pruned_lines():
+    # 64x64 keeping 16 modes per axis: analysis runs 64 rows then 16 kept
+    # columns, synthesis 16 kept rows then 64 columns, so 80 of the 128
+    # line transforms a full fftn would run, each 5 * 64 * log2(64) flops
+    net = op.build_network(small_model(ndim=2, k_max=8, slices=2), seed=0)
+    got = op.count_flops(net, Grid((64, 64)))["fft"]
+    layers, slices, channels = 2, 2, 4 + 4
+    assert got == layers * slices * channels * 80 * 5 * 64 * 6
+
+
 def test_flops_monotone_in_slices():
     g = Grid((64,))
     totals = [op.count_flops(op.build_network(small_model(slices=m), seed=0), g)["total"]
