@@ -2,12 +2,16 @@
 """Bitwise regression sweep: the loss, output and every gradient of a fixed
 set of small networks, to show that a change leaves the numbers untouched.
 
-The sweep builds 96 networks, every valid combination of a 1-D grid (32
-points) or a non-square 2-D grid (16 x 32), M from 1 to 4, diagonal or cross
-mixing, a shared or per-channel density, an fd4 (1-D only) or mlp2 density
-head and a fixed or learned temperature, each with a truncated spectrum. For
-each it runs one forward and backward pass of the relative L2 loss on fixed
-data and records the loss, the output and the gradient of every parameter.
+The sweep builds 192 networks, every valid combination of a grid, M from 1
+to 4, diagonal or cross mixing, a shared or per-channel density, an fd4
+(1-D only) or mlp2 density head and a fixed or learned temperature. The
+grids are a 1-D grid of 32 points at k_max 6 and a non-square 16 x 32 grid
+at k_max 4, both truncated on every axis, plus two where 2 k_max equals an
+extent, so the whole-axis case runs too: 16 points at k_max 8 (the whole
+spectrum) and 16 x 32 at k_max 8 (whole on axis 0, truncated on axis 1).
+For each network it runs one forward and backward pass of the relative L2
+loss on fixed data and records the loss, the output and the gradient of
+every parameter.
 
 Run it once per tree, with that tree's package on the path, then compare:
 
@@ -30,23 +34,24 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
 
 import numpy as np  # noqa: E402
 
-GRIDS = {1: ((32,), 6), 2: ((16, 32), 4)}   # ndim -> (extents, k_max)
+GRIDS = (((32,), 6), ((16, 32), 4), ((16,), 8), ((16, 32), 8))   # (extents, k_max)
 BATCH = 2
 
 
 def variants():
-    """(name, ModelConfig keyword arguments) for every network of the sweep."""
-    for ndim, m, kind, per_channel, arch, learn_t in itertools.product(
-            (1, 2), (1, 2, 3, 4), ("diagonal", "cross"), (False, True),
+    """(name, extents, ModelConfig keyword arguments) for every network of the sweep."""
+    for (extents, k_max), m, kind, per_channel, arch, learn_t in itertools.product(
+            GRIDS, (1, 2, 3, 4), ("diagonal", "cross"), (False, True),
             ("fd4", "mlp2"), (False, True)):
-        if arch == "fd4" and ndim != 1:
+        if arch == "fd4" and len(extents) != 1:
             continue
-        name = (f"{ndim}d-M{m}-{kind}-{'perchannel' if per_channel else 'shared'}"
+        name = (f"{'x'.join(map(str, extents))}-k{k_max}-M{m}-{kind}"
+                f"-{'perchannel' if per_channel else 'shared'}"
                 f"-{arch}-{'learnedT' if learn_t else 'fixedT'}")
-        yield name, dict(ndim=ndim, slices=m, kind=kind, per_channel=per_channel,
-                         density_arch=arch, learn_temperature=learn_t,
-                         k_max=GRIDS[ndim][1], width=4, n_layers=2, proj_hidden=8,
-                         density_hidden=8)
+        yield name, extents, dict(ndim=len(extents), slices=m, kind=kind,
+                                  per_channel=per_channel, density_arch=arch,
+                                  learn_temperature=learn_t, k_max=k_max, width=4,
+                                  n_layers=2, proj_hidden=8, density_hidden=8)
 
 
 def sweep() -> dict:
@@ -55,8 +60,7 @@ def sweep() -> dict:
     from able.training import relative_l2
 
     arrays = {}
-    for i, (name, kwargs) in enumerate(variants()):
-        extents = GRIDS[kwargs["ndim"]][0]
+    for i, (name, extents, kwargs) in enumerate(variants()):
         net = build_network(ModelConfig(**kwargs), seed=i)
         data = np.random.default_rng(1000 + i).standard_normal((2, BATCH, 1) + extents)
         out = net(T.tensor(data[0]))

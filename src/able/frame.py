@@ -7,16 +7,17 @@ over the head axis makes the shared case a per-channel density with one
 channel. `lift` (analysis) scales a signal by the square root of each
 slice, applies the unitary FFT and keeps the retained modes; `synthesize`
 zero-fills the retained modes, applies the inverse FFT per slice,
-reweights by the same square roots and sums over slices. For any density
-and mode list synthesis is the adjoint of analysis, so each is one tape
-node whose VJP is the other's numpy kernel. Because the slice weights sum
-to one pointwise the frame is tight: on the full spectrum analysis
-preserves the grid norm and synthesis after analysis is the identity, for
-every admissible density. These two are the only code that transforms
-lifted data, which is slice-major too, (batch, channels, M, modes...); the
-frame API passes the full spectrum and the operator layers pass their
-truncation. A square-root density of None stands for a single slice of
-density one and skips the weighting.
+reweights by the same square roots and sums over slices. Along an axis of
+extent N the retained modes are the slice blocks [0, k) and [N - k, N),
+so k = N/2 keeps the whole axis. For any density and k synthesis is the
+adjoint of analysis, so each is one tape node whose VJP is the other's
+numpy kernel. Because the slice weights sum to one pointwise the frame is
+tight: on the full spectrum analysis preserves the grid norm and synthesis
+after analysis is the identity, for every admissible density. These two
+are the only code that transforms lifted data, which is slice-major too,
+(batch, channels, M, modes...); the frame API passes the full spectrum and
+the operator layers pass their truncation. A square-root density of None
+stands for a single slice of density one and skips the weighting.
 
 In 2-D both prune the FFT to the retained modes: one pass per axis, last
 axis first as numpy's `fftn`/`ifftn` do. Analysis keeps an axis's retained
@@ -50,7 +51,7 @@ SECOND_DIFF_STENCIL = (-0.5, 1.0, -0.5)
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform periodic grid on the unit torus, power-of-two extents."""
+    """Uniform periodic grid on the unit torus, power-of-two extents >= 2."""
 
     extents: tuple
 
@@ -59,8 +60,8 @@ class Grid:
         if not self.extents or len(self.extents) > 2:
             raise ContractError(f"grids are 1-D or 2-D, got extents {self.extents}")
         for n in self.extents:
-            if not is_power_of_two(n):
-                raise UnsupportedSizeError(f"grid extent {n} is not a power of two")
+            if n < 2 or not is_power_of_two(n):
+                raise UnsupportedSizeError(f"grid extent {n} is not a power of two >= 2")
 
     @property
     def dims(self) -> int:
@@ -254,30 +255,38 @@ def sqrt_density(p: DensityField) -> T.Tensor:
     return T.sqrt(p.values, grad_eps=SQRT_GRAD_EPS)
 
 
-# Synthesis is the adjoint of analysis: the VJP of `lift` synthesizes the
-# zero-filled gradient and the VJP of `synthesize` analyzes the gradient,
-# both through the numpy kernels below.
+def _retained(k, extents) -> tuple:
+    """The validated retained-mode counts, one k with 1 <= k <= N/2 per axis."""
+    k = tuple(int(kk) for kk in k)
+    if len(k) != len(extents) or not all(1 <= kk <= n // 2 for kk, n in zip(k, extents)):
+        raise ContractError(f"need one k per axis, 1 <= k <= N/2: got {k} for {tuple(extents)}")
+    return k
 
-def _mode_index(modes) -> list:
-    """Per spatial axis, the index that keeps that axis's retained modes."""
-    return [(slice(None),) * (3 + a) + (np.asarray(m),) for a, m in enumerate(modes)]
+
+def _blocks(a: int, k: int, n: int) -> tuple:
+    """Indices of the slice blocks [0, k) and [n - k, n) of spatial axis a."""
+    pre = (slice(None),) * (3 + a)
+    return pre + (slice(k),), pre + (slice(n - k, n),)
 
 
-def _analyze(f: np.ndarray, sp: Optional[np.ndarray], ix: list) -> np.ndarray:
+def _analyze(f: np.ndarray, sp: Optional[np.ndarray], k: tuple) -> np.ndarray:
     """Unitary FFT of f * sp per slice, retained modes only, pruned per axis."""
     x = f[:, :, None] if sp is None else f[:, :, None] * sp
-    for a in reversed(range(len(ix))):
-        x = _fft.fft_unitary(x, (3 + a,))[ix[a]]
+    for a in reversed(range(len(k))):
+        x = _fft.fft_unitary(x, (3 + a,))
+        # a copy, not a view, so the tape holds only the kept modes
+        x = np.concatenate([x[i] for i in _blocks(a, k[a], x.shape[3 + a])], axis=3 + a)
     return x
 
 
-def _expand(c: np.ndarray, ix: list, extents: tuple) -> np.ndarray:
+def _expand(c: np.ndarray, k: tuple, extents: tuple) -> np.ndarray:
     """Zero-fill the retained modes into the full spectrum; inverse FFT per
     slice, pruned per axis."""
     z = c
-    for a in reversed(range(len(ix))):
+    for a in reversed(range(len(k))):
         full = np.zeros(z.shape[:3 + a] + (extents[a],) + z.shape[4 + a:], dtype=np.complex128)
-        full[ix[a]] = z
+        for dst, src in zip(_blocks(a, k[a], extents[a]), _blocks(a, k[a], 2 * k[a])):
+            full[dst] = z[src]
         z = _fft.ifft_unitary(full, (3 + a,))
     return z
 
@@ -287,18 +296,18 @@ def _reweight(z: np.ndarray, sp: Optional[np.ndarray]) -> np.ndarray:
     return z[:, :, 0] if sp is None else (z * sp).sum(axis=2)
 
 
-def lift(f: T.Tensor, sp: Optional[T.Tensor], modes) -> T.Tensor:
+def lift(f: T.Tensor, sp: Optional[T.Tensor], k) -> T.Tensor:
     """(batch, C, spatial...) -> retained modes of the unitary FFT of f * sp.
 
     The result is (batch, C, M, modes...). `sp` is `sqrt_density(p)`, or
-    None for a single slice of density one; `modes` lists the retained
-    frequency indices of each spatial axis.
+    None for a single slice of density one. Per spatial axis of extent N,
+    `k` keeps the slice blocks [0, k) and [N - k, N), all of it at k = N/2.
     """
-    ix = _mode_index(modes)
+    k = _retained(k, f.shape[2:])
     spd = None if sp is None else sp.data
 
     def vjp(g):
-        z = _expand(g, ix, f.shape[2:])
+        z = _expand(g, k, f.shape[2:])
         if not f.is_complex:
             z = z.real
         df = _reweight(z, spd) if f.requires_grad else None
@@ -306,18 +315,21 @@ def lift(f: T.Tensor, sp: Optional[T.Tensor], modes) -> T.Tensor:
             return (df,)
         return df, (np.real(z * np.conj(f.data[:, :, None])) if sp.requires_grad else None)
 
-    return T._make(_analyze(f.data, spd, ix), (f,) if sp is None else (f, sp), vjp)
+    return T._make(_analyze(f.data, spd, k), (f,) if sp is None else (f, sp), vjp)
 
 
-def synthesize(c: T.Tensor, sp: Optional[T.Tensor], modes, extents) -> T.Tensor:
+def synthesize(c: T.Tensor, sp: Optional[T.Tensor], k, extents) -> T.Tensor:
     """Zero-fill the retained modes to `extents`, inverse FFT per slice,
-    reweight by `sp` and sum over slices: (batch, C, spatial...)."""
-    ix = _mode_index(modes)
+    reweight by `sp` and sum over slices: (batch, C, spatial...). `k` is as
+    in `lift`."""
+    k = _retained(k, extents)
+    if tuple(c.shape[3:]) != tuple(2 * kk for kk in k):
+        raise ContractError(f"coefficient modes {tuple(c.shape[3:])} do not match k = {k}")
     spd = None if sp is None else sp.data
-    z = _expand(c.data, ix, extents)
+    z = _expand(c.data, k, extents)
 
     def vjp(g):
-        dc = _analyze(g, spd, ix) if c.requires_grad else None
+        dc = _analyze(g, spd, k) if c.requires_grad else None
         if sp is None:
             return (dc,)
         return dc, (np.real(g[:, :, None] * np.conj(z)) if sp.requires_grad else None)
@@ -343,8 +355,8 @@ def able_forward(f: T.Tensor, p: DensityField) -> LiftedCoefficients:
     """Analysis: FFT of the square-root-density-weighted field, one slice per m."""
     p.validate()
     _check_compatible(f, p)
-    modes = [np.arange(n) for n in p.grid.extents]
-    return LiftedCoefficients(lift(f, sqrt_density(p), modes), p.grid)
+    return LiftedCoefficients(lift(f, sqrt_density(p), [n // 2 for n in p.grid.extents]),
+                              p.grid)
 
 
 def able_inverse(c, p: DensityField) -> T.Tensor:
@@ -357,12 +369,9 @@ def able_inverse(c, p: DensityField) -> T.Tensor:
     values = c.values if isinstance(c, LiftedCoefficients) else c
     if values.shape[2:3] != (p.slices,):
         raise ContractError("coefficient slice count does not match density")
-    if tuple(values.shape[3:]) != p.grid.extents:
-        raise ContractError("coefficient frequency shape does not match grid")
     if values.shape[0] != p.values.shape[0]:
         raise ContractError("coefficient and density batch sizes differ")
-    modes = [np.arange(n) for n in p.grid.extents]
-    return synthesize(values, sqrt_density(p), modes, p.grid.extents)
+    return synthesize(values, sqrt_density(p), [n // 2 for n in p.grid.extents], p.grid.extents)
 
 
 # ---- diagnostics --------------------------------------------------------------

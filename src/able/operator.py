@@ -123,21 +123,18 @@ class AbleLayer:
         e = self.density_net.energies(f)
         return density_from_energies(e, self.density_net.temperature, grid)
 
-    def _index_lists(self, extents: Sequence[int]):
-        return [mode_indices(self.multiplier.k_max, n) for n in extents]
-
     def forward(self, f: T.Tensor) -> T.Tensor:
         if f.ndim != 2 + self.ndim:
             raise ContractError(f"expected (batch, channels, {self.ndim} spatial axes), got {f.shape}")
         if f.shape[1] != self.in_channels:
             raise ContractError(f"channel count {f.shape[1]} != layer width {self.in_channels}")
         extents = tuple(f.shape[2:])
-        idx = self._index_lists(extents)
+        k = [self.multiplier.k_max] * self.ndim
         sp = sqrt_density(self.density(f)) if self.density_net is not None else None
         xy = _EINSUM_SPATIAL[:self.ndim]
         mix = f"biq{xy},io{xy}pq->bop{xy}" if self.kind == "cross" else f"bim{xy},io{xy}m->bom{xy}"
-        mixed = T.einsum2(mix, lift(f, sp, idx), self.multiplier.weights)
-        spectral = T.real(synthesize(mixed, sp, idx, extents))
+        mixed = T.einsum2(mix, lift(f, sp, k), self.multiplier.weights)
+        spectral = T.real(synthesize(mixed, sp, k, extents))
 
         local = T.einsum2(_pointwise_spec(self.ndim), f, self.pointwise)
         local = T.add(local, T.reshape(self.bias, (1, -1) + (1,) * self.ndim))

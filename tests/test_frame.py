@@ -1,11 +1,14 @@
 """Density fields and the lifted transform: normalization, isometry, inverses."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from able import fft, frame
+from able import operator as op
 from able import tensor as T
 from able.errors import ContractError, DomainError, UnsupportedSizeError
 
@@ -33,6 +36,13 @@ def random_density(grid, m, batch=1, seed=0, channels=None):
 def test_grid_rejects_non_power_of_two():
     with pytest.raises(UnsupportedSizeError):
         frame.Grid((12,))
+
+
+def test_grid_rejects_extent_one():
+    # a 1-point axis has no retained-mode blocks [0, k), [N - k, N) with k >= 1
+    for extents in ((1,), (1, 16), (16, 1)):
+        with pytest.raises(UnsupportedSizeError):
+            frame.Grid(extents)
 
 
 def test_grid_properties():
@@ -277,9 +287,10 @@ NODE_EXTENTS = {1: (8,), 2: (4, 8)}
 
 
 def node_case(ndim, heads, truncated, seed):
-    """Extents, retained modes and a square-root density (None, or 1 or 2 heads)."""
+    """Extents, per-axis retained-mode counts and a square-root density
+    (None, or 1 or 2 heads)."""
     extents = NODE_EXTENTS[ndim]
-    modes = [np.array([0, 1, n - 1]) if truncated else np.arange(n) for n in extents]
+    modes = [min(2, n // 2 - 1) if truncated else n // 2 for n in extents]
     sp = None if heads is None else rng(seed).random((1, heads, 3) + extents) + 0.1
     return extents, modes, sp
 
@@ -299,7 +310,7 @@ def assert_node_grad(build_loss, x0):
 def test_lift_and_synthesize_gradients(ndim, heads, dtype, truncated):
     extents, modes, sp = node_case(ndim, heads, truncated, seed=100)
     m = 1 if sp is None else sp.shape[2]
-    kept = tuple(len(k) for k in modes)
+    kept = tuple(2 * k for k in modes)
     f = randc((1, 2) + extents, seed=101)
     c = randc((1, 2, m) + kept, seed=102)
     f, c = (f, c) if dtype is complex else (f.real.copy(), c.real.copy())
@@ -324,7 +335,7 @@ def test_synthesize_is_adjoint_of_lift(ndim, heads):
     extents, modes, sp = node_case(ndim, heads, truncated=True, seed=110)
     m = 1 if sp is None else sp.shape[2]
     f = randc((1, 2) + extents, seed=111)
-    c = randc((1, 2, m) + tuple(len(k) for k in modes), seed=112)
+    c = randc((1, 2, m) + tuple(2 * k for k in modes), seed=112)
     s = None if sp is None else T.tensor(sp)
     lhs = np.vdot(c, frame.lift(T.tensor(f), s, modes).data)
     rhs = np.vdot(frame.synthesize(T.tensor(c), s, modes, extents).data, f)
@@ -362,8 +373,13 @@ def test_density_normalization_property(t, seed):
 
 def kept_modes(extents, truncated):
     """The operator layers' truncation (two lowest nonnegative and two lowest
-    negative wavenumbers per axis), or the full spectrum."""
-    return [np.r_[0:2, n - 2:n] if truncated else np.arange(n) for n in extents]
+    negative wavenumbers per axis), or the full spectrum, as per-axis k."""
+    return [2 if truncated else n // 2 for n in extents]
+
+
+def oracle_mesh(k, extents):
+    """The all-axes index of the retained modes, from the operator's oracle."""
+    return (slice(None),) * 3 + np.ix_(*[op.mode_indices(kk, n) for kk, n in zip(k, extents)])
 
 
 @pytest.mark.parametrize("truncated", [True, False], ids=["truncated", "full"])
@@ -372,7 +388,7 @@ def kept_modes(extents, truncated):
 @pytest.mark.parametrize("extents", [(16,), (16, 16), (8, 32), (32, 16)], ids=str)
 def test_lift_and_synthesize_bitwise_equal_all_axes_fft(extents, m, dtype, truncated):
     modes = kept_modes(extents, truncated)
-    mesh = (slice(None),) * 3 + np.ix_(*modes)
+    mesh = oracle_mesh(modes, extents)
     axes = tuple(range(3, 3 + len(extents)))
     f = randc((2, 3) + extents, seed=120)
     f = f if dtype is complex else f.real.copy()
@@ -403,7 +419,7 @@ def record_fft_calls(monkeypatch):
 
 def test_2d_transform_runs_later_passes_on_retained_lines_only(monkeypatch):
     extents = (64, 64)
-    modes = [np.r_[0:8, 56:64]] * 2     # k_max 8 on each axis: 16 of 64 modes
+    modes = [8, 8]     # k_max 8 on each axis: 16 of 64 modes
     f = T.tensor(randc((1, 2) + extents, seed=130))
     calls = record_fft_calls(monkeypatch)
     c = frame.lift(f, None, modes)
@@ -413,3 +429,80 @@ def test_2d_transform_runs_later_passes_on_retained_lines_only(monkeypatch):
     frame.synthesize(c, None, modes, extents)
     assert calls == [("ifft_unitary", (1, 2, 1, 16, 64), (4,)),
                      ("ifft_unitary", (1, 2, 1, 64, 64), (3,))]
+
+
+# ---- retained modes as per-axis slice blocks ----------------------------------------
+
+@pytest.mark.parametrize("dtype", [float, complex], ids=["real", "complex"])
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("extents", [(16,), (8, 32), (32, 16)], ids=str)
+def test_lift_and_synthesize_bitwise_equal_oracle_index_for_every_k(extents, m, dtype):
+    # every per-axis k in 1..N/2, so in 2-D also one axis whole (2k = N) and
+    # the other truncated
+    axes = tuple(range(3, 3 + len(extents)))
+    f = randc((2, 3) + extents, seed=140)
+    f = f if dtype is complex else f.real.copy()
+    sp = None if m == 1 else rng(141).random((2, 1, m) + extents) + 0.1
+    s = None if sp is None else T.tensor(sp)
+    spectrum = fft.fft_unitary(f[:, :, None] if sp is None else f[:, :, None] * sp, axes)
+    for k in itertools.product(*[range(1, n // 2 + 1) for n in extents]):
+        mesh = oracle_mesh(k, extents)
+        assert np.array_equal(frame.lift(T.tensor(f), s, k).data, spectrum[mesh]), k
+
+        c = randc(spectrum[mesh].shape, seed=142)
+        c = c if dtype is complex else c.real.copy()
+        full = np.zeros(c.shape[:3] + extents, dtype=complex)
+        full[mesh] = c
+        z = fft.ifft_unitary(full, axes)
+        want = z[:, :, 0] if sp is None else (z * sp).sum(axis=2)
+        assert np.array_equal(frame.synthesize(T.tensor(c), s, k, extents).data, want), k
+
+
+@pytest.mark.parametrize("extents,k", [((16,), (2,)), ((16,), (8,)), ((8, 32), (2, 4)),
+                                       ((8, 32), (4, 4)), ((8, 32), (4, 16))], ids=str)
+def test_synthesize_of_slice_outermost_coefficients_is_bitwise_its_contiguous_copy(extents, k):
+    # einsum2's diagonal mix returns its output with the slice axis outermost;
+    # equal strides keep sums over the output in one order, whatever the layout
+    kept = tuple(2 * kk for kk in k)
+    # (slice and channel axes ahead of the batch axis in memory, so a single
+    # slice is not contiguous either)
+    spatial = tuple(range(3, 3 + len(k)))
+    c = np.transpose(randc((2, 3, 2) + kept, seed=150), (2, 1, 0) + spatial)
+    assert c.shape == (2, 3, 2) + kept and not c[:, :, :1].flags.c_contiguous
+    for s in (None, T.tensor(rng(151).random((2, 1, 2) + extents) + 0.1)):
+        cc = c[:, :, :1] if s is None else c
+        got = frame.synthesize(T.tensor(cc), s, k, extents).data
+        want = frame.synthesize(T.tensor(np.ascontiguousarray(cc)), s, k, extents).data
+        assert np.array_equal(got, want) and got.strides == want.strides
+
+
+@pytest.mark.parametrize("extents,k", [((16,), [0]), ((16,), [9]), ((16,), [4, 4]),
+                                       ((8, 32), [4]), ((8, 32), [5, 4]), ((8, 32), [2, 0])],
+                         ids=["k0", "2k>N", "1d-two-ks", "2d-one-k", "2d-2k>N", "2d-k0"])
+def test_bad_k_is_contract_error(extents, k):
+    f = T.tensor(randc((1, 2) + extents, seed=160))
+    with pytest.raises(ContractError):
+        frame.lift(f, None, k)
+    c = T.tensor(randc((1, 2, 1) + tuple(n // 2 for n in extents), seed=161))
+    with pytest.raises(ContractError):
+        frame.synthesize(c, None, k, extents)
+
+
+def test_synthesize_rejects_coefficients_that_do_not_match_k():
+    c = T.tensor(randc((1, 2, 1, 8), seed=162))
+    with pytest.raises(ContractError):
+        frame.synthesize(c, None, [2], (16,))
+
+
+@pytest.mark.parametrize("extents,k", [((256,), (12,)), ((16, 32), (2, 4)), ((8, 32), (4, 4))],
+                         ids=str)
+def test_lift_holds_only_the_kept_modes(extents, k):
+    # the tape keeps lift's output alive; a view into the full spectrum would
+    # keep the whole spectrum alive with it
+    f = T.tensor(randc((2, 3) + extents, seed=170))
+    for sp in (None, T.tensor(rng(171).random((2, 1, 2) + extents) + 0.1)):
+        c = frame.lift(f, sp, k).data
+        owner = c
+        while owner.base is not None:
+            owner = owner.base
+        assert c.shape[3:] == tuple(2 * kk for kk in k) and owner.nbytes == c.nbytes
