@@ -20,7 +20,10 @@ Run it once per tree, with that tree's package on the path, then compare:
     python scripts/bitwise_sweep.py --compare old.npz new.npz
 
 --compare lists each array that differs, or that only one file holds, and
-exits 1 if there is any, else 0.
+exits 1 if there is any, else 0. For each array whose values differ it
+prints the largest absolute difference and that difference divided by the
+largest magnitude of the array in the first file, and at the end the
+array with the worst relative difference.
 """
 
 import argparse
@@ -74,16 +77,31 @@ def sweep() -> dict:
 
 
 def compare(path_a: str, path_b: str) -> int:
+    """List the arrays that differ, with the largest absolute difference and
+    that difference relative to the largest magnitude in A, then the worst."""
+    differ = []
+    worst = None    # (relative, absolute, key)
     with np.load(path_a) as a, np.load(path_b) as b:
-        differ = sorted(set(a.files) ^ set(b.files))
+        for key in sorted(set(a.files) ^ set(b.files)):
+            differ.append(key)
+            print(f"differs: {key} (in one file only)")
         for key in sorted(set(a.files) & set(b.files)):
             x, y = a[key], b[key]
-            if x.shape != y.shape or x.dtype != y.dtype or not np.array_equal(x, y):
+            if x.shape != y.shape or x.dtype != y.dtype:
                 differ.append(key)
+                print(f"differs: {key} (shape or dtype)")
+            elif not np.array_equal(x, y):
+                differ.append(key)
+                absolute = float(np.max(np.abs(x - y)))
+                scale = float(np.max(np.abs(x)))
+                relative = absolute / scale if scale > 0 else float("inf")
+                print(f"differs: {key} max abs {absolute:.3e} rel {relative:.3e}")
+                if worst is None or relative > worst[0]:
+                    worst = (relative, absolute, key)
         total = len(set(a.files) | set(b.files))
-    for key in differ:
-        print(f"differs: {key}")
     print(f"{len(differ)} of {total} arrays differ")
+    if worst is not None:
+        print(f"worst: {worst[2]} max abs {worst[1]:.3e} rel {worst[0]:.3e}")
     return 1 if differ else 0
 
 

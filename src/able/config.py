@@ -185,7 +185,7 @@ def config_key_help() -> str:
         "model.density_hidden": "hidden width of the density head",
         "model.per_channel": "separate density per channel instead of shared",
         "model.residual": "fd4 head: skip from first to third hidden layer",
-        "model.activation": "gelu or silu between layers",
+        "model.activation": "gelu, silu, relu or none between layers",
         "model.act_flags": "per-layer activation switches (default: off for last)",
         "model.coord_features": "append normalized coordinates at lifting",
         "model.proj_hidden": "hidden width of the output projection",

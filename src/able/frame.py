@@ -26,6 +26,13 @@ its pass, so no pass transforms a line whose output is discarded or whose
 input is all zero, and the results are bitwise those of the all-axes
 transform (at 64 x 64 keeping 16 modes per axis, 80 of 128 line FFTs).
 
+The density head is built from `linear`, the per-point linear map the
+operator layers also use for lifting, the pointwise path and projection:
+every stage is channels-first, (batch, channels, spatial...), and the
+last stage's output channel h*M + m is slice m of head h, so one reshape
+makes it slice-major. Only `DensityNetwork._features` knows the head's
+arch.
+
 Square roots on the density path keep the exact forward value but use an
 epsilon-regularized derivative so one-hot densities (the low-temperature
 regime) keep finite gradients.
@@ -142,6 +149,14 @@ class DensityNetConfig:
             raise ContractError("slice count must be >= 1")
 
 
+def linear(x: T.Tensor, w: T.Tensor, b: T.Tensor) -> T.Tensor:
+    """Per-point linear map on channels-first data: (batch, I, spatial...)
+    with weights (I, O) and bias (O,) -> (batch, O, spatial...)."""
+    spatial = "xy"[:x.ndim - 2]
+    out = T.einsum2(f"bi{spatial},io->bo{spatial}", x, w)
+    return T.add(out, T.reshape(b, (1, -1) + (1,) * (x.ndim - 2)))
+
+
 def _stencil_conv(f: T.Tensor, kernel) -> T.Tensor:
     """3-tap periodic convolution along the last axis (true convolution)."""
     k0, k1, k2 = kernel
@@ -200,20 +215,20 @@ class DensityNetwork:
         return params
 
     def _features(self, f: T.Tensor) -> T.Tensor:
-        """Channels-last feature tensor (batch, spatial..., F)."""
-        if self.config.arch == "fd4":
-            d1 = _stencil_conv(f, FIRST_DIFF_STENCIL)
-            d2 = _stencil_conv(f, SECOND_DIFF_STENCIL)
-            ones = T.Tensor(np.ones(f.shape[:1] + (1,) + f.shape[2:]))
-            feats = T.concatenate([f, d1, d2, ones], axis=1)
-        else:
-            feats = f
-        return T.moveaxis(feats, 1, -1)
+        """Per-point input features, channels-first: (batch, F, spatial...)."""
+        if self.config.arch == "mlp2":
+            return f
+        d1 = _stencil_conv(f, FIRST_DIFF_STENCIL)
+        d2 = _stencil_conv(f, SECOND_DIFF_STENCIL)
+        ones = T.Tensor(np.ones(f.shape[:1] + (1,) + f.shape[2:]))
+        return T.concatenate([f, d1, d2, ones], axis=1)
 
     def energies(self, f: T.Tensor) -> T.Tensor:
         """Per-point energies, slice-major: (batch, heads, M, spatial...).
 
         heads is the channel count for per-channel densities, else one.
+        Every stage is a channels-first `linear`; output channel h*M + m is
+        slice m of head h.
         """
         if f.ndim != 2 + self.ndim:
             raise ContractError(f"expected (batch, channels, spatial...), got {f.shape}")
@@ -221,20 +236,15 @@ class DensityNetwork:
             raise ContractError(
                 f"channel count {f.shape[1]} does not match network width {self.in_channels}")
         x = self._features(f)
-        if self.config.arch == "fd4":
-            h1 = T.silu(T.add(T.matmul(x, self.weights[0]), self.biases[0]))
-            h2 = T.silu(T.add(T.matmul(h1, self.weights[1]), self.biases[1]))
-            pre3 = T.add(T.matmul(h2, self.weights[2]), self.biases[2])
-            if self.config.residual:
-                pre3 = T.add(pre3, h1)
-            h3 = T.silu(pre3)
-            out = T.add(T.matmul(h3, self.weights[3]), self.biases[3])
-        else:
-            h = T.silu(T.add(T.matmul(x, self.weights[0]), self.biases[0]))
-            out = T.add(T.matmul(h, self.weights[1]), self.biases[1])
-        # (batch, spatial..., heads*M) -> (batch, heads, M, spatial...)
-        out = T.reshape(out, out.shape[:-1] + (self.heads, self.config.slices))
-        return T.moveaxis(out, (-2, -1), (1, 2))
+        hidden = []
+        for w, b in zip(self.weights[:-1], self.biases[:-1]):
+            pre = linear(x, w, b)
+            if len(hidden) == 2 and self.config.residual:
+                pre = T.add(pre, hidden[0])     # first hidden into the third (fd4)
+            x = T.silu(pre)
+            hidden.append(x)
+        out = linear(x, self.weights[-1], self.biases[-1])
+        return T.reshape(out, (out.shape[0], self.heads, self.config.slices) + out.shape[2:])
 
 
 def density_from_energies(energies: T.Tensor, temperature,

@@ -4,11 +4,12 @@ A layer computes a per-point density from its input, lifts it onto the
 retained low frequencies with `frame.lift`, mixes them with learnable
 complex weights (per slice, or across slice pairs in the cross variant),
 synthesizes back with `frame.synthesize` and keeps the real part, then
-adds a pointwise linear path; one pipeline serves every slice count. With
-a single slice the density is identically one and the layer reduces to a
-plain Fourier layer: it passes no square-root density (None), so the
-lifted transform skips the weighting, which softmax over one logit makes
-the identity.
+adds the pointwise path `frame.linear`, the same per-point linear map as
+lifting, projection and every stage of the density head; one pipeline
+serves every slice count. With a single slice the density is identically
+one and the layer reduces to a plain Fourier layer: it passes no
+square-root density (None), so the lifted transform skips the weighting,
+which softmax over one logit makes the identity.
 
 Frequency truncation keeps, per axis, the k_max lowest nonnegative and
 the k_max lowest negative wavenumbers in the natural FFT layout, so
@@ -34,10 +35,8 @@ from . import fft as _fft
 from . import tensor as T
 from .errors import ContractError
 from .frame import (DensityField, DensityNetConfig, DensityNetwork, Grid,
-                    density_from_energies, lift, sqrt_density, synthesize,
-                    uniform_density)
-
-_EINSUM_SPATIAL = "xy"
+                    density_from_energies, lift, linear, sqrt_density,
+                    synthesize, uniform_density)
 
 KERNEL_POINT_LIMIT = 4096
 
@@ -49,11 +48,6 @@ def mode_indices(k_max: int, extent: int) -> np.ndarray:
     if 2 * k_max == extent:
         return np.arange(extent)
     return np.concatenate([np.arange(k_max), np.arange(extent - k_max, extent)])
-
-
-def _pointwise_spec(ndim: int) -> str:
-    sp = _EINSUM_SPATIAL[:ndim]
-    return f"bi{sp},io->bo{sp}"
 
 
 @dataclass
@@ -131,14 +125,12 @@ class AbleLayer:
         extents = tuple(f.shape[2:])
         k = [self.multiplier.k_max] * self.ndim
         sp = sqrt_density(self.density(f)) if self.density_net is not None else None
-        xy = _EINSUM_SPATIAL[:self.ndim]
+        xy = "xy"[:self.ndim]
         mix = f"biq{xy},io{xy}pq->bop{xy}" if self.kind == "cross" else f"bim{xy},io{xy}m->bom{xy}"
         mixed = T.einsum2(mix, lift(f, sp, k), self.multiplier.weights)
         spectral = T.real(synthesize(mixed, sp, k, extents))
 
-        local = T.einsum2(_pointwise_spec(self.ndim), f, self.pointwise)
-        local = T.add(local, T.reshape(self.bias, (1, -1) + (1,) * self.ndim))
-        out = T.add(spectral, local)
+        out = T.add(spectral, linear(f, self.pointwise, self.bias))
         act = T.ACTIVATIONS[self.activation]
         return act(out) if act is not None else out
 
@@ -254,6 +246,9 @@ class ModelConfig:
     proj_hidden: int = 64
 
     def __post_init__(self):
+        if self.activation not in T.ACTIVATIONS:
+            raise ContractError(f"unknown activation {self.activation!r}; "
+                                "expected gelu, silu, relu or none")
         if self.act_flags is not None:
             self.act_flags = tuple(self.act_flags)
 
@@ -319,10 +314,6 @@ class AbleNetwork:
             channels.append(T.Tensor(np.ascontiguousarray(grid)))
         return T.concatenate([f] + channels, axis=1)
 
-    def _pointwise(self, x: T.Tensor, w: T.Tensor, b: T.Tensor) -> T.Tensor:
-        out = T.einsum2(_pointwise_spec(self.config.ndim), x, w)
-        return T.add(out, T.reshape(b, (1, -1) + (1,) * self.config.ndim))
-
     def lift_input(self, f: T.Tensor) -> T.Tensor:
         """The input lifted to the layer width: what the first layer sees."""
         if f.ndim != 2 + self.config.ndim:
@@ -331,17 +322,17 @@ class AbleNetwork:
             raise ContractError(
                 f"input channels {f.shape[1]} != configured {self.config.in_channels}")
         x = self._coords(f) if self.config.coord_features else f
-        return self._pointwise(x, self.lift_w, self.lift_b)
+        return linear(x, self.lift_w, self.lift_b)
 
     def forward(self, f: T.Tensor) -> T.Tensor:
         x = self.lift_input(f)
         for layer in self.layers:
             x = layer(x)
         act = T.ACTIVATIONS[self.config.activation]
-        h = self._pointwise(x, self.proj1_w, self.proj1_b)
+        h = linear(x, self.proj1_w, self.proj1_b)
         if act is not None:
             h = act(h)
-        return self._pointwise(h, self.proj2_w, self.proj2_b)
+        return linear(h, self.proj2_w, self.proj2_b)
 
     __call__ = forward
 

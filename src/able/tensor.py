@@ -16,10 +16,12 @@ with hand-written VJPs.
 Tensors are immutable once built; optimizers mutate parameter buffers
 in place between steps, which is outside the taped region.
 
-Every two-operand contraction (`einsum2`), forward and both VJP products,
-runs as one batched BLAS matmul through a transpose/reshape plan cached
-per (spec, shapes); `np.einsum` is kept only in the independent oracles
-(`reference.fno_layer`, `operator.materialize_kernel`,
+Every contraction in the package is `einsum2`: the per-point linear maps
+(`frame.linear`, channels-first) and the spectral mode mixing. Its forward
+and both VJP products each run as one batched BLAS matmul through a
+transpose/reshape plan cached per (spec, shapes), and the forward result
+is a transposed view of that product; `np.einsum` is kept only in the
+independent oracles (`reference.fno_layer`, `operator.materialize_kernel`,
 `operator.apply_dense_kernel`).
 """
 
@@ -283,10 +285,14 @@ ACTIVATIONS = {"relu": relu, "silu": silu, "gelu": gelu, "none": None, None: Non
 
 
 def softmax(a, axis: int = -1) -> Tensor:
+    """Softmax along `axis`, computed and returned C-contiguous whatever the
+    input's layout: densities are born here from a transposed `einsum2`
+    view, and the lifted transform runs slower on a strided density."""
     a = _wrap(a)
     if a.is_complex:
         raise ContractError("softmax expects a real tensor")
-    z = a.data - a.data.max(axis=axis, keepdims=True)
+    x = np.ascontiguousarray(a.data)
+    z = x - x.max(axis=axis, keepdims=True)
     e = np.exp(z)
     out = e / e.sum(axis=axis, keepdims=True)
 
@@ -302,14 +308,6 @@ def reshape(a, shape) -> Tensor:
     a = _wrap(a)
     old = a.shape
     return _make(a.data.reshape(shape), (a,), lambda g: (g.reshape(old),))
-
-
-def moveaxis(a, src, dst) -> Tensor:
-    # both directions return contiguous arrays, so reductions downstream of a
-    # move run in the same memory order as they would without it
-    a = _wrap(a)
-    return _make(np.ascontiguousarray(np.moveaxis(a.data, src, dst)), (a,),
-                 lambda g: (np.ascontiguousarray(np.moveaxis(g, dst, src)),))
 
 
 def concatenate(parts, axis: int) -> Tensor:
@@ -336,19 +334,6 @@ def roll(a, shift: int, axis: int) -> Tensor:
 
 
 # ---- contractions -----------------------------------------------------------
-
-def matmul(a, b) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
-    ad, bd = a.data, b.data
-    out = ad @ bd
-
-    def vjp(g):
-        ga = g @ np.conj(np.swapaxes(bd, -1, -2)) if a.requires_grad else None
-        gb = np.conj(np.swapaxes(ad, -1, -2)) @ g if b.requires_grad else None
-        return ga, gb
-
-    return _make(out, (a, b), vjp)
-
 
 @functools.lru_cache(maxsize=256)
 def _matmul_plan(spec: str, shape_a: tuple, shape_b: tuple) -> tuple:
@@ -432,29 +417,22 @@ def einsum2(spec: str, a, b) -> Tensor:
 
 # ---- reductions --------------------------------------------------------------
 
-def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
+def tsum(a, axis=None) -> Tensor:
     a = _wrap(a)
-    out = a.data.sum(axis=axis, keepdims=keepdims)
+    out = a.data.sum(axis=axis)
     shape = a.shape
 
     def vjp(g):
-        if axis is None:
-            return (np.broadcast_to(g, shape).copy(),)
-        gg = g if keepdims else np.expand_dims(g, axis)
+        gg = g if axis is None else np.expand_dims(g, axis)
         return (np.broadcast_to(gg, shape).copy(),)
 
     return _make(out, (a,), vjp)
 
 
-def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
+def tmean(a) -> Tensor:
+    """Mean over every element."""
     a = _wrap(a)
-    if axis is None:
-        count = a.size
-    elif isinstance(axis, tuple):
-        count = int(np.prod([a.shape[ax] for ax in axis]))
-    else:
-        count = a.shape[axis]
-    return mul(tsum(a, axis=axis, keepdims=keepdims), 1.0 / count)
+    return mul(tsum(a), 1.0 / a.size)
 
 
 # ---- complex structure --------------------------------------------------------

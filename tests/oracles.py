@@ -101,3 +101,43 @@ def sawtooth_partition_error(m: int, n: int) -> float:
         mask = cells == c
         approx[mask] = u[mask].mean()
     return float(np.sqrt(np.mean((u - approx) ** 2)))
+
+
+def density_energies_direct(f: np.ndarray, weights, biases, slices: int, heads: int,
+                            stencil: bool, residual: bool) -> np.ndarray:
+    """Density-head energies by a loop over batch entries and grid points.
+
+    f is (batch, C, spatial...); the result is (batch, heads, M, spatial...).
+    At each point the head reads the C channel values and, for the stencil
+    head (1-D, periodic), also the first difference 0.5 f[x+1] - 0.5 f[x-1],
+    the second difference -0.5 f[x+1] + f[x] - 0.5 f[x-1] and a constant 1.
+    It runs them through silu hidden layers (the stencil head optionally
+    adds its first hidden layer into the third pre-activation) and a linear
+    output whose entry o = h*M + m is slice m of head h.
+    """
+    def silu(v):
+        return v / (1.0 + np.exp(-v))
+
+    w, b = weights, biases
+    batch, spatial = f.shape[0], f.shape[2:]
+    out = np.zeros((batch, heads, slices) + spatial)
+    for i in range(batch):
+        for pt in np.ndindex(*spatial):
+            v = f[(i, slice(None)) + pt]
+            if stencil:
+                n, x = spatial[0], pt[0]
+                right, left = f[i, :, (x + 1) % n], f[i, :, (x - 1) % n]
+                v = np.concatenate([v, 0.5 * right - 0.5 * left,
+                                    -0.5 * right + v - 0.5 * left, [1.0]])
+                h1 = silu(v @ w[0] + b[0])
+                h2 = silu(h1 @ w[1] + b[1])
+                pre3 = h2 @ w[2] + b[2]
+                if residual:
+                    pre3 = pre3 + h1
+                e = silu(pre3) @ w[3] + b[3]
+            else:
+                e = silu(v @ w[0] + b[0]) @ w[1] + b[1]
+            for h in range(heads):
+                for m in range(slices):
+                    out[(i, h, m) + pt] = e[h * slices + m]
+    return out

@@ -1,8 +1,11 @@
 """End-to-end command-line flows on tiny configurations."""
 
 import json
+import os
 import re
 import struct
+import subprocess
+import sys
 from dataclasses import asdict
 
 import numpy as np
@@ -406,6 +409,21 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["train"])  # missing required args
     assert exc.value.code == 2
+
+
+def test_unknown_activation_is_usage_error_without_traceback(trained_run, tmp_path):
+    tmp, cfg = trained_run
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-m", "able.cli", "train", "--config", str(cfg),
+         "--data", str(tmp / "data.bin"), "--out", str(tmp_path / "out"),
+         "--set", 'model.activation="foo"'],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 2, done.stderr
+    assert "Traceback" not in done.stderr
+    assert "activation" in done.stderr
 
 
 # ---- bad values end in their exit code ---------------------------------------------------

@@ -12,7 +12,8 @@ from able import operator as op
 from able import tensor as T
 from able.errors import ContractError, DomainError, UnsupportedSizeError
 
-from oracles import central_difference_paired, grid_norm_sq, parseval_direct, stencil_periodic
+from oracles import (central_difference_paired, density_energies_direct, grid_norm_sq,
+                     parseval_direct, stencil_periodic)
 
 
 def rng(seed):
@@ -154,6 +155,33 @@ def test_per_channel_network_output_layout():
     net = frame.DensityNetwork(cfg, in_channels=3, ndim=2, rng=rng(3))
     out = net.energies(T.tensor(rng(4).standard_normal((2, 3, 8, 8))))
     assert out.shape == (2, 3, 4, 8, 8)
+
+
+# (arch, per_channel, residual, input shape): fd4 with and without its
+# residual, mlp2, shared and per-channel heads, and mlp2 on a 2-D grid
+DENSITY_HEADS = [
+    ("fd4", False, True, (2, 3, 16)),
+    ("fd4", False, False, (2, 3, 16)),
+    ("fd4", True, True, (2, 3, 16)),
+    ("mlp2", False, True, (2, 3, 16)),
+    ("mlp2", True, True, (2, 3, 16)),
+    ("mlp2", False, True, (2, 3, 8, 4)),
+    ("mlp2", True, True, (2, 3, 8, 4)),
+]
+
+
+@pytest.mark.parametrize("arch,per_channel,residual,shape", DENSITY_HEADS)
+def test_energies_match_per_point_oracle(arch, per_channel, residual, shape):
+    cfg = frame.DensityNetConfig(slices=3, arch=arch, hidden=8, per_channel=per_channel,
+                                 residual=residual)
+    net = frame.DensityNetwork(cfg, in_channels=shape[1], ndim=len(shape) - 2, rng=rng(5))
+    f = rng(6).standard_normal(shape)
+    got = net.energies(T.tensor(f)).data
+    want = density_energies_direct(f, [w.data for w in net.weights],
+                                   [b.data for b in net.biases], slices=3, heads=net.heads,
+                                   stencil=arch == "fd4", residual=residual)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_density_network_initial_density_near_uniform():

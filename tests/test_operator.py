@@ -158,6 +158,15 @@ def test_per_channel_requires_matching_widths():
         op.AbleLayer(2, 3, 2, 1, density=cfg, rng=rng(0))
 
 
+@pytest.mark.parametrize("arch,ndim", [("fd4", 1), ("mlp2", 1), ("mlp2", 2)])
+def test_layer_density_is_c_contiguous(arch, ndim):
+    # the density head's einsum2 output is a transposed view; lift and
+    # synthesize run slower on a strided density, so it must arrive row-major
+    layer = make_layer(cin=3, cout=3, ndim=ndim, arch=arch, seed=4)
+    x = T.tensor(rng(5).standard_normal((2, 3) + (16,) * ndim))
+    assert layer.density(x).values.data.flags.c_contiguous
+
+
 # ---- variant matrix -------------------------------------------------------------------
 
 VARIANT_HEADS = {"1d-fd4": (1, "fd4", 16), "1d-mlp2": (1, "mlp2", 16), "2d-mlp2": (2, "mlp2", 8)}
