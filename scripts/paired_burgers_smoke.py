@@ -17,7 +17,6 @@ from able.cli import main as cli_main
 
 def run(args):
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     data = out / "burgers.bin"
     overrides = [
         f"data.samples={args.samples}",

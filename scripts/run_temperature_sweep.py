@@ -31,7 +31,6 @@ from able.verify import entropy_vs_temperature_at_fixed_weights
 
 def run(args):
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     data = out / "burgers.bin"
     overrides = [
         "task=burgers", f"seed={args.seed}",

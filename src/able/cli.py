@@ -7,7 +7,7 @@ the trained network's first adaptive layer on the first (up to four)
 training inputs at the row's temperature (0 for M = 1).
 
 Exit codes: 0 success, 1 failed verification checks, 2 usage or config
-error, 3 file or format error, 4 numerical failure.
+error, 3 file, format or OS file error, 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -15,21 +15,21 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import io
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import verify as verify_mod
-from .config import (RunConfig, config_key_help, load_config, stream_seed,
-                     write_effective_config)
+from .config import RunConfig, config_key_help, load_config, stream_seed
 from .dataio import (Dataset, dataset_read, dataset_write, load_checkpoint,
-                     make_burgers_dataset, make_darcy_dataset)
+                     make_burgers_dataset, make_darcy_dataset, write_atomic, write_json)
 from .errors import (AbleError, ContractError, DataFormatError, DomainError,
                      NumericalFailure, UnsupportedSizeError)
-from .operator import ModelConfig, build_network, count_flops
+from .operator import ModelConfig, build_network
 from .pde import GrfSpec
 from .training import evaluate, restore_network, split_dataset, train
 
@@ -42,10 +42,13 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
-def _write_json(path, obj) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def _write_csv(path, header, rows) -> None:
+    """A header row and data rows as UTF-8 CSV, with csv's CRLF line ends."""
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(header)
+    writer.writerows(rows)
+    write_atomic(path, text.getvalue().encode("utf-8"))
 
 
 def _finalize_model(config: RunConfig, dataset: Dataset) -> ModelConfig:
@@ -74,9 +77,8 @@ def cmd_gen(args) -> int:
             data.samples, seed=data_seed, resolution=data.resolution,
             generate_at=data.generate_at, grf=grf, forcing=data.forcing)
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     dataset_write(dataset, out)
-    write_effective_config(config, out.with_suffix(out.suffix + ".config.json"))
+    write_json(out.with_suffix(out.suffix + ".config.json"), asdict(config))
     print(f"wrote {out} ({dataset.samples} samples, grid {dataset.grid.extents})")
     print(f"sha256 {_sha256(out)}")
     return 0
@@ -89,18 +91,13 @@ def cmd_train(args) -> int:
     net = build_network(model_cfg, seed=stream_seed(config.seed, "init"))
     train_set, test_set = split_dataset(dataset, config.data.n_test, seed=config.seed)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    write_json(out / "effective-config.json", asdict(config))  # fail fast on a bad --out
     metrics = train(net, train_set, test_set, config.train,
                     checkpoint_path=out / "model.ckpt")
-    with open(out / "metrics.jsonl", "w", encoding="utf-8") as fh:
-        for record in metrics.records:
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+    lines = "".join(json.dumps(record, sort_keys=True) + "\n" for record in metrics.records)
+    write_atomic(out / "metrics.jsonl", lines.encode("utf-8"))
     summary = metrics.summary()
-    with open(out / "summary.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=sorted(summary))
-        writer.writeheader()
-        writer.writerow(summary)
-    write_effective_config(config, out / "effective-config.json")
+    _write_csv(out / "summary.csv", sorted(summary), [[summary[k] for k in sorted(summary)]])
     print(f"trained {config.task}: best test {metrics.best_test:.6f} "
           f"(epoch {metrics.best_epoch}), final test {summary['final_test']:.6f}")
     print(f"checkpoint {out / 'model.ckpt'}")
@@ -129,13 +126,8 @@ def cmd_eval(args) -> int:
     }
     if args.out:
         out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        _write_json(out / "report.json", report)
-        with open(out / "report.csv", "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["sample", "relative_l2"])
-            for i, v in enumerate(per_sample):
-                writer.writerow([i, v])
+        write_json(out / "report.json", report)
+        _write_csv(out / "report.csv", ["sample", "relative_l2"], enumerate(per_sample))
     print(f"mean relative L2 over {dataset.samples} samples: {mean:.8f}")
     return 0
 
@@ -175,9 +167,8 @@ def cmd_verify(args) -> int:
     print(report.render_text())
     if args.out:
         out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        _write_json(out / "report.json", report.to_dict())
-        (out / "report.txt").write_text(report.render_text() + "\n", encoding="utf-8")
+        write_json(out / "report.json", report.to_dict())
+        write_atomic(out / "report.txt", (report.render_text() + "\n").encode("utf-8"))
     return 0 if report.passed else 1
 
 
@@ -186,6 +177,8 @@ def cmd_sweep(args) -> int:
     dataset = dataset_read(args.data)
     train_set, test_set = split_dataset(dataset, config.data.n_test, seed=config.seed)
     probe = train_set.inputs[:4]
+    out = Path(args.out)
+    write_json(out / "effective-config.json", asdict(config))  # fail fast on a bad --out
     rows = []
     for value in args.values:
         if args.axis == "M":
@@ -197,25 +190,18 @@ def cmd_sweep(args) -> int:
         model_cfg = _finalize_model(replace(config, model=model_cfg), dataset)
         net = build_network(model_cfg, seed=stream_seed(config.seed, "init"))
         metrics = train(net, train_set, test_set, config.train)
-        flops = count_flops(net, dataset.grid)
         seconds = [r["seconds"] for r in metrics.records if r["epoch"] > 0]
         rows.append({
             "axis": args.axis, "value": value,
             "final_test": metrics.records[-1]["test_loss"],
             "best_test": metrics.best_test,
             "seconds_per_epoch": float(np.mean(seconds)) if seconds else 0.0,
-            "flops_total": flops["total"],
+            "flops_total": metrics.flops["total"],
             "density_entropy": verify_mod.entropy_vs_temperature_at_fixed_weights(
                 net, probe, [model_cfg.temperature])[0],
         })
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "sweep.json", {"rows": rows})
-    with open(out / "sweep.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
-        writer.writeheader()
-        writer.writerows(rows)
-    write_effective_config(config, out / "effective-config.json")
+    write_json(out / "sweep.json", {"rows": rows})
+    _write_csv(out / "sweep.csv", list(rows[0]), [list(row.values()) for row in rows])
     for row in rows:
         label = " (plain Fourier baseline)" if args.axis == "M" and row["value"] == 1 else ""
         print(f"{args.axis}={row['value']}{label}: best test {row['best_test']:.6f}, "
@@ -226,13 +212,8 @@ def cmd_sweep(args) -> int:
 def write_rate_study(result: verify_mod.RateStudyResult, prefix) -> None:
     """Write a rate study as `<prefix>.json` (full result) and `<prefix>.csv` (x, error)."""
     prefix = Path(prefix)
-    prefix.parent.mkdir(parents=True, exist_ok=True)
-    _write_json(prefix.with_suffix(".json"), result.to_dict())
-    with open(prefix.with_suffix(".csv"), "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "error"])
-        for x, e in zip(result.x_values, result.errors):
-            writer.writerow([x, e])
+    write_json(prefix.with_suffix(".json"), result.to_dict())
+    _write_csv(prefix.with_suffix(".csv"), ["x", "error"], zip(result.x_values, result.errors))
 
 
 def cmd_rate_study(args) -> int:
@@ -247,9 +228,7 @@ def cmd_rate_study(args) -> int:
 def cmd_bench(args) -> int:
     result = verify_mod.complexity_scaling_check(m_list=args.m_list, n_list=args.n_list)
     if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        _write_json(out / "bench.json", result)
+        write_json(Path(args.out) / "bench.json", result)
     print(f"slice-count slope: {result['m_slope']:.3f} over M={list(args.m_list)}")
     print(f"grid-size exponent (after log factor): {result['n_exponent_after_log']:.3f}")
     print(f"single-slice layer vs plain Fourier layer: {result['m1_vs_fno_ratio']:.3f}x")
@@ -356,7 +335,7 @@ def main(argv=None) -> int:
     except (ContractError, DomainError, UnsupportedSizeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (DataFormatError, FileNotFoundError, IsADirectoryError, PermissionError) as exc:
+    except (DataFormatError, OSError) as exc:
         print(f"file error: {exc}", file=sys.stderr)
         return 3
     except NumericalFailure as exc:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -134,10 +134,13 @@ def build_run_config(raw: dict) -> RunConfig:
 def load_config(path: Optional[str], overrides: Optional[list] = None) -> RunConfig:
     raw = {}
     if path is not None:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                raw = json.load(fh)
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise ContractError(f"config file {path} is not UTF-8 JSON: {exc}") from exc
         if not isinstance(raw, dict):
-            raise ContractError("config file must contain a JSON object")
+            raise ContractError(f"config file {path} must contain a JSON object")
     for item in overrides or []:
         if "=" not in item:
             raise ContractError(f"override {item!r} is not of the form key.path=value")
@@ -154,12 +157,6 @@ def load_config(path: Optional[str], overrides: Optional[list] = None) -> RunCon
                 raise ContractError(f"override path {key!r} crosses a non-object value")
         node[parts[-1]] = parsed
     return build_run_config(raw)
-
-
-def write_effective_config(config: RunConfig, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(asdict(config), fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def stream_seed(seed: int, name: str) -> int:

@@ -13,14 +13,20 @@ File layout (little-endian throughout):
     payload       inputs  (S, C_in, *extents) row-major float64
     payload       targets (S, C_out, *extents) row-major float64
     trailer       UTF-8 JSON metadata (generator spec, seed, solver settings)
+
+Every file the package writes goes through `write_atomic` (a temp file in
+the target's directory, then a rename), so an output is whole or absent. No
+fsync: this guards against a process that dies part-way, not power loss.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -28,6 +34,7 @@ from .errors import ContractError, DataFormatError, NumericalFailure, Unsupporte
 from .frame import Grid
 from .pde import (BURGERS_GRF, DARCY_GRF, GrfSpec, darcy_residual,
                   make_darcy_coefficient, sample_grf, solve_burgers, solve_darcy)
+from .tensor import Tensor
 
 MAGIC = b"ABLEDS01"
 _DTYPE_TAGS = {0: np.dtype("<f8")}
@@ -58,23 +65,44 @@ class Dataset:
         return Dataset(self.grid, self.inputs[indices], self.targets[indices], dict(self.meta))
 
 
+def write_atomic(path, *chunks) -> None:
+    """Write the bytes-like `chunks` in order to `path`, whole or not at all.
+
+    The temp file is opened as `open()` does, so its mode follows the umask.
+    On any exception it is removed and the target is left as it was.
+    """
+    path = Path(os.path.realpath(path))         # write through a symlink, as open() does
+    if path.exists() and not path.is_file():    # never replace a directory, device or FIFO
+        raise OSError(f"{path} exists and is not a regular file")
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.writelines(chunks)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_json(path, obj) -> None:
+    """`obj` as indented, key-sorted JSON with a trailing newline."""
+    write_atomic(path, (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode("utf-8"))
+
+
 def dataset_write(dataset: Dataset, path) -> None:
     meta_bytes = json.dumps(dataset.meta, sort_keys=True).encode("utf-8")
     d = dataset.grid.dims
     header = struct.pack(
         f"<I{d}IQIIIQ", d, *dataset.grid.extents, dataset.samples,
         dataset.inputs.shape[1], dataset.targets.shape[1], 0, len(meta_bytes))
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(header)
-        fh.write(np.ascontiguousarray(dataset.inputs, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(dataset.targets, dtype="<f8").tobytes())
-        fh.write(meta_bytes)
+    write_atomic(path, MAGIC, header,
+                 np.ascontiguousarray(dataset.inputs, dtype="<f8"),
+                 np.ascontiguousarray(dataset.targets, dtype="<f8"), meta_bytes)
 
 
 def dataset_read(path) -> Dataset:
-    with open(path, "rb") as fh:
-        blob = fh.read()
+    blob = Path(path).read_bytes()
     if len(blob) < len(MAGIC):
         raise DataFormatError("file too short for a dataset header")
     if blob[:6] != MAGIC[:6]:
@@ -195,8 +223,7 @@ def make_darcy_dataset(samples: int, seed: int, resolution: int = 64,
         min_interior = min(min_interior, float(u.min()))
         inputs[i, 0] = coeffs[i][::stride, ::stride]
         targets[i, 0] = u[::stride, ::stride]
-    if samples:
-        meta["solver"] = {"max_residual": max_residual, "min_interior": min_interior}
+    meta["solver"] = {"max_residual": max_residual, "min_interior": min_interior}
     return Dataset(target_grid, inputs, targets, meta)
 
 
@@ -212,30 +239,22 @@ _CKPT_TAGS = {np.dtype(np.float64): 0, np.dtype(np.complex128): 1}
 
 
 def save_checkpoint(path, model_config, params: dict) -> None:
-    """Write architecture hyperparameters plus named parameter tensors."""
-    from dataclasses import asdict
-
+    """Write architecture hyperparameters plus named parameter tensors or arrays."""
     header = json.dumps({"model": asdict(model_config)}, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(CKPT_MAGIC)
-        fh.write(struct.pack("<I", len(header)))
-        fh.write(header)
-        fh.write(struct.pack("<I", len(params)))
-        for name, value in params.items():
-            arr = value.data if hasattr(value, "data") else np.asarray(value)
-            tag = _CKPT_TAGS[np.dtype(arr.dtype)]
-            raw = name.encode("utf-8")
-            fh.write(struct.pack("<H", len(raw)))
-            fh.write(raw)
-            fh.write(struct.pack("<BB", tag, arr.ndim))
-            fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            fh.write(np.ascontiguousarray(arr).astype(_CKPT_DTYPES[tag]).tobytes())
+    chunks = [CKPT_MAGIC, struct.pack("<I", len(header)), header, struct.pack("<I", len(params))]
+    for name, value in params.items():
+        arr = value.data if isinstance(value, Tensor) else np.asarray(value)
+        tag = _CKPT_TAGS[np.dtype(arr.dtype)]
+        raw = name.encode("utf-8")
+        chunks += [struct.pack("<H", len(raw)), raw,
+                   struct.pack(f"<BB{arr.ndim}I", tag, arr.ndim, *arr.shape),
+                   np.ascontiguousarray(arr, dtype=_CKPT_DTYPES[tag])]
+    write_atomic(path, *chunks)
 
 
 def load_checkpoint(path):
     """Read back (model config dict, {name: array}); refuses foreign files."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
+    blob = Path(path).read_bytes()
     if len(blob) < len(CKPT_MAGIC) or blob[:6] != CKPT_MAGIC[:6]:
         raise DataFormatError(f"bad magic {blob[:8]!r}; not a checkpoint file")
     if blob[:8] != CKPT_MAGIC:

@@ -242,9 +242,9 @@ def restore_network(model_config_dict: dict, params: dict) -> AbleNetwork:
     """Rebuild a network from checkpoint header + tensors, verifying names/shapes."""
     try:
         model_config = run_config.dataclass_from(ModelConfig, model_config_dict, "model")
-    except ContractError as exc:
+        net = build_network(model_config, seed=0)
+    except (ContractError, DomainError) as exc:
         raise DataFormatError(f"checkpoint header: {exc}") from exc
-    net = build_network(model_config, seed=0)
     own = net.named_parameters()
     if set(own) != set(params):
         missing = sorted(set(own) ^ set(params))

@@ -116,6 +116,16 @@ def test_gen_bad_config_usage_error(tmp_path):
     assert main(["gen", "--config", str(cfg), "--out", str(tmp_path / "x.bin")]) == 2
 
 
+@pytest.mark.parametrize("content", [b'{"task": "burgers",', b'{"task": "\xff"}'],
+                         ids=["invalid-json", "not-utf-8"])
+def test_malformed_config_file_is_usage_error(tmp_path, capsys, content):
+    cfg = tmp_path / "bad-config.json"
+    cfg.write_bytes(content)
+    assert main(["gen", "--config", str(cfg), "--out", str(tmp_path / "x.bin")]) == 2
+    assert str(cfg) in capsys.readouterr().err
+    assert not (tmp_path / "x.bin").exists()
+
+
 # ---- train / eval -----------------------------------------------------------------
 
 @pytest.fixture(scope="module")
@@ -221,6 +231,19 @@ def test_eval_unknown_model_key_is_file_error(trained_run, tmp_path, capsys):
     rc = main(["eval", "--checkpoint", str(bad), "--data", str(tmp / "data.bin")])
     assert rc == 3
     assert "warp_factor" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("changes", [{"density_arch": "foo"}, {"kind": "foo"},
+                                     {"temperature": -1.0}, {"slices": 0},
+                                     {"ndim": 2, "density_arch": "fd4"}],
+                         ids=["density-arch", "kind", "temperature", "slices", "2-D-fd4"])
+def test_eval_header_that_fails_the_build_is_file_error(trained_run, tmp_path, capsys, changes):
+    tmp, _ = trained_run
+    bad = _checkpoint_with_model(tmp / "run1/model.ckpt", tmp_path / "unbuildable.ckpt",
+                                 **changes)
+    rc = main(["eval", "--checkpoint", str(bad), "--data", str(tmp / "data.bin")])
+    assert rc == 3
+    assert "checkpoint header" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("header", [[1, 2], {"weights": {}}, {"model": 3}],
@@ -411,19 +434,35 @@ def test_usage_error_exit_code():
     assert exc.value.code == 2
 
 
-def test_unknown_activation_is_usage_error_without_traceback(trained_run, tmp_path):
-    tmp, cfg = trained_run
+def run_cli(*argv):
     env = dict(os.environ)
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    done = subprocess.run(
-        [sys.executable, "-m", "able.cli", "train", "--config", str(cfg),
-         "--data", str(tmp / "data.bin"), "--out", str(tmp_path / "out"),
-         "--set", 'model.activation="foo"'],
-        env=env, capture_output=True, text=True, timeout=120)
+    return subprocess.run([sys.executable, "-m", "able.cli", *map(str, argv)],
+                          env=env, capture_output=True, text=True, timeout=120)
+
+
+def test_unknown_activation_is_usage_error_without_traceback(trained_run, tmp_path):
+    tmp, cfg = trained_run
+    done = run_cli("train", "--config", cfg, "--data", tmp / "data.bin",
+                   "--out", tmp_path / "out", "--set", 'model.activation="foo"')
     assert done.returncode == 2, done.stderr
     assert "Traceback" not in done.stderr
     assert "activation" in done.stderr
+
+
+@pytest.mark.parametrize("argv", [["verify", "--out", "{file}"],
+                                  ["gen", "--config", "{cfg}", "--out", "{file}/x.bin"],
+                                  ["rate-study", "--study", "partition", "--out", "{file}/p"]],
+                         ids=["verify", "gen", "rate-study"])
+def test_out_under_a_regular_file_is_file_error_without_traceback(tmp_path, argv):
+    paths = {"file": tmp_path / "plain-file", "cfg": write_config(tmp_path)}
+    paths["file"].write_bytes(b"not a directory")
+    done = run_cli(*(a.format(**paths) for a in argv))
+    assert done.returncode == 3, done.stderr
+    assert "Traceback" not in done.stderr
+    assert "file error" in done.stderr
+    assert paths["file"].read_bytes() == b"not a directory"
 
 
 # ---- bad values end in their exit code ---------------------------------------------------

@@ -233,6 +233,14 @@ def test_checkpoint_roundtrip_restores_exact_network(tmp_path):
     assert np.array_equal(a, b)
 
 
+def test_checkpoint_saved_from_loaded_arrays_is_byte_identical(tmp_path):
+    net = build_network(tiny_model(slices=3, kind="cross", learn_temperature=True), seed=5)
+    dataio.save_checkpoint(tmp_path / "a.ckpt", net.config, net.named_parameters())
+    _, params = dataio.load_checkpoint(tmp_path / "a.ckpt")
+    dataio.save_checkpoint(tmp_path / "b.ckpt", net.config, params)
+    assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
+
+
 def test_checkpoint_bad_magic_and_truncation(tmp_path):
     path = tmp_path / "x.ckpt"
     path.write_bytes(b"NOTACKPT" + b"\x00" * 32)
