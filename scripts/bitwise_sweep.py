@@ -11,7 +11,9 @@ extent, so the whole-axis case runs too: 16 points at k_max 8 (the whole
 spectrum) and 16 x 32 at k_max 8 (whole on axis 0, truncated on axis 1).
 For each network it runs one forward and backward pass of the relative L2
 loss on fixed data and records the loss, the output and the gradient of
-every parameter.
+every parameter. It then takes two Adam steps on those gradients, with
+weight decay on the spectral weights, and records every parameter after
+the second (`<network>/step2/<parameter>`).
 
 Run it once per tree, with that tree's package on the path, then compare:
 
@@ -60,7 +62,7 @@ def variants():
 def sweep() -> dict:
     from able import tensor as T
     from able.operator import ModelConfig, build_network
-    from able.training import relative_l2
+    from able.training import Adam, relative_l2, spectral_weight_names
 
     arrays = {}
     for i, (name, extents, kwargs) in enumerate(variants()):
@@ -71,8 +73,14 @@ def sweep() -> dict:
         T.tape_backward(loss)
         arrays[f"{name}/loss"] = loss.data
         arrays[f"{name}/output"] = out.data
-        for pname, p in net.named_parameters().items():
+        params = net.named_parameters()
+        for pname, p in params.items():
             arrays[f"{name}/grad/{pname}"] = p.grad
+        opt = Adam(params, lr=3e-3, weight_decay=1e-4, decay_names=spectral_weight_names(params))
+        opt.step()
+        opt.step()
+        for pname, p in params.items():
+            arrays[f"{name}/step2/{pname}"] = p.data
     return arrays
 
 

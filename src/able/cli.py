@@ -210,10 +210,10 @@ def cmd_sweep(args) -> int:
 
 
 def write_rate_study(result: verify_mod.RateStudyResult, prefix) -> None:
-    """Write a rate study as `<prefix>.json` (full result) and `<prefix>.csv` (x, error)."""
-    prefix = Path(prefix)
-    write_json(prefix.with_suffix(".json"), result.to_dict())
-    _write_csv(prefix.with_suffix(".csv"), ["x", "error"], zip(result.x_values, result.errors))
+    """Write a rate study as `<prefix>.json` (full result) and `<prefix>.csv` (x, error);
+    the prefix is kept verbatim, dots included."""
+    write_json(Path(f"{prefix}.json"), result.to_dict())
+    _write_csv(Path(f"{prefix}.csv"), ["x", "error"], zip(result.x_values, result.errors))
 
 
 def cmd_rate_study(args) -> int:

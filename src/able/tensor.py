@@ -20,7 +20,9 @@ Every contraction in the package is `einsum2`: the per-point linear maps
 (`frame.linear`, channels-first) and the spectral mode mixing. Its forward
 and both VJP products each run as one batched BLAS matmul through a
 transpose/reshape plan cached per (spec, shapes), and the forward result
-is a transposed view of that product; `np.einsum` is kept only in the
+is a transposed view of that product. A VJP product conjugates its
+operand after that layout copy, in place on the copy, so no conjugated
+copy of a whole operand is made; `np.einsum` is kept only in the
 independent oracles (`reference.fno_layer`, `operator.materialize_kernel`,
 `operator.apply_dense_kernel`).
 """
@@ -266,17 +268,39 @@ _GELU_C = np.sqrt(2.0 / np.pi)
 
 
 def gelu(a) -> Tensor:
-    """Tanh-form gelu; self-consistent forward/backward pair."""
+    """Tanh-form gelu; self-consistent forward/backward pair.
+
+    Forward: t = tanh(c (x + 0.044715 x^3)), out = 0.5 x (1 + t); VJP:
+    g (0.5 (1 + t) + 0.5 x (1 - t^2) c (1 + 3 * 0.044715 x^2)). Both run
+    as in-place ufuncs in that order of operations, so they allocate a few
+    input-sized buffers rather than one per operator.
+    """
     a = _wrap(a)
     x = a.data
-    inner = _GELU_C * (x + 0.044715 * (x * x * x))
-    t = np.tanh(inner)
-    out = 0.5 * x * (1.0 + t)
+    t = np.multiply(x, x)
+    t *= x
+    t *= 0.044715
+    np.add(x, t, out=t)
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    out = np.multiply(x, 0.5)
+    one_plus_t = np.add(t, 1.0)
+    out *= one_plus_t
 
     def vjp(g):
-        d_inner = _GELU_C * (1.0 + 3 * 0.044715 * (x * x))
-        d = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * d_inner
-        return (g * d,)
+        d_inner = np.multiply(x, x)
+        d_inner *= 3 * 0.044715
+        d_inner += 1.0
+        d_inner *= _GELU_C
+        d = np.add(t, 1.0)
+        d *= 0.5
+        slope = np.multiply(t, t)
+        np.subtract(1.0, slope, out=slope)
+        half_x = np.multiply(x, 0.5)
+        half_x *= slope
+        half_x *= d_inner
+        d += half_x
+        return (np.multiply(g, d, out=d),)
 
     return _make(out, (a,), vjp)
 
@@ -384,23 +408,37 @@ def _matmul_plan(spec: str, shape_a: tuple, shape_b: tuple) -> tuple:
             tuple(product.index(c) for c in s_out))
 
 
-def _contract(spec: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _contract(spec: str, a: np.ndarray, b: np.ndarray, conj: Optional[str] = None) -> np.ndarray:
+    """`einsum(spec, a, b)` as one matmul; `conj` names the operand, "a" or
+    "b", to conjugate after its transpose/reshape."""
     perm_a, shape_a, perm_b, shape_b, shape_p, perm_out = _matmul_plan(spec, a.shape, b.shape)
-    p = np.matmul(a.transpose(perm_a).reshape(shape_a), b.transpose(perm_b).reshape(shape_b))
+    ma = a.transpose(perm_a).reshape(shape_a)
+    mb = b.transpose(perm_b).reshape(shape_b)
+    if conj == "a":
+        ma = _conj_operand(ma, a)
+    elif conj == "b":
+        mb = _conj_operand(mb, b)
+    p = np.matmul(ma, mb)
     return p.reshape(shape_p).transpose(perm_out)
 
 
-def _conj(x: np.ndarray) -> np.ndarray:
-    return np.conj(x) if np.iscomplexobj(x) else x
+def _conj_operand(op: np.ndarray, source: np.ndarray) -> np.ndarray:
+    """Conjugate of the matmul operand `op` made from `source`: in place when
+    the transpose/reshape copied, a new array when `op` is a view of `source`."""
+    if not np.iscomplexobj(op):
+        return op
+    return np.conj(op) if np.may_share_memory(op, source) else np.conj(op, out=op)
 
 
 def einsum2(spec: str, a, b) -> Tensor:
     """Two-operand einsum whose adjoint is again a two-operand einsum.
 
     The forward product and both VJP products each run as one cached
-    batched matmul (`_matmul_plan`). Every index of each operand must appear
-    in the output or the other operand, and no index may repeat within an
-    operand; other specs raise ContractError.
+    batched matmul (`_matmul_plan`). Each VJP product conjugates the other
+    operand after its layout copy, so no conjugated copy of a whole operand
+    is made first. Every index of each operand must appear in the output or
+    the other operand, and no index may repeat within an operand; other
+    specs raise ContractError.
     """
     a, b = _wrap(a), _wrap(b)
     out = _contract(spec, a.data, b.data)
@@ -408,8 +446,8 @@ def einsum2(spec: str, a, b) -> Tensor:
     s_a, s_b = lhs.split(",")
 
     def vjp(g):
-        ga = _contract(f"{s_out},{s_b}->{s_a}", g, _conj(b.data)) if a.requires_grad else None
-        gb = _contract(f"{s_a},{s_out}->{s_b}", _conj(a.data), g) if b.requires_grad else None
+        ga = _contract(f"{s_out},{s_b}->{s_a}", g, b.data, conj="b") if a.requires_grad else None
+        gb = _contract(f"{s_a},{s_out}->{s_b}", a.data, g, conj="a") if b.requires_grad else None
         return ga, gb
 
     return _make(out, (a, b), vjp)

@@ -141,3 +141,51 @@ def density_energies_direct(f: np.ndarray, weights, biases, slices: int, heads: 
                 for m in range(slices):
                     out[(i, h, m) + pt] = e[h * slices + m]
     return out
+
+
+def adam_reference(data: dict, grads: dict, state: dict, lr: float, beta1: float = 0.9,
+                   beta2: float = 0.999, eps: float = 1e-8, weight_decay: float = 0.0,
+                   decay_names: frozenset = frozenset()) -> None:
+    """One Adam step by the whole-array textbook formula, one temporary per
+    operator, updating the arrays of `data` in place.
+
+    `grads` maps each name to its gradient or None (a zero gradient).
+    `state` carries the step count and the flat paired-real moments
+    `("m", name)` / `("v", name)` between calls; start it as `{}`.
+    """
+    state["step"] = state.get("step", 0) + 1
+    c1 = 1.0 - beta1**state["step"]
+    c2 = 1.0 - beta2**state["step"]
+    for name, p in data.items():
+        flat = p.reshape(-1).view(np.float64)
+        m = state.setdefault(("m", name), np.zeros_like(flat))
+        v = state.setdefault(("v", name), np.zeros_like(flat))
+        if grads.get(name) is None:
+            g = np.zeros_like(flat)
+        else:
+            g = np.ascontiguousarray(grads[name]).reshape(-1).view(np.float64).copy()
+        if weight_decay and name in decay_names:
+            g += weight_decay * flat
+        m *= beta1
+        m += (1.0 - beta1) * g
+        v *= beta2
+        v += (1.0 - beta2) * g * g
+        update = (lr / c1) * m / (np.sqrt(v / c2) + eps)
+        flat[...] -= update
+
+
+GELU_C = np.sqrt(2.0 / np.pi)
+
+
+def gelu_reference(x: np.ndarray) -> tuple:
+    """Tanh-form gelu as whole-array expressions: (output, VJP function)."""
+    inner = GELU_C * (x + 0.044715 * (x * x * x))
+    t = np.tanh(inner)
+    out = 0.5 * x * (1.0 + t)
+
+    def vjp(g):
+        d_inner = GELU_C * (1.0 + 3 * 0.044715 * (x * x))
+        d = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * d_inner
+        return g * d
+
+    return out, vjp

@@ -428,6 +428,12 @@ def test_rate_study_outputs(tmp_path, capsys):
     assert "slope" in capsys.readouterr().out
 
 
+def test_rate_study_keeps_a_dotted_prefix_verbatim(tmp_path):
+    assert main(["rate-study", "--study", "partition",
+                 "--out", str(tmp_path / "study.v2")]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["study.v2.csv", "study.v2.json"]
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["train"])  # missing required args

@@ -9,7 +9,7 @@ from able import fft, frame
 from able import tensor as T
 from able.errors import ContractError, DomainError
 
-from oracles import central_difference_paired
+from oracles import central_difference_paired, gelu_reference
 
 
 def autodiff_grad(build_loss, x0: np.ndarray) -> np.ndarray:
@@ -60,6 +60,16 @@ def test_fft_norm_gradient_is_2x():
 
 def test_gelu_at_zero():
     assert T.gelu(T.tensor(np.zeros(3))).data == pytest.approx(np.zeros(3))
+
+
+def test_gelu_matches_whole_array_expressions_bitwise():
+    x = 4.0 * rng(70).standard_normal((3, 4, 50))
+    for arr in (x, x.transpose(2, 0, 1)):
+        out = T.gelu(T.parameter(arr))
+        want, want_vjp = gelu_reference(arr)
+        assert np.array_equal(out.data, want)
+        g = rng(71).standard_normal(arr.shape)
+        assert np.array_equal(out._vjp(g)[0], want_vjp(g))
 
 
 def test_sqrt_quarter_tensor():
@@ -182,6 +192,28 @@ def test_einsum2_operator_contractions(spec, shape_a, shape_b, complex_operands)
 
     assert_grad_matches(loss_a, a)
     assert_grad_matches(loss_b, b)
+
+
+# (spec, shape_a, shape_b, whether the second operand's matmul layout is a view)
+VJP_LAYOUTS = [("bi,io->bo", (5, 3), (3, 4), True),
+               ("bimx,ioxm->bomx", (2, 3, 2, 6), (3, 4, 6, 2), False)]
+
+
+@pytest.mark.parametrize("spec,shape_a,shape_b,view", VJP_LAYOUTS, ids=[c[0] for c in VJP_LAYOUTS])
+def test_einsum2_vjp_conjugates_copies_not_operands(spec, shape_a, shape_b, view):
+    a, b = randc(shape_a, seed=61), randc(shape_b, seed=62)
+    a0, b0 = a.copy(), b.copy()
+    out = T.einsum2(spec, T.parameter(a), T.parameter(b))
+    g = randc(out.shape, seed=63)
+    lhs, s_out = spec.split("->")
+    s_a, s_b = lhs.split(",")
+    spec_ga, spec_gb = f"{s_out},{s_b}->{s_a}", f"{s_a},{s_out}->{s_b}"
+    plan = T._matmul_plan(spec_ga, g.shape, b.shape)
+    assert np.may_share_memory(b.transpose(plan[2]).reshape(plan[3]), b) == view
+    ga, gb = out._vjp(g)
+    assert np.array_equal(a, a0) and np.array_equal(b, b0)
+    assert np.array_equal(ga, T._contract(spec_ga, g, np.conj(b)))
+    assert np.array_equal(gb, T._contract(spec_gb, np.conj(a), g))
 
 
 def test_einsum2_rejects_index_in_one_operand_only():

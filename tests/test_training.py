@@ -1,6 +1,7 @@
 """Loss, optimizer, trainer determinism, checkpoints, gradient checking."""
 
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -11,6 +12,8 @@ from able import tensor as T
 from able.errors import ContractError, DataFormatError, DomainError, NumericalFailure
 from able.frame import Grid
 from able.operator import ModelConfig, build_network
+
+import oracles
 
 
 def rng(seed):
@@ -96,6 +99,61 @@ def test_adam_weight_decay_only_on_named():
     opt.step()
     assert a.data[0] != 2.0          # decay pulled it down
     assert b.data[0] == 2.0
+
+
+def transposed(arr: np.ndarray) -> np.ndarray:
+    """The same values in a reversed memory layout: a non-contiguous view."""
+    return np.ascontiguousarray(arr.T).T
+
+
+def test_adam_blocks_match_whole_array_formula_bitwise():
+    r = rng(40)
+    shapes = {
+        # 12 blocks: cut along axis 2, with a partial block at the end of each row
+        "big.spectral.weights": ((2, 3, 40, 16, 16), np.complex128),
+        "long": ((40000,), np.float64),          # 3 blocks of one axis
+        "frozen": ((4, 5), np.float64),         # never gets a gradient
+        "log_temperature": ((), np.float64),
+    }
+
+    def draw(shape, dtype):
+        arr = r.standard_normal(shape)
+        return arr + 1j * r.standard_normal(shape) if dtype == np.complex128 else arr
+
+    params = {n: T.parameter(draw(*spec)) for n, spec in shapes.items()}
+    data = {n: p.data.copy() for n, p in params.items()}
+    kwargs = dict(lr=0.01, beta1=0.8, beta2=0.99, eps=1e-7, weight_decay=0.3,
+                  decay_names=frozenset({"big.spectral.weights"}))
+    opt = training.Adam(params, **kwargs)
+    state = {}
+    for _ in range(4):
+        grads = {n: (None if n == "frozen" else draw(*spec)) for n, spec in shapes.items()}
+        grads["big.spectral.weights"] = transposed(grads["big.spectral.weights"])
+        assert not grads["big.spectral.weights"].flags.c_contiguous
+        for n, p in params.items():
+            p.grad = grads[n]
+        opt.step()
+        oracles.adam_reference(data, grads, state, **kwargs)
+    assert len(opt._blocks[0]) == 12 and len(opt._blocks[1]) == 3
+    for i, (n, p) in enumerate(params.items()):
+        assert np.array_equal(p.data, data[n]), n
+        assert np.array_equal(opt._m[i], state[("m", n)]), n
+        assert np.array_equal(opt._v[i], state[("v", n)]), n
+
+
+def test_adam_step_allocates_no_parameter_sized_temporary():
+    r = rng(41)
+    shape = (8, 16, 32, 32)                     # 2 MiB of complex128
+    p = T.parameter(r.standard_normal(shape) + 1j * r.standard_normal(shape))
+    opt = training.Adam({"w": p}, lr=0.01)
+    p.grad = transposed(r.standard_normal(shape) + 1j * r.standard_normal(shape))
+    tracemalloc.start()
+    try:
+        opt.step()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < p.data.nbytes / 8
 
 
 def test_scheduled_lr():
