@@ -13,7 +13,9 @@ For each network it runs one forward and backward pass of the relative L2
 loss on fixed data and records the loss, the output and the gradient of
 every parameter. It then takes two Adam steps on those gradients, with
 weight decay on the spectral weights, and records every parameter after
-the second (`<network>/step2/<parameter>`).
+the second (`<network>/step2/<parameter>`) and the bytes of the checkpoint
+`save_checkpoint` writes then (`<network>/checkpoint`, uint8). That makes
+8544 arrays: 8352 values and 192 checkpoints.
 
 Run it once per tree, with that tree's package on the path, then compare:
 
@@ -32,6 +34,8 @@ import argparse
 import itertools
 import os
 import sys
+import tempfile
+from pathlib import Path
 
 # one BLAS thread, so the products are summed in the same order on every run
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
@@ -61,26 +65,32 @@ def variants():
 
 def sweep() -> dict:
     from able import tensor as T
+    from able.dataio import save_checkpoint
     from able.operator import ModelConfig, build_network
     from able.training import Adam, relative_l2, spectral_weight_names
 
     arrays = {}
-    for i, (name, extents, kwargs) in enumerate(variants()):
-        net = build_network(ModelConfig(**kwargs), seed=i)
-        data = np.random.default_rng(1000 + i).standard_normal((2, BATCH, 1) + extents)
-        out = net(T.tensor(data[0]))
-        loss = relative_l2(out, T.tensor(data[1]))
-        T.tape_backward(loss)
-        arrays[f"{name}/loss"] = loss.data
-        arrays[f"{name}/output"] = out.data
-        params = net.named_parameters()
-        for pname, p in params.items():
-            arrays[f"{name}/grad/{pname}"] = p.grad
-        opt = Adam(params, lr=3e-3, weight_decay=1e-4, decay_names=spectral_weight_names(params))
-        opt.step()
-        opt.step()
-        for pname, p in params.items():
-            arrays[f"{name}/step2/{pname}"] = p.data
+    with tempfile.TemporaryDirectory() as scratch:
+        checkpoint = Path(scratch) / "net.ckpt"
+        for i, (name, extents, kwargs) in enumerate(variants()):
+            net = build_network(ModelConfig(**kwargs), seed=i)
+            data = np.random.default_rng(1000 + i).standard_normal((2, BATCH, 1) + extents)
+            out = net(T.tensor(data[0]))
+            loss = relative_l2(out, T.tensor(data[1]))
+            T.tape_backward(loss)
+            arrays[f"{name}/loss"] = loss.data
+            arrays[f"{name}/output"] = out.data
+            params = net.named_parameters()
+            for pname, p in params.items():
+                arrays[f"{name}/grad/{pname}"] = p.grad
+            opt = Adam(params, lr=3e-3, weight_decay=1e-4,
+                       decay_names=spectral_weight_names(params))
+            opt.step()
+            opt.step()
+            for pname, p in params.items():
+                arrays[f"{name}/step2/{pname}"] = p.data
+            save_checkpoint(checkpoint, net.config, params)
+            arrays[f"{name}/checkpoint"] = np.frombuffer(checkpoint.read_bytes(), dtype=np.uint8)
     return arrays
 
 

@@ -52,10 +52,27 @@ def mode_indices(k_max: int, extent: int) -> np.ndarray:
 
 @dataclass
 class SpectralMultiplier:
-    """Learnable complex mode weights, diagonal R(k,m) or cross R(k; m, m')."""
+    """Learnable complex mode weights, diagonal R(k,m) or cross R(k; m, m').
+
+    `weights.data` has the canonical shape (I, O, modes..., M[, M]), which
+    checkpoints, `materialize_kernel` and the oracles read. It is a
+    transposed view of one C-contiguous buffer stored in the order in which
+    the mix's matmul reads it (`tensor._matmul_plan`): cross weights
+    w[i, o, x..., p, q] (output slice p, input slice q) are stored as
+    (x..., i, q, o, p), diagonal weights w[i, o, x..., m] as (m, x..., i, o).
+    The mix then reshapes the weights without a copy, and their gradient
+    arrives in the stored order. Writes go through the view
+    (`data[...] = ...`), which keeps the layout.
+    """
 
     k_max: int
     weights: T.Tensor
+
+
+def mix_spec(kind: str, ndim: int) -> str:
+    """The `einsum2` spec of a layer's mode mixing: lifted modes by weights."""
+    xy = "xy"[:ndim]
+    return f"biq{xy},io{xy}pq->bop{xy}" if kind == "cross" else f"bim{xy},io{xy}m->bom{xy}"
 
 
 def make_multiplier(kind: str, k_max: int, in_channels: int, out_channels: int,
@@ -67,6 +84,9 @@ def make_multiplier(kind: str, k_max: int, in_channels: int, out_channels: int,
     shape = (in_channels, out_channels) + modes + tail
     scale = 1.0 / (in_channels * out_channels)
     w = scale * (rng.random(shape) + 1j * rng.random(shape))
+    lifted = (1, in_channels, slices) + modes
+    stored = T._matmul_plan(mix_spec(kind, ndim), lifted, shape)[2]
+    w = np.ascontiguousarray(w.transpose(stored)).transpose(np.argsort(stored))
     return SpectralMultiplier(k_max, T.parameter(w))
 
 
@@ -125,9 +145,8 @@ class AbleLayer:
         extents = tuple(f.shape[2:])
         k = [self.multiplier.k_max] * self.ndim
         sp = sqrt_density(self.density(f)) if self.density_net is not None else None
-        xy = "xy"[:self.ndim]
-        mix = f"biq{xy},io{xy}pq->bop{xy}" if self.kind == "cross" else f"bim{xy},io{xy}m->bom{xy}"
-        mixed = T.einsum2(mix, lift(f, sp, k), self.multiplier.weights)
+        mixed = T.einsum2(mix_spec(self.kind, self.ndim), lift(f, sp, k),
+                          self.multiplier.weights)
         spectral = T.real(synthesize(mixed, sp, k, extents))
 
         out = T.add(spectral, linear(f, self.pointwise, self.bias))

@@ -4,7 +4,9 @@ Define-by-run: every operation links its output to its parents with a
 closure computing the vector-Jacobian product, and `tape_backward` replays
 the recorded graph once in reverse topological order. The tape therefore
 exists only between a forward pass and its backward pass and is rebuilt
-from scratch every step.
+from scratch every step: the sweep drops each node's VJP closure once it
+has run, which frees the buffers kept only for the backward pass, so a
+spent graph cannot be swept again.
 
 Complex tensors follow the paired-reals convention: for a real loss L and
 a complex value x = a + ib, the stored gradient is dL/da + i*dL/db. Under
@@ -140,10 +142,18 @@ def _project(g: np.ndarray, like: np.ndarray) -> np.ndarray:
 
 # ---- backward pass -------------------------------------------------------
 
+def _spent(g):
+    raise ContractError("this graph was already swept by tape_backward; "
+                        "rebuild it with a new forward pass")
+
+
 def tape_backward(loss: Tensor) -> None:
     """Reverse sweep from a real scalar loss, accumulating into each leaf's `.grad`.
 
-    Every node of the recorded graph is visited exactly once.
+    Every node of the recorded graph is visited exactly once, and each
+    non-leaf node drops its VJP closure as it is visited, which frees the
+    buffers kept only for the backward pass (node outputs live as long as
+    the loss); sweeping a graph again raises ContractError.
     """
     if loss.size != 1:
         raise ContractError(f"loss must be scalar, got shape {loss.shape}")
@@ -171,12 +181,15 @@ def tape_backward(loss: Tensor) -> None:
     grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
     for node in reversed(tape):
         g = grads.pop(id(node), None)
+        vjp = node._vjp
+        if vjp is not None:
+            node._vjp = _spent
         if g is None:
             continue
-        if node._vjp is None:
+        if vjp is None:
             node.grad = g if node.grad is None else node.grad + g
             continue
-        for p, pg in zip(node._parents, node._vjp(g)):
+        for p, pg in zip(node._parents, vjp(g)):
             if pg is None or not p.requires_grad:
                 continue
             pg = _project(_unbroadcast(np.asarray(pg), p.shape), p.data)
@@ -254,12 +267,26 @@ def relu(a) -> Tensor:
 
 
 def silu(a) -> Tensor:
+    """x sigmoid(x); self-consistent forward/backward pair.
+
+    Forward: s = 1 / (1 + exp(-x)), out = x s; VJP: g (s (1 + x (1 - s))).
+    Both run as in-place ufuncs in that order of operations, so the forward
+    allocates two input-sized buffers and the VJP one.
+    """
     a = _wrap(a)
-    s = 1.0 / (1.0 + np.exp(-a.data))
-    out = a.data * s
+    x = a.data
+    s = np.negative(x)
+    np.exp(s, out=s)
+    s += 1.0
+    np.divide(1.0, s, out=s)
+    out = np.multiply(x, s)
 
     def vjp(g):
-        return (g * (s * (1.0 + a.data * (1.0 - s))),)
+        d = np.subtract(1.0, s)
+        d *= x
+        d += 1.0
+        d *= s
+        return (np.multiply(g, d, out=d),)
 
     return _make(out, (a,), vjp)
 
@@ -369,6 +396,12 @@ def _matmul_plan(spec: str, shape_a: tuple, shape_b: tuple) -> tuple:
     (batch, left, summed) / (batch, summed, right) and reshaped to 3-D; the
     product is reshaped back and transposed to the output order. Returns
     (perm_a, shape3_a, perm_b, shape3_b, product_shape, perm_out).
+
+    Batch indices keep their order in the first operand and the other groups
+    their order in the output, so a forward product and the VJP product of
+    its second operand, whose first operand is the same, lay out that second
+    operand alike: weights stored in the order the forward reads them
+    reshape without a copy, and their gradient comes out in that same order.
     """
     lhs, s_out = spec.split("->")
     s_a, s_b = lhs.split(",")
@@ -391,7 +424,7 @@ def _matmul_plan(spec: str, shape_a: tuple, shape_b: tuple) -> tuple:
         if c not in s_out and not (c in s_a and c in s_b):
             raise ContractError(f"einsum2 {spec!r}: index {c!r} is in one operand only "
                                 "and not in the output")
-    batch = [c for c in s_out if c in s_a and c in s_b]
+    batch = [c for c in s_a if c in s_b and c in s_out]
     left = [c for c in s_out if c in s_a and c not in s_b]
     right = [c for c in s_out if c in s_b and c not in s_a]
     summed = [c for c in s_a if c in s_b and c not in s_out]

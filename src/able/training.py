@@ -75,6 +75,18 @@ def _float_view(arr: np.ndarray) -> np.ndarray:
     return arr.reshape(-1).view(np.float64)
 
 
+def _storage_order(name: str, data: np.ndarray) -> tuple:
+    """The axis permutation under which `data` is C-contiguous, so Adam can
+    update it in place in memory order; ContractError if there is none (a
+    strided slice, a broadcast or a reversed axis), since Adam would then
+    update a copy."""
+    order = tuple(int(a) for a in np.argsort([-s for s in data.strides], kind="stable"))
+    if not data.transpose(order).flags.c_contiguous:
+        raise ContractError(f"parameter {name!r} is not a permutation of a contiguous "
+                            f"buffer (shape {data.shape}, strides {data.strides})")
+    return order
+
+
 # Floats per optimizer block (128 KiB): a block's slices of the parameter,
 # both moments and the gradient, plus the two scratch blocks, stay in a 2 MiB
 # L2 cache through every pass of the update. On the darcy task's cross
@@ -115,11 +127,15 @@ class Adam:
     """Adam with bias correction; complex parameters update as paired reals.
 
     The update runs in place, one cache-sized block of each parameter at a
-    time. Each block's gradient is copied straight from whatever layout the
-    tape left into a scratch block, and the textbook formula is applied with
-    in-place ufuncs in the same order of operations, so the result is
-    bitwise that of the whole-array formula. Two scratch blocks are shared
-    by every parameter, so a step allocates no parameter-sized temporary.
+    time, in the parameter's storage order: a parameter may be any
+    transposed view of a C-contiguous buffer (the spectral weights are), and
+    the moments and blocks follow that buffer's order. Each block's
+    gradient is read through the same permutation and copied straight from
+    whatever layout the tape left into a scratch block, and the textbook
+    formula is applied with in-place ufuncs in the same order of operations,
+    so the result is bitwise that of the whole-array formula. Two scratch
+    blocks are shared by every parameter, so a step allocates no
+    parameter-sized temporary.
     """
 
     def __init__(self, params: dict, lr: float, beta1: float = 0.9, beta2: float = 0.999,
@@ -131,9 +147,11 @@ class Adam:
         self.weight_decay = weight_decay
         self.decay_names = decay_names
         self.step_count = 0
-        self._m = [np.zeros_like(_float_view(p.data)) for _, p in self.params]
-        self._v = [np.zeros_like(_float_view(p.data)) for _, p in self.params]
-        self._blocks = [_blocks(p.data) for _, p in self.params]
+        self._orders = [_storage_order(n, p.data) for n, p in self.params]
+        stored = [p.data.transpose(o) for (_, p), o in zip(self.params, self._orders)]
+        self._m = [np.zeros_like(_float_view(d)) for d in stored]
+        self._v = [np.zeros_like(_float_view(d)) for d in stored]
+        self._blocks = [_blocks(d) for d in stored]
         self._scratch = np.empty((2, min(max((m.size for m in self._m), default=0), _BLOCK)))
 
     def step(self, lr: Optional[float] = None) -> None:
@@ -142,9 +160,10 @@ class Adam:
         c1 = 1.0 - self.beta1**self.step_count
         c2 = 1.0 - self.beta2**self.step_count
         scale, keep1, keep2 = lr / c1, 1.0 - self.beta1, 1.0 - self.beta2
-        for (name, p), m, v, blocks in zip(self.params, self._m, self._v, self._blocks):
-            flat = _float_view(p.data)
-            grad = None if p.grad is None else np.asarray(p.grad)
+        for (name, p), order, m, v, blocks in zip(self.params, self._orders, self._m,
+                                                  self._v, self._blocks):
+            flat = _float_view(p.data.transpose(order))
+            grad = None if p.grad is None else np.asarray(p.grad).transpose(order)
             decay = self.weight_decay if self.weight_decay and name in self.decay_names else 0.0
             for index, shape, start, end in blocks:
                 g, t = self._scratch[:, :end - start]
@@ -358,16 +377,18 @@ def gradient_check(net, sample: tuple, n_params: int = 50, h: float = 1e-6,
     for name, flat_idx in picks:
         p = params[name]
         grad = p.grad if p.grad is not None else np.zeros_like(p.data)
+        # index the parameter itself: ravel() of a view parameter is a copy
+        idx = np.unravel_index(flat_idx, p.shape)
         components = [(1.0, np.real)] + ([(1j, np.imag)] if p.is_complex else [])
         for direction, proj in components:
-            base = p.data.ravel()[flat_idx]
-            p.data.ravel()[flat_idx] = base + h * direction
+            base = p.data[idx]
+            p.data[idx] = base + h * direction
             fp = loss_value()
-            p.data.ravel()[flat_idx] = base - h * direction
+            p.data[idx] = base - h * direction
             fm = loss_value()
-            p.data.ravel()[flat_idx] = base
+            p.data[idx] = base
             fd = (fp - fm) / (2.0 * h)
-            ad = float(proj(grad.ravel()[flat_idx]))
+            ad = float(proj(grad[idx]))
             entries.append((name, ad, fd))
             if ".density." in name:
                 density_grad_max = max(density_grad_max, abs(ad))

@@ -189,3 +189,14 @@ def gelu_reference(x: np.ndarray) -> tuple:
         return g * d
 
     return out, vjp
+
+
+def silu_reference(x: np.ndarray) -> tuple:
+    """silu x sigmoid(x) as whole-array expressions: (output, VJP function)."""
+    s = 1.0 / (1.0 + np.exp(-x))
+    out = x * s
+
+    def vjp(g):
+        return g * (s * (1.0 + x * (1.0 - s)))
+
+    return out, vjp

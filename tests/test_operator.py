@@ -1,14 +1,17 @@
 """Spectral layers against the dense-kernel oracle and the Fourier reference."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from able import dataio
 from able import operator as op
 from able import reference
 from able import tensor as T
 from able.errors import ContractError
 from able.frame import DensityField, DensityNetConfig, Grid, uniform_density
-from able.training import gradient_check, relative_l2
+from able.training import gradient_check, relative_l2, restore_network
 
 
 def rng(seed):
@@ -348,16 +351,17 @@ def test_network_gradients_match_finite_differences():
         p = params[name]
         grad = p.grad
         assert grad is not None, name
+        idx = np.unravel_index(flat_idx, p.shape)   # ravel() of a view parameter is a copy
         comps = [(1.0, np.real)] + ([(1j, np.imag)] if p.is_complex else [])
         for direction, proj in comps:
-            base = p.data.ravel()[flat_idx]
-            p.data.ravel()[flat_idx] = base + h * direction
+            base = p.data[idx]
+            p.data[idx] = base + h * direction
             fp = loss_value().item()
-            p.data.ravel()[flat_idx] = base - h * direction
+            p.data[idx] = base - h * direction
             fm = loss_value().item()
-            p.data.ravel()[flat_idx] = base
+            p.data[idx] = base
             fd = (fp - fm) / (2 * h)
-            ad = proj(grad.ravel()[flat_idx])
+            ad = proj(grad[idx])
             assert abs(ad - fd) / max(abs(fd), abs(ad), 1e-8) < 1e-4, (name, direction)
 
 
@@ -384,6 +388,73 @@ def test_learnable_temperature_stays_positive_and_gets_gradient():
 
 
 # ---- flop accounting ---------------------------------------------------------------------
+
+# ---- spectral weight layout ----------------------------------------------------------
+
+LAYOUTS = [("diagonal", 1), ("diagonal", 2), ("cross", 1), ("cross", 2)]
+
+
+def mix_operand_plan(layer, batch=1):
+    """Axis order and 3-D shape in which the mix's matmul reads the weights."""
+    w = layer.multiplier.weights.data
+    lifted = (batch, layer.in_channels, layer.slices) + w.shape[2:2 + layer.ndim]
+    spec = op.mix_spec(layer.kind, layer.ndim)
+    _, _, perm_b, shape_b, _, _ = T._matmul_plan(spec, lifted, w.shape)
+    return perm_b, shape_b
+
+
+@pytest.mark.parametrize("kind,ndim", LAYOUTS)
+def test_spectral_weights_are_stored_in_the_mix_matmul_order(kind, ndim):
+    layer = make_layer(cin=2, cout=3, ndim=ndim, kind=kind, seed=9)
+    w = layer.multiplier.weights.data
+    shape = (2, 3) + (8,) * ndim + ((2, 2) if kind == "cross" else (2,))
+    r = rng(9)      # the multiplier is the layer's first draw, in canonical order
+    assert np.array_equal(w, (1.0 / 6) * (r.random(shape) + 1j * r.random(shape)))
+    assert not w.flags.c_contiguous
+    perm, shape3 = mix_operand_plan(layer)
+    assert np.shares_memory(w.transpose(perm).reshape(shape3), w)
+
+
+@pytest.mark.parametrize("kind", ["diagonal", "cross"])
+def test_mix_forward_does_not_copy_the_weights(kind):
+    # darcy-2d shapes: batch 1, width 16, 16 x 16 modes, M=2
+    layer = make_layer(cin=16, cout=16, k_max=8, ndim=2, kind=kind)
+    w = layer.multiplier.weights
+    r = rng(60)
+    lifted = r.standard_normal((1, 16, 2, 16, 16)) + 1j * r.standard_normal((1, 16, 2, 16, 16))
+    spec = op.mix_spec(kind, 2)
+    with T.no_grad():
+        T.einsum2(spec, lifted, w)      # plan cached before the trace
+        tracemalloc.start()
+        try:
+            T.einsum2(spec, lifted, w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < w.data.nbytes / 8
+
+
+@pytest.mark.parametrize("kind,ndim", LAYOUTS)
+def test_spectral_weight_gradient_arrives_in_storage_order(kind, ndim):
+    layer = make_layer(ndim=ndim, kind=kind)
+    f = rng(61).standard_normal((2, 2) + (16,) * ndim)
+    T.tape_backward(T.tsum(T.abs2(layer(T.tensor(f)))))
+    perm, _ = mix_operand_plan(layer)
+    assert layer.multiplier.weights.grad.transpose(perm).flags.c_contiguous
+
+
+@pytest.mark.parametrize("kind,ndim", LAYOUTS)
+def test_restored_network_keeps_the_stored_layout(kind, ndim, tmp_path):
+    net = op.build_network(small_model(kind=kind, ndim=ndim), seed=7)
+    path = tmp_path / "net.ckpt"
+    dataio.save_checkpoint(path, net.config, net.named_parameters())
+    restored = restore_network(*dataio.load_checkpoint(path))
+    for layer, back in zip(net.layers, restored.layers):
+        w = back.multiplier.weights.data
+        assert np.array_equal(w, layer.multiplier.weights.data)
+        perm, shape3 = mix_operand_plan(back)
+        assert np.shares_memory(w.transpose(perm).reshape(shape3), w)
+
 
 def test_flops_spectral_linear_in_slices():
     g = Grid((64,))

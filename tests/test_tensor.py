@@ -1,5 +1,7 @@
 """Autodiff correctness: every primitive against central finite differences."""
 
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,7 @@ from able import fft, frame
 from able import tensor as T
 from able.errors import ContractError, DomainError
 
-from oracles import central_difference_paired, gelu_reference
+from oracles import central_difference_paired, gelu_reference, silu_reference
 
 
 def autodiff_grad(build_loss, x0: np.ndarray) -> np.ndarray:
@@ -69,6 +71,16 @@ def test_gelu_matches_whole_array_expressions_bitwise():
         want, want_vjp = gelu_reference(arr)
         assert np.array_equal(out.data, want)
         g = rng(71).standard_normal(arr.shape)
+        assert np.array_equal(out._vjp(g)[0], want_vjp(g))
+
+
+def test_silu_matches_whole_array_expressions_bitwise():
+    x = 4.0 * rng(72).standard_normal((3, 4, 50))
+    for arr in (x, x.transpose(2, 0, 1)):
+        out = T.silu(T.parameter(arr))
+        want, want_vjp = silu_reference(arr)
+        assert np.array_equal(out.data, want)
+        g = rng(73).standard_normal(arr.shape)
         assert np.array_equal(out._vjp(g)[0], want_vjp(g))
 
 
@@ -273,6 +285,22 @@ def test_grad_accumulates_across_reuse():
     y = T.add(T.mul(x, x), T.mul(x, 3.0))
     T.tape_backward(T.tsum(y))
     assert x.grad == pytest.approx(np.array([7.0]))
+
+
+def test_backward_drops_each_vjp_closure_it_runs():
+    x = T.parameter(rng(74).standard_normal(8))
+    h = T.silu(x)
+    # the sigmoid s is kept only for the VJP
+    saved = [weakref.ref(c.cell_contents) for c in h._vjp.__closure__
+             if isinstance(c.cell_contents, np.ndarray) and c.cell_contents is not x.data]
+    assert len(saved) == 1 and saved[0]() is not None
+    loss = T.tsum(T.mul(h, h))
+    T.tape_backward(loss)
+    assert saved[0]() is None           # freed although `loss` is still held
+    s = 1.0 / (1.0 + np.exp(-x.data))
+    assert np.allclose(x.grad, 2.0 * (x.data * s) * (s * (1.0 + x.data * (1.0 - s))))
+    with pytest.raises(ContractError, match="already swept"):
+        T.tape_backward(loss)
 
 
 @pytest.mark.parametrize("op", [T.mul, T.div, lambda a, b: T.einsum2("ij,jk->ik", a, b)],

@@ -106,6 +106,11 @@ def transposed(arr: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(arr.T).T
 
 
+def stored_as(arr: np.ndarray, order: tuple) -> np.ndarray:
+    """The same values as a transposed view of a buffer laid out in `order`."""
+    return np.ascontiguousarray(arr.transpose(order)).transpose(np.argsort(order))
+
+
 def test_adam_blocks_match_whole_array_formula_bitwise():
     r = rng(40)
     shapes = {
@@ -114,31 +119,51 @@ def test_adam_blocks_match_whole_array_formula_bitwise():
         "long": ((40000,), np.float64),          # 3 blocks of one axis
         "frozen": ((4, 5), np.float64),         # never gets a gradient
         "log_temperature": ((), np.float64),
+        # canonical (I, O, x, y, M, M), stored like cross weights: 2 blocks
+        "cross.spectral.weights": ((4, 4, 16, 16, 2, 2), np.complex128),
     }
+    orders = {"cross.spectral.weights": (2, 3, 0, 5, 1, 4)}
 
-    def draw(shape, dtype):
+    def draw(name):
+        shape, dtype = shapes[name]
         arr = r.standard_normal(shape)
-        return arr + 1j * r.standard_normal(shape) if dtype == np.complex128 else arr
+        arr = arr + 1j * r.standard_normal(shape) if dtype == np.complex128 else arr
+        return stored_as(arr, orders[name]) if name in orders else arr
 
-    params = {n: T.parameter(draw(*spec)) for n, spec in shapes.items()}
+    params = {n: T.parameter(draw(n)) for n in shapes}
+    view = params["cross.spectral.weights"].data
+    assert not view.flags.c_contiguous and view.base.flags.c_contiguous
     data = {n: p.data.copy() for n, p in params.items()}
     kwargs = dict(lr=0.01, beta1=0.8, beta2=0.99, eps=1e-7, weight_decay=0.3,
-                  decay_names=frozenset({"big.spectral.weights"}))
+                  decay_names=frozenset({"big.spectral.weights", "cross.spectral.weights"}))
     opt = training.Adam(params, **kwargs)
     state = {}
     for _ in range(4):
-        grads = {n: (None if n == "frozen" else draw(*spec)) for n, spec in shapes.items()}
+        grads = {n: (None if n == "frozen" else draw(n)) for n in shapes}
         grads["big.spectral.weights"] = transposed(grads["big.spectral.weights"])
         assert not grads["big.spectral.weights"].flags.c_contiguous
         for n, p in params.items():
             p.grad = grads[n]
         opt.step()
         oracles.adam_reference(data, grads, state, **kwargs)
-    assert len(opt._blocks[0]) == 12 and len(opt._blocks[1]) == 3
+    assert len(opt._blocks[0]) == 12 and len(opt._blocks[1]) == 3 and len(opt._blocks[4]) == 2
+    p = params["cross.spectral.weights"]
+    assert p.data is view and p.data.strides == view.strides
     for i, (n, p) in enumerate(params.items()):
         assert np.array_equal(p.data, data[n]), n
-        assert np.array_equal(opt._m[i], state[("m", n)]), n
-        assert np.array_equal(opt._v[i], state[("v", n)]), n
+        # moments are kept in storage order; compare them in canonical order
+        order = orders.get(n, tuple(range(p.data.ndim)))
+        stored_shape = tuple(p.shape[a] for a in order)
+        for key, moment in (("m", opt._m[i]), ("v", opt._v[i])):
+            canonical = moment.view(p.data.dtype).reshape(stored_shape).transpose(np.argsort(order))
+            assert np.array_equal(canonical.reshape(-1).view(np.float64), state[(key, n)]), (key, n)
+
+
+@pytest.mark.parametrize("data", [np.zeros((8, 6))[::2], np.zeros(5)[::-1]],
+                         ids=["strided-slice", "reversed"])
+def test_adam_refuses_a_parameter_it_cannot_update_in_place(data):
+    with pytest.raises(ContractError, match="contiguous"):
+        training.Adam({"w": T.parameter(data)}, lr=0.01)
 
 
 def test_adam_step_allocates_no_parameter_sized_temporary():
@@ -346,6 +371,34 @@ def test_gradient_check_linear_model_quadratic_loss():
 
     report = training.gradient_check(model, (x, y), n_params=4, loss_fn=quadratic)
     assert report["max_rel_err"] < 1e-9
+
+
+class SpectralWeightsOnly:
+    """A network whose gradient check samples only its spectral weights."""
+
+    def __init__(self, net):
+        self.net = net
+
+    def named_parameters(self):
+        return {n: p for n, p in self.net.named_parameters().items()
+                if n.endswith("spectral.weights")}
+
+    def __call__(self, x):
+        return self.net(x)
+
+
+@pytest.mark.parametrize("kind", ["diagonal", "cross"])
+def test_gradient_check_perturbs_view_parameters_in_place(kind):
+    # The spectral weights are transposed views of their storage, so a
+    # perturbation written to a flattened copy would leave the loss unchanged
+    # and read a finite difference of 0.
+    model = SpectralWeightsOnly(build_network(tiny_model(kind=kind), seed=8))
+    assert all(not p.data.flags.c_contiguous for p in model.named_parameters().values())
+    x = rng(15).standard_normal((1, 1, 32))
+    y = rng(16).standard_normal((1, 1, 32)) + 2.0
+    report = training.gradient_check(model, (x, y), n_params=12, seed=2)
+    assert report["gradient_scale"] > 1e-6, report
+    assert report["max_rel_err"] < 1e-4, report
 
 
 @pytest.mark.parametrize("kind", ["diagonal", "cross"])
