@@ -132,38 +132,8 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _rate_checks(report: verify_mod.PropertyReport) -> None:
-    step = verify_mod.fourier_step_truncation_study()
-    report.add(name="step_truncation_closed_form",
-               claim="FFT of the step matches the exact closed-form coefficients",
-               residual=step.extras["closed_form_max_abs_residual"], tolerance=1e-8)
-    report.add(name="step_truncation_slope",
-               claim="truncation error of the step decays like K^-1/2",
-               residual=abs(step.fitted_slope + 0.5), tolerance=0.05)
-    part = verify_mod.able_partition_approximation_study()
-    report.add(name="partition_closed_form",
-               claim="sawtooth partition error matches 1/(sqrt(12) M)",
-               residual=part.extras["closed_form_max_rel_dev"], tolerance=1e-3)
-    report.add(name="partition_slope",
-               claim="zero-mode partition error decays like 1/M",
-               residual=abs(part.fitted_slope + 1.0), tolerance=0.02)
-    joint = verify_mod.joint_truncation_partition_study()
-    report.add(name="joint_truncation_partition_slope",
-               claim="windowed truncation error decays like (K M)^-1/2",
-               residual=abs(joint.fitted_slope + 0.5), tolerance=0.1)
-
-
 def cmd_verify(args) -> int:
-    if args.level == "quick":
-        report = verify_mod.run_frame_properties(
-            seeds=(0,), extents_list=((8,), (32,), (8, 8)), slices_list=(1, 2, 4),
-            inject=args.inject)
-    else:
-        report = verify_mod.run_frame_properties(
-            seeds=(0, 1), extents_list=tuple(verify_mod.QUICK_EXTENTS),
-            slices_list=tuple(verify_mod.QUICK_SLICES), inject=args.inject)
-        if args.inject is None:
-            _rate_checks(report)
+    report = verify_mod.run_level(args.level, inject=args.inject)
     print(report.render_text())
     if args.out:
         out = Path(args.out)
@@ -296,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the property-check suite",
                        epilog=epilog, formatter_class=raw)
-    p.add_argument("--level", choices=("quick", "full"), default="quick")
+    p.add_argument("--level", choices=tuple(verify_mod.LEVELS), default="quick")
     p.add_argument("--out", default=None, help="optional report directory")
     p.add_argument("--inject", choices=("fft-normalization", "density-normalization"),
                    default=None, help="corrupt the harness to prove checks can fail")

@@ -221,14 +221,6 @@ def materialize_kernel(layer: AbleLayer, f: T.Tensor) -> np.ndarray:
     return kernel
 
 
-def apply_dense_kernel(kernel: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """Apply a materialized kernel to (batch, C_in, spatial...); real output."""
-    batch = f.shape[0]
-    flat = f.reshape(batch, f.shape[1], -1)
-    out = np.einsum("boixz,biz->box", kernel, flat.astype(np.complex128))
-    return out.real
-
-
 def kernel_diagonals(kernel_2d: np.ndarray, extents: Sequence[int]) -> np.ndarray:
     """Group a (P, P) kernel by displacement: out[d, x] = K(x, z) with x - z = d."""
     points = int(np.prod(extents))

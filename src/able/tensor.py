@@ -25,8 +25,8 @@ transpose/reshape plan cached per (spec, shapes), and the forward result
 is a transposed view of that product. A VJP product conjugates its
 operand after that layout copy, in place on the copy, so no conjugated
 copy of a whole operand is made; `np.einsum` is kept only in the
-independent oracles (`reference.fno_layer`, `operator.materialize_kernel`,
-`operator.apply_dense_kernel`).
+independent oracles (`reference.fno_layer`, `operator.materialize_kernel`
+and the dense path of `verify.dense_kernel_residual`).
 """
 
 from __future__ import annotations

@@ -1,9 +1,18 @@
 """Executable verification harness: frame properties, rate studies, scaling.
 
-Each check measures a mathematical identity of the implementation (norm
-preservation, exact inversion, reduction to the plain Fourier layer,
-temperature limits, kernel equivalence) and records the residual against a
-fixed tolerance. Rate studies reproduce the provable approximation laws
+The identity catalogue writes each identity of the paper once, as a
+function that returns a residual and leaves the bound to its caller:
+`isometry_residual` and `roundtrip_residual` (the tight frame),
+`fno_residual` (one slice reduces to the Fourier layer),
+`dense_kernel_residual` (the spectral path equals its dense kernel),
+`high_temperature_residual` and `constant_density_residual` (the layer
+collapses to Fourier layers with averaged or p-weighted weights), and
+`kernel_diagonal_spread` (circulance and its witness). `able verify`
+(`run_level` over the `LEVELS` table) records each residual against a
+fixed tolerance; the acceptance criteria and the unit tests call the same
+functions on their own cases and bounds.
+
+Rate studies reproduce the provable approximation laws
 for bounded-variation targets: Fourier truncation of a step decays like
 K^(-1/2), a zero-mode partition approximant of a sawtooth like 1/M, and
 the windowed-truncation combination like (KM)^(-1/2). Slopes are fitted
@@ -35,8 +44,7 @@ from .errors import ContractError, DomainError
 from .frame import (DensityField, DensityNetConfig, Grid, able_forward,
                     able_inverse, density_entropy, density_from_energies,
                     uniform_density)
-from .operator import (AbleLayer, apply_dense_kernel, kernel_diagonals,
-                       materialize_kernel)
+from .operator import AbleLayer, kernel_diagonals, materialize_kernel
 
 
 # ---- report structures ---------------------------------------------------------
@@ -101,17 +109,24 @@ class RateStudyResult:
     slope_ci: tuple
     extras: dict = field(default_factory=dict)
 
+    @classmethod
+    def fit(cls, x_values, errors, seed: int = 0, **extras) -> "RateStudyResult":
+        """A study's points with their log-log slope and its bootstrap interval."""
+        return cls(list(x_values), errors, fit_loglog_slope(x_values, errors),
+                   bootstrap_slope_ci(x_values, errors, seed=seed), extras)
+
     def to_dict(self) -> dict:
-        return {
-            "x_values": list(self.x_values),
-            "errors": list(self.errors),
-            "fitted_slope": self.fitted_slope,
-            "slope_ci": list(self.slope_ci),
-            "extras": self.extras,
-        }
+        return asdict(self)
+
+
+def _require_distinct(name: str, values) -> None:
+    """A slope needs at least two distinct x values."""
+    if len(set(np.asarray(values, float).tolist())) < 2:
+        raise ContractError(f"{name} needs at least two distinct values, got {list(values)}")
 
 
 def fit_loglog_slope(x, y) -> float:
+    _require_distinct("a slope fit", x)
     y = np.asarray(y, float)
     if np.any(y <= 0):
         return float("nan")
@@ -121,6 +136,7 @@ def fit_loglog_slope(x, y) -> float:
 
 
 def bootstrap_slope_ci(x, y, n_boot: int = 200, seed: int = 0, level: float = 0.95) -> tuple:
+    _require_distinct("a slope fit", x)
     x = np.asarray(x, float)
     y = np.asarray(y, float)
     if np.any(y <= 0):
@@ -136,10 +152,102 @@ def bootstrap_slope_ci(x, y, n_boot: int = 200, seed: int = 0, level: float = 0.
     return float(lo), float(hi)
 
 
+# ---- identity catalogue ------------------------------------------------------------
+
+def isometry_residual(f: np.ndarray, coeff: np.ndarray) -> float:
+    """Relative gap between the squared norms of f and of its lifted coefficients."""
+    norm_in = np.sum(np.abs(f) ** 2)
+    return float(abs(np.sum(np.abs(coeff) ** 2) - norm_in) / norm_in)
+
+
+def roundtrip_residual(f: np.ndarray, coeff: np.ndarray, p: DensityField) -> float:
+    """Max-norm error of synthesizing f back from its lifted coefficients."""
+    back = able_inverse(T.Tensor(coeff), p).data
+    return float(np.max(np.abs(back - f)) / np.max(np.abs(f)))
+
+
+def _fno_branch(layer: AbleLayer, f: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """`reference.fno_layer` with the layer's pointwise path and these spectral weights."""
+    return reference.fno_layer(f, weights, layer.pointwise.data, layer.bias.data,
+                               layer.multiplier.k_max)
+
+
+def _rel_max(got: np.ndarray, want: np.ndarray) -> float:
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+def fno_residual(layer: AbleLayer, f: np.ndarray) -> float:
+    """Max abs gap between a single-slice layer and the plain Fourier layer."""
+    w = layer.multiplier.weights.data
+    want = _fno_branch(layer, f, w[(Ellipsis,) + (0,) * (w.ndim - 2 - layer.ndim)])
+    return float(np.max(np.abs(layer(T.Tensor(f)).data - want)))
+
+
+def dense_kernel_residual(layer: AbleLayer, f: np.ndarray) -> float:
+    """Relative gap between the layer and its dense kernel plus pointwise path."""
+    flat = f.reshape(f.shape[:2] + (-1,)).astype(np.complex128)
+    dense = np.einsum("boixz,biz->box", materialize_kernel(layer, T.Tensor(f)), flat)
+    dense = dense.real.reshape((f.shape[0], -1) + f.shape[2:])
+    sp = "xy"[:layer.ndim]
+    local = np.einsum(f"bi{sp},io->bo{sp}", f, layer.pointwise.data)
+    want = dense + local + layer.bias.data.reshape((1, -1) + (1,) * layer.ndim)
+    return _rel_max(layer(T.Tensor(f)).data, want)
+
+
+def high_temperature_residual(layer: AbleLayer, f: np.ndarray) -> float:
+    """Relative gap between a huge-temperature diagonal layer and its mean Fourier branch."""
+    w = layer.multiplier.weights.data
+    want = sum(_fno_branch(layer, f, w[..., mi]) for mi in range(layer.slices)) / layer.slices
+    return _rel_max(layer(T.Tensor(f)).data, want)
+
+
+def constant_density_residual(layer: AbleLayer, f: np.ndarray, p: Sequence[float]) -> float:
+    """Relative gap between the layer at the constant density p and the Fourier
+    layer with weights sum_m p_m R_m (diagonal) or sum sqrt(p_m p_m') R_mm' (cross).
+
+    Sets the density head's last weights to 0 and its biases to T log p in place.
+    """
+    p = np.asarray(p, dtype=np.float64)
+    head = layer.density_net
+    head.weights[-1].data[...] = 0.0
+    head.biases[-1].data[...] = np.tile(float(head.temperature.data) * np.log(p), head.heads)
+    w = layer.multiplier.weights.data
+    reduced = (w @ np.sqrt(p)) @ np.sqrt(p) if layer.kind == "cross" else w @ p
+    return _rel_max(layer(T.Tensor(f)).data, _fno_branch(layer, f, reduced))
+
+
+def kernel_diagonal_spread(layer: AbleLayer, f: np.ndarray) -> tuple:
+    """(circulance, witness) of a one-channel layer's dense kernel on f: the
+    largest change along a displacement diagonal (0 for a translation-invariant
+    kernel) and the largest spread of moduli along one."""
+    diags = kernel_diagonals(materialize_kernel(layer, T.Tensor(f))[0, 0, 0], f.shape[2:])
+    return (float(np.abs(diags - diags[:, :1]).max()),
+            float((np.abs(diags).max(axis=1) - np.abs(diags).min(axis=1)).max()))
+
+
+def spectral_only(layer: AbleLayer) -> AbleLayer:
+    """The layer with its pointwise path zeroed, so a residual sees the spectral path alone."""
+    layer.pointwise.data[...] = 0.0
+    layer.bias.data[...] = 0.0
+    return layer
+
+
 # ---- frame / operator property matrix ----------------------------------------------
 
-QUICK_EXTENTS = [(8,), (32,), (64,), (8, 8), (16, 16)]
-QUICK_SLICES = [1, 2, 4, 8]
+LEVELS = {  # level: seeds, grid extents, slice counts, whether the rate laws run
+    "quick": ((0,), ((8,), (32,), (8, 8)), (1, 2, 4), False),
+    "full": ((0, 1), ((8,), (32,), (64,), (8, 8), (16, 16)), (1, 2, 4, 8), True),
+}
+
+
+def run_level(level: str, inject: Optional[str] = None) -> PropertyReport:
+    """`able verify --level <level>`: the level's property matrix, then the
+    rate-law checks where the level has them and no fault is injected."""
+    seeds, extents_list, slices_list, rates = LEVELS[level]
+    report = run_frame_properties(seeds, extents_list, slices_list, inject)
+    if rates and inject is None:
+        rate_checks(report)
+    return report
 
 
 def _random_complex(shape, rng):
@@ -152,9 +260,8 @@ def _slice_major(energies: np.ndarray) -> np.ndarray:
     return np.moveaxis(energies, -1, 1)[:, None]
 
 
-def run_frame_properties(seeds: Sequence[int] = (0, 1),
-                         extents_list: Sequence[tuple] = tuple(QUICK_EXTENTS),
-                         slices_list: Sequence[int] = tuple(QUICK_SLICES),
+def run_frame_properties(seeds: Sequence[int], extents_list: Sequence[tuple],
+                         slices_list: Sequence[int],
                          inject: Optional[str] = None) -> PropertyReport:
     """Transform and layer identities over the (grid, slices, seed) matrix.
 
@@ -188,23 +295,17 @@ def run_frame_properties(seeds: Sequence[int] = (0, 1),
                                    residual=float("nan"), tolerance=0.0, skipped=True)
                     continue
 
-                lifted = able_forward(f, p).values
-                coeff = lifted.data
+                coeff = able_forward(f, p).values.data
                 if inject == "fft-normalization":
                     coeff = coeff * np.sqrt(2.0)
-                norm_in = np.sum(np.abs(f.data) ** 2)
-                iso_res = abs(np.sum(np.abs(coeff) ** 2) - norm_in) / norm_in
                 report.add(
                     name=f"isometry[{tag}]",
                     claim="analysis preserves the squared grid norm",
-                    residual=float(iso_res), tolerance=1e-10)
-
-                back = able_inverse(T.Tensor(coeff), p).data
-                rt_res = np.max(np.abs(back - f.data)) / np.max(np.abs(f.data))
+                    residual=isometry_residual(f.data, coeff), tolerance=1e-10)
                 report.add(
                     name=f"roundtrip[{tag}]",
                     claim="synthesis after analysis is the identity",
-                    residual=float(rt_res), tolerance=1e-9)
+                    residual=roundtrip_residual(f.data, coeff, p), tolerance=1e-9)
 
                 if m == 1:
                     plain = _fft.fft_unitary(f.data, axes=tuple(range(2, 2 + grid.dims)))
@@ -243,8 +344,9 @@ def _temperature_checks(report: PropertyReport) -> None:
         residual=worst_drop, tolerance=1e-12)
 
 
-def _make_layer(kind: str, m: int, seed: int, temperature: float = 0.8,
-                channels: int = 2, k_max: int = 3) -> AbleLayer:
+def make_layer(kind: str, m: int, seed: int, temperature: float = 0.8,
+               channels: int = 2, k_max: int = 3) -> AbleLayer:
+    """A 1-D layer with an mlp2 density head and no activation, drawn from seed."""
     cfg = DensityNetConfig(slices=m, arch="mlp2", hidden=8, temperature=temperature)
     return AbleLayer(channels, channels, k_max, 1, density=cfg, kind=kind,
                      activation=None, rng=np.random.default_rng(seed))
@@ -253,75 +355,54 @@ def _make_layer(kind: str, m: int, seed: int, temperature: float = 0.8,
 def _layer_checks(report: PropertyReport) -> None:
     rng = np.random.default_rng(5)
 
-    layer = _make_layer("diagonal", 1, seed=11)
-    f = rng.standard_normal((1, 2, 16))
-    want = reference.fno_layer(f, layer.multiplier.weights.data[..., 0],
-                               layer.pointwise.data, layer.bias.data, 3)
-    res = np.max(np.abs(layer(T.Tensor(f)).data - want))
+    layer = make_layer("diagonal", 1, seed=11)
     report.add(name="fourier_layer_equivalence",
                claim="single-slice layer equals an independently coded Fourier layer",
-               residual=float(res), tolerance=1e-12)
+               residual=fno_residual(layer, rng.standard_normal((1, 2, 16))),
+               tolerance=1e-12)
 
     for kind in ("diagonal", "cross"):
         for m in (1, 2):
-            layer = _make_layer(kind, m, seed=20 + m)
-            layer.pointwise.data[...] = 0.0
-            layer.bias.data[...] = 0.0
-            f = rng.standard_normal((1, 2, 16))
-            kernel = materialize_kernel(layer, T.Tensor(f))
-            dense = apply_dense_kernel(kernel, f).reshape(1, 2, 16)
-            got = layer(T.Tensor(f)).data
-            res = np.max(np.abs(got - dense)) / np.max(np.abs(dense))
+            layer = spectral_only(make_layer(kind, m, seed=20 + m))
             report.add(name=f"dense_kernel_equivalence[{kind},M={m}]",
                        claim="spectral path equals the materialized dense kernel",
-                       residual=float(res), tolerance=1e-8)
+                       residual=dense_kernel_residual(layer, rng.standard_normal((1, 2, 16))),
+                       tolerance=1e-8)
 
-    layer = _make_layer("diagonal", 3, seed=31, k_max=8)
-    layer.pointwise.data[...] = 0.0
-    layer.bias.data[...] = 0.0
-    w = np.zeros((2, 2, 16, 3), dtype=np.complex128)
-    for i in range(2):
-        w[i, i] = 1.0
-    layer.multiplier.weights.data[...] = w
+    layer = spectral_only(make_layer("diagonal", 3, seed=31, k_max=8))
+    layer.multiplier.weights.data[...] = np.eye(2)[:, :, None, None]
     f = rng.standard_normal((1, 2, 16))
     report.add(name="resolution_of_identity",
                claim="full-spectrum identity multiplier acts as the identity operator",
                residual=float(np.max(np.abs(layer(T.Tensor(f)).data - f))),
                tolerance=1e-10)
 
-    layer = _make_layer("diagonal", 3, seed=41, temperature=1e6)
-    layer.pointwise.data[...] = 0.0
-    layer.bias.data[...] = 0.0
-    f = rng.standard_normal((1, 2, 16))
-    zero_w, zero_b = np.zeros((2, 2)), np.zeros(2)
-    mean_branches = sum(
-        reference.fno_layer(f, layer.multiplier.weights.data[..., mi], zero_w, zero_b, 3)
-        for mi in range(3)) / 3.0
-    res = np.max(np.abs(layer(T.Tensor(f)).data - mean_branches)) / np.max(np.abs(mean_branches))
+    layer = spectral_only(make_layer("diagonal", 3, seed=41, temperature=1e6))
     report.add(name="high_temperature_multihead_collapse",
                claim="at huge temperature the layer averages independent Fourier branches",
-               residual=float(res), tolerance=1e-6)
+               residual=high_temperature_residual(layer, rng.standard_normal((1, 2, 16))),
+               tolerance=1e-6)
 
-    layer = _make_layer("diagonal", 1, seed=51, channels=1)
-    layer.pointwise.data[...] = 0.0
-    layer.bias.data[...] = 0.0
-    f = rng.standard_normal((1, 1, 16))
-    kern = materialize_kernel(layer, T.Tensor(f))[0, 0, 0]
-    diags = kernel_diagonals(kern, (16,))
+    layer = spectral_only(make_layer("diagonal", 1, seed=51, channels=1))
+    circulance, _ = kernel_diagonal_spread(layer, rng.standard_normal((1, 1, 16)))
     report.add(name="translation_invariance_single_slice",
                claim="single-slice kernels are circulant (every diagonal constant)",
-               residual=float(np.abs(diags - diags[:, :1]).max()), tolerance=1e-12)
+               residual=circulance, tolerance=1e-12)
 
-    layer = _make_layer("diagonal", 2, seed=52, channels=1, temperature=0.3)
-    layer.pointwise.data[...] = 0.0
-    layer.bias.data[...] = 0.0
+    layer = spectral_only(make_layer("diagonal", 2, seed=52, channels=1, temperature=0.3))
     f = (3.0 * np.sin(2 * np.pi * np.arange(16) / 16)).reshape(1, 1, 16)
-    kern = materialize_kernel(layer, T.Tensor(f))[0, 0, 0]
-    diags = kernel_diagonals(kern, (16,))
-    witness = float((np.abs(diags).max(axis=1) - np.abs(diags).min(axis=1)).max())
+    _, witness = kernel_diagonal_spread(layer, f)
     report.add(name="translation_invariance_broken_with_adaptive_density",
                claim="a nonuniform density produces a non-circulant kernel (witness spread)",
                residual=witness, tolerance=1e-3, direction="at_least")
+
+    for kind, seed in (("diagonal", 61), ("cross", 62)):
+        layer = make_layer(kind, 3, seed=seed)
+        res = constant_density_residual(layer, rng.standard_normal((1, 2, 16)), (0.5, 0.3, 0.2))
+        report.add(name=f"constant_density_reduction[{kind},M=3]",
+                   claim="a constant density reduces the layer to a Fourier layer "
+                         "with p-weighted spectral weights",
+                   residual=res, tolerance=1e-12)
 
 
 # ---- rate studies --------------------------------------------------------------------
@@ -365,15 +446,10 @@ def fourier_step_truncation_study(k_list: Sequence[int] = (8, 16, 32, 64, 128, 2
     for kk in k_list:
         mask = np.abs(wavenumber) > kk
         errors.append(float(np.sqrt(np.sum(np.abs(coeff[mask]) ** 2) / n)))
-    slope = fit_loglog_slope(k_list, errors)
-    ci = bootstrap_slope_ci(k_list, errors, seed=seed)
-    return RateStudyResult(
-        x_values=list(k_list), errors=errors, fitted_slope=slope, slope_ci=ci,
-        extras={
-            "closed_form_max_abs_residual": closed_residual,
-            "continuum_formula_max_abs_residual": float(sampling_err),
-            "expected_slope": -0.5,
-        })
+    return RateStudyResult.fit(k_list, errors, seed,
+                               closed_form_max_abs_residual=closed_residual,
+                               continuum_formula_max_abs_residual=float(sampling_err),
+                               expected_slope=-0.5)
 
 
 def equal_variation_partition(u: np.ndarray, m: int) -> np.ndarray:
@@ -418,15 +494,13 @@ def able_partition_approximation_study(m_list: Sequence[int] = (2, 4, 8, 16, 32,
     for m in m_list:
         labels = equal_variation_partition(u, m)
         errors.append(_grid_l2(u - piecewise_mean(u, labels, m)))
-    slope = fit_loglog_slope(m_list, errors)
-    ci = bootstrap_slope_ci(m_list, errors, seed=seed)
-    closed_form = [1.0 / (math.sqrt(12.0) * m) for m in m_list] if target == "sawtooth" else None
-    extras = {"expected_slope": -1.0}
-    if closed_form:
-        extras["closed_form_errors"] = closed_form
-        extras["closed_form_max_rel_dev"] = float(max(
+    result = RateStudyResult.fit(m_list, errors, seed, expected_slope=-1.0)
+    if target == "sawtooth":
+        closed_form = [1.0 / (math.sqrt(12.0) * m) for m in m_list]
+        result.extras["closed_form_errors"] = closed_form
+        result.extras["closed_form_max_rel_dev"] = float(max(
             abs(e - c) / c for e, c in zip(errors, closed_form)))
-    return RateStudyResult(list(m_list), errors, slope, ci, extras)
+    return result
 
 
 def joint_truncation_partition_study(k_list: Sequence[int] = (2, 4, 8, 16),
@@ -454,9 +528,7 @@ def joint_truncation_partition_study(k_list: Sequence[int] = (2, 4, 8, 16),
                 approx[mask] += np.fft.ifft(coeff).real[mask]
             xs.append(kk * m)
             errors.append(_grid_l2(u - approx))
-    slope = fit_loglog_slope(xs, errors)
-    ci = bootstrap_slope_ci(xs, errors, seed=seed)
-    return RateStudyResult(xs, errors, slope, ci, extras={"expected_slope": -0.5})
+    return RateStudyResult.fit(xs, errors, seed, expected_slope=-0.5)
 
 
 def radial_step_partition_study_2d(m_list: Sequence[int] = (4, 16, 64),
@@ -481,10 +553,7 @@ def radial_step_partition_study_2d(m_list: Sequence[int] = (4, 16, 64),
         labels = np.digitize(r, edges) - 1
         approx = piecewise_mean(u.ravel(), labels.ravel(), len(edges) - 1).reshape(u.shape)
         errors.append(_grid_l2(u - approx))
-    slope = fit_loglog_slope(m_list, errors)
-    ci = bootstrap_slope_ci(m_list, errors)
-    return RateStudyResult(list(m_list), errors, slope, ci,
-                           extras={"expected_slope_upper_bound": -0.5})
+    return RateStudyResult.fit(m_list, errors, expected_slope_upper_bound=-0.5)
 
 
 RATE_STUDIES = {
@@ -493,6 +562,28 @@ RATE_STUDIES = {
     "joint": joint_truncation_partition_study,
     "radial2d": radial_step_partition_study_2d,
 }
+
+
+def rate_checks(report: PropertyReport) -> None:
+    """The rate-law checks of `able verify --level full`: closed forms and
+    fitted slopes of the step, partition and joint studies."""
+    step = fourier_step_truncation_study()
+    part = able_partition_approximation_study()
+    joint = joint_truncation_partition_study()
+    for name, claim, residual, tolerance in (
+            ("step_truncation_closed_form",
+             "FFT of the step matches the exact closed-form coefficients",
+             step.extras["closed_form_max_abs_residual"], 1e-8),
+            ("step_truncation_slope", "truncation error of the step decays like K^-1/2",
+             abs(step.fitted_slope + 0.5), 0.05),
+            ("partition_closed_form", "sawtooth partition error matches 1/(sqrt(12) M)",
+             part.extras["closed_form_max_rel_dev"], 1e-3),
+            ("partition_slope", "zero-mode partition error decays like 1/M",
+             abs(part.fitted_slope + 1.0), 0.02),
+            ("joint_truncation_partition_slope",
+             "windowed truncation error decays like (K M)^-1/2",
+             abs(joint.fitted_slope + 0.5), 0.1)):
+        report.add(name=name, claim=claim, residual=residual, tolerance=tolerance)
 
 
 # ---- density entropy at fixed weights ---------------------------------------------------
@@ -557,19 +648,18 @@ def complexity_scaling_check(m_list: Sequence[int] = (1, 2, 4, 8),
     `m1_time` and `fno_time`. Each list needs two distinct values
     for a slope to be fitted.
     """
-    for name, values in (("m_list", m_list), ("n_list", n_list)):
-        if len(set(values)) < 2:
-            raise ContractError(f"{name} needs at least two distinct values, got {list(values)}")
+    _require_distinct("m_list", m_list)
+    _require_distinct("n_list", n_list)
     timing_n = n_list[0]
     f_by_n = {n: np.random.default_rng(seed).standard_normal((1, channels, n))
               for n in n_list}
 
     subjects = []
     for m in m_list:
-        layer = _make_layer("diagonal", m, seed=seed + m, channels=channels, k_max=k_max)
+        layer = make_layer("diagonal", m, seed=seed + m, channels=channels, k_max=k_max)
         x = T.Tensor(f_by_n[timing_n])
         subjects.append((layer, x))
-    fno_layer = _make_layer("diagonal", 1, seed=seed + 1, channels=channels, k_max=k_max)
+    fno_layer = make_layer("diagonal", 1, seed=seed + 1, channels=channels, k_max=k_max)
     w = fno_layer.multiplier.weights.data[..., 0]
     pw, b = fno_layer.pointwise.data, fno_layer.bias.data
     x_np = f_by_n[timing_n]
@@ -584,7 +674,7 @@ def complexity_scaling_check(m_list: Sequence[int] = (1, 2, 4, 8),
              lambda: reference.fno_layer(x_np, w, pw, b, k_max)], repeats)
     m1_time, fno_time = pair
 
-    layer2 = _make_layer("diagonal", 2, seed=seed + 99, channels=channels, k_max=k_max)
+    layer2 = make_layer("diagonal", 2, seed=seed + 99, channels=channels, k_max=k_max)
     with T.no_grad():
         n_fns = [(lambda x=T.Tensor(f_by_n[n]): layer2(x)) for n in n_list]
         n_times = _interleaved_best_times(n_fns, repeats)

@@ -7,10 +7,10 @@ import pytest
 
 from able import dataio
 from able import operator as op
-from able import reference
 from able import tensor as T
+from able import verify
 from able.errors import ContractError
-from able.frame import DensityField, DensityNetConfig, Grid, uniform_density
+from able.frame import DensityField, DensityNetConfig, Grid
 from able.training import gradient_check, relative_l2, restore_network
 
 
@@ -25,13 +25,6 @@ def make_layer(cin=2, cout=2, k_max=4, ndim=1, slices=2, kind="diagonal",
                            temperature=temperature, per_channel=per_channel)
     return op.AbleLayer(cin, cout, k_max, ndim, density=cfg, kind=kind,
                         activation=activation, rng=rng(seed))
-
-
-def layer_with_zero_pointwise(**kw):
-    layer = make_layer(**kw)
-    layer.pointwise.data[...] = 0.0
-    layer.bias.data[...] = 0.0
-    return layer
 
 
 # ---- mode truncation ---------------------------------------------------------
@@ -58,26 +51,17 @@ def test_layer_rejects_kmax_exceeding_grid():
 def test_m1_layer_matches_reference_fno(ndim, n):
     for draw in range(10):
         layer = make_layer(cin=2, cout=3, k_max=3, ndim=ndim, slices=1, seed=draw)
-        shape = (2, 2) + (n,) * ndim
-        f = rng(100 + draw).standard_normal(shape)
-        got = layer(T.tensor(f)).data
-        want = reference.fno_layer(
-            f, layer.multiplier.weights.data[..., 0],
-            layer.pointwise.data, layer.bias.data, k_max=3)
-        assert np.max(np.abs(got - want)) < 1e-12
+        f = rng(100 + draw).standard_normal((2, 2) + (n,) * ndim)
+        assert verify.fno_residual(layer, f) < 1e-12
 
 
 def test_resolution_of_identity():
     # identity multiplier on the full spectrum + any density acts as identity
     n, m, c = 16, 3, 2
-    layer = layer_with_zero_pointwise(cin=c, cout=c, k_max=n // 2, slices=m, seed=3)
-    w = np.zeros((c, c, n, m), dtype=np.complex128)
-    for i in range(c):
-        w[i, i, :, :] = 1.0
-    layer.multiplier.weights.data[...] = w
+    layer = verify.spectral_only(make_layer(cin=c, cout=c, k_max=n // 2, slices=m, seed=3))
+    layer.multiplier.weights.data[...] = np.eye(c)[:, :, None, None]
     f = rng(4).standard_normal((2, c, n))
-    out = layer(T.tensor(f)).data
-    assert np.max(np.abs(out - f)) < 1e-10
+    assert np.max(np.abs(layer(T.tensor(f)).data - f)) < 1e-10
 
 
 @pytest.mark.parametrize("kind", ["diagonal", "cross"])
@@ -92,43 +76,25 @@ def test_zero_spectral_weights_identity_pointwise(kind):
 
 # ---- dense kernel oracle ---------------------------------------------------------
 
-def dense_path(layer, f):
-    kernel = op.materialize_kernel(layer, T.tensor(f))
-    out = np.stack([op.apply_dense_kernel(kernel[b:b + 1], f[b:b + 1])[0]
-                    for b in range(f.shape[0])]).reshape(f.shape[:1] + (layer.out_channels,) + f.shape[2:])
-    sp = "xy"[: f.ndim - 2]
-    local = np.einsum(f"bi{sp},io->bo{sp}", f, layer.pointwise.data)
-    return out + local + layer.bias.data.reshape((1, -1) + (1,) * (f.ndim - 2))
-
-
 @pytest.mark.parametrize("kind", ["diagonal", "cross"])
 @pytest.mark.parametrize("m", [1, 2, 3])
 @pytest.mark.parametrize("n", [8, 16])
 def test_layer_matches_dense_oracle_1d(kind, m, n):
     layer = make_layer(cin=2, cout=2, k_max=2, ndim=1, slices=m, kind=kind,
                        seed=10 * m + n)
-    f = rng(7 * m + n).standard_normal((2, 2, n))
-    got = layer(T.tensor(f)).data
-    want = dense_path(layer, f)
-    assert np.max(np.abs(got - want)) / np.max(np.abs(want)) < 1e-8
+    assert verify.dense_kernel_residual(layer, rng(7 * m + n).standard_normal((2, 2, n))) < 1e-8
 
 
 @pytest.mark.parametrize("kind", ["diagonal", "cross"])
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_layer_matches_dense_oracle_2d(kind, m):
     layer = make_layer(cin=2, cout=2, k_max=2, ndim=2, slices=m, kind=kind, seed=m)
-    f = rng(40 + m).standard_normal((1, 2, 8, 8))
-    got = layer(T.tensor(f)).data
-    want = dense_path(layer, f)
-    assert np.max(np.abs(got - want)) / np.max(np.abs(want)) < 1e-8
+    assert verify.dense_kernel_residual(layer, rng(40 + m).standard_normal((1, 2, 8, 8))) < 1e-8
 
 
 def test_per_channel_layer_matches_dense_oracle():
     layer = make_layer(cin=2, cout=2, k_max=2, ndim=1, slices=2, per_channel=True, seed=77)
-    f = rng(78).standard_normal((1, 2, 16))
-    got = layer(T.tensor(f)).data
-    want = dense_path(layer, f)
-    assert np.max(np.abs(got - want)) / np.max(np.abs(want)) < 1e-8
+    assert verify.dense_kernel_residual(layer, rng(78).standard_normal((1, 2, 16))) < 1e-8
 
 
 def test_cross_with_diagonal_blocks_equals_diagonal():
@@ -180,7 +146,8 @@ VARIANT_HEADS = {"1d-fd4": (1, "fd4", 16), "1d-mlp2": (1, "mlp2", 16), "2d-mlp2"
 @pytest.mark.parametrize("kind", ["diagonal", "cross"])
 @pytest.mark.parametrize("head", list(VARIANT_HEADS))
 def test_variant_matrix(head, kind, per_channel, learn_t):
-    """Dense kernel, finite-difference gradients and the M=1 reduction, per variant."""
+    """Dense kernel, finite-difference gradients, the M=1 reduction and the
+    constant-density reduction, per variant."""
     ndim, arch, n = VARIANT_HEADS[head]
     seed = (200 + 8 * list(VARIANT_HEADS).index(head) + 4 * (kind == "cross")
             + 2 * per_channel + learn_t)
@@ -194,9 +161,7 @@ def test_variant_matrix(head, kind, per_channel, learn_t):
     net = op.build_network(model(2), seed=seed)
     layer = net.layers[0]
     f = rng(seed).standard_normal((2, width) + (n,) * ndim)
-    got = layer(T.tensor(f)).data
-    want = dense_path(layer, f)
-    assert np.max(np.abs(got - want)) / np.max(np.abs(want)) < 1e-8
+    assert verify.dense_kernel_residual(layer, f) < 1e-8
 
     x = rng(seed + 1).standard_normal((1, 1) + (n,) * ndim)
     y = rng(seed + 2).standard_normal((1, 1) + (n,) * ndim) + 2.0
@@ -217,39 +182,27 @@ def test_variant_matrix(head, kind, per_channel, learn_t):
         assert abs(log_t.grad.item() - fd) <= 1e-4 * max(abs(fd), 1e-8), (log_t.grad, fd)
 
     fourier = op.build_network(model(1), seed=seed).layers[0]
-    w = fourier.multiplier.weights.data
-    want = reference.fno_layer(f, w.reshape(w.shape[:2 + ndim]), fourier.pointwise.data,
-                               fourier.bias.data, k_max=2)
-    assert np.max(np.abs(fourier(T.tensor(f)).data - want)) < 1e-12
+    assert verify.fno_residual(fourier, f) < 1e-12
+
+    # last: it overwrites the density head
+    assert verify.constant_density_residual(layer, f, (0.7, 0.3)) < 1e-12
 
 
 # ---- translation invariance ---------------------------------------------------------
 
-def test_m1_kernel_is_circulant():
-    layer = layer_with_zero_pointwise(cin=1, cout=1, k_max=3, ndim=1, slices=1, seed=30)
-    f = rng(31).standard_normal((1, 1, 16))
-    kernel = op.materialize_kernel(layer, T.tensor(f))[0, 0, 0]
-    diags = op.kernel_diagonals(kernel, (16,))
-    spread = np.abs(diags - diags[:, :1]).max()
-    assert spread < 1e-12
-
-
 def test_m2_nonconstant_density_breaks_translation_invariance():
-    layer = layer_with_zero_pointwise(cin=1, cout=1, k_max=3, ndim=1, slices=2,
-                                      temperature=0.3, seed=32)
+    layer = verify.spectral_only(make_layer(cin=1, cout=1, k_max=3, ndim=1, slices=2,
+                                            temperature=0.3, seed=32))
     # drive the density away from uniform with a structured input
     f = (3.0 * np.sin(2 * np.pi * np.arange(16) / 16)).reshape(1, 1, 16)
     p = layer.density(T.tensor(f))
     assert np.max(np.abs(p.values.data - 0.5)) > 1e-3, "density stayed uniform"
-    kernel = op.materialize_kernel(layer, T.tensor(f))[0, 0, 0]
-    diags = op.kernel_diagonals(kernel, (16,))
-    witness = (np.abs(diags).max(axis=1) - np.abs(diags).min(axis=1)).max()
-    assert witness > 1e-3
+    assert verify.kernel_diagonal_spread(layer, f)[1] > 1e-3
 
 
 def test_one_hot_partition_kernel_vanishes_across_cells():
     n = 16
-    layer = layer_with_zero_pointwise(cin=1, cout=1, k_max=4, ndim=1, slices=2, seed=33)
+    layer = verify.spectral_only(make_layer(cin=1, cout=1, k_max=4, ndim=1, slices=2, seed=33))
     pv = np.zeros((1, n, 2))
     pv[0, : n // 2, 0] = 1.0
     pv[0, n // 2:, 1] = 1.0
@@ -261,24 +214,6 @@ def test_one_hot_partition_kernel_vanishes_across_cells():
     cross_block = np.abs(kernel[: n // 2, n // 2:])
     assert cross_block.max() < 1e-14
     assert np.abs(kernel[: n // 2, : n // 2]).max() > 1e-6
-
-
-# ---- temperature limits ----------------------------------------------------------------
-
-def test_high_temperature_layer_is_mean_of_fno_branches():
-    n, m, c = 16, 3, 2
-    layer = layer_with_zero_pointwise(cin=c, cout=c, k_max=3, ndim=1, slices=m,
-                                      temperature=1e6, seed=40)
-    f = rng(41).standard_normal((2, c, n))
-    got = layer(T.tensor(f)).data
-    zero_w = np.zeros((c, c))
-    zero_b = np.zeros(c)
-    branches = [
-        reference.fno_layer(f, layer.multiplier.weights.data[..., mi], zero_w, zero_b, 3)
-        for mi in range(m)
-    ]
-    want = sum(branches) / m
-    assert np.max(np.abs(got - want)) / np.max(np.abs(want)) < 1e-6
 
 
 # ---- network ----------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Autodiff correctness: every primitive against central finite differences."""
 
 import weakref
+import zlib
 
 import numpy as np
 import pytest
@@ -130,7 +131,7 @@ REAL_OPS = [
 
 @pytest.mark.parametrize("name,loss", REAL_OPS, ids=[n for n, _ in REAL_OPS])
 def test_real_op_gradients(name, loss):
-    x = rng(hash(name) % 2**32).standard_normal((4, 8)) * 0.9 + 0.05
+    x = rng(zlib.crc32(name.encode())).standard_normal((4, 8)) * 0.9 + 0.05
     assert_grad_matches(loss, x)
 
 
@@ -147,7 +148,7 @@ COMPLEX_OPS = [
 
 @pytest.mark.parametrize("name,loss", COMPLEX_OPS, ids=[n for n, _ in COMPLEX_OPS])
 def test_complex_op_gradients(name, loss):
-    z = randc((4, 8), seed=hash(name) % 2**32) * 0.7
+    z = randc((4, 8), seed=zlib.crc32(name.encode())) * 0.7
     assert_grad_matches(loss, z)
 
 

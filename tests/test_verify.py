@@ -1,14 +1,22 @@
 """The verification harness itself: checks pass, negative controls fail."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from able import tensor as T
 from able import verify
 from able.errors import DomainError
+from able.operator import AbleLayer
 
 from oracles import sawtooth_partition_error, step_dft_closed_form
 
 
+ROOT = Path(__file__).resolve().parents[1]
 QUICK = dict(seeds=(0,), extents_list=((8,), (16,)), slices_list=(1, 2))
 
 
@@ -41,6 +49,40 @@ def test_report_serialization_roundtrip():
     assert all({"name", "residual", "tolerance", "passed"} <= set(c) for c in d["checks"])
     text = report.render_text()
     assert "ALL CHECKS PASSED" in text
+
+
+LAYER_CHECKS = {"fourier_layer_equivalence", "dense_kernel_equivalence", "resolution_of_identity",
+                "high_temperature_multihead_collapse", "constant_density_reduction"}
+MATRIX_CHECKS = LAYER_CHECKS | {
+    "density_normalization", "isometry", "roundtrip", "fourier_reduction",
+    "low_temperature_one_hot", "high_temperature_uniform", "entropy_monotone_in_temperature",
+    "translation_invariance_single_slice", "translation_invariance_broken_with_adaptive_density"}
+RATE_CHECKS = {"step_truncation_closed_form", "step_truncation_slope", "partition_closed_form",
+               "partition_slope", "joint_truncation_partition_slope"}
+
+
+def prefix(check):
+    return check.name.split("[")[0]
+
+
+@pytest.mark.parametrize("level,count,prefixes", [
+    ("quick", 44, MATRIX_CHECKS), ("full", 149, MATRIX_CHECKS | RATE_CHECKS)])
+def test_level_runs_its_pinned_checks(level, count, prefixes):
+    report = verify.run_level(level)
+    assert report.passed, report.render_text()
+    assert len(report.checks) == count
+    assert {prefix(c) for c in report.checks} == prefixes
+
+
+def test_perturbed_layer_fails_every_layer_check(monkeypatch):
+    # the catalogue must compare the layer with an oracle, never with itself
+    forward = AbleLayer.__call__
+    monkeypatch.setattr(AbleLayer, "__call__",
+                        lambda self, f: T.Tensor(forward(self, f).data * (1.0 + 1e-6)))
+    report = verify.run_frame_properties(seeds=(0,), extents_list=((8,),), slices_list=(1,))
+    layer_checks = [c for c in report.checks if prefix(c) in LAYER_CHECKS]
+    assert len(layer_checks) == 9
+    assert not [c.name for c in layer_checks if c.passed]
 
 
 # ---- step truncation study -------------------------------------------------------
@@ -186,6 +228,21 @@ def test_loglog_fit_recovers_power_law():
     assert verify.fit_loglog_slope(x, y) == pytest.approx(-0.7, abs=1e-12)
     lo, hi = verify.bootstrap_slope_ci(x, y, seed=3)
     assert lo <= -0.7 <= hi
+
+
+@pytest.mark.parametrize("call", [
+    "fit_loglog_slope([8], [0.1])",
+    "fourier_step_truncation_study(k_list=(8,))",
+    "able_partition_approximation_study(m_list=(8, 8))",
+    "joint_truncation_partition_study(k_list=(4,), m_list=(2,))",
+], ids=["fit", "step", "partition", "joint"])
+def test_rate_study_refuses_a_single_x_value(call):
+    # a child process, so a study that resamples forever fails by timeout
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-c", f"from able import verify; verify.{call}"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert "ContractError: a slope fit needs at least two distinct values" in done.stderr
 
 
 def test_bootstrap_ci_deterministic():
