@@ -24,10 +24,12 @@ Run it once per tree, with that tree's package on the path, then compare:
     python scripts/bitwise_sweep.py --compare old.npz new.npz
 
 --compare lists each array that differs, or that only one file holds, and
-exits 1 if there is any, else 0. For each array whose values differ it
+exits 1 if there is any, else 0. For a checkpoint, an array of bytes, it
+prints how many bytes differ. For each other array whose values differ it
 prints the largest absolute difference and that difference divided by the
-largest magnitude of the array in the first file, and at the end the
-array with the worst relative difference.
+largest magnitude of the array in the first file, and at the end the worst
+relative difference in each group: forward values (loss and output),
+gradients (`grad/`) and parameters after two steps (`step2/`).
 """
 
 import argparse
@@ -94,11 +96,22 @@ def sweep() -> dict:
     return arrays
 
 
+GROUPS = ("forward", "grad", "step2")
+
+
+def _group(key: str) -> str:
+    """The group of a value array: forward for loss and output, else grad or step2."""
+    part = key.split("/")[1]
+    return "forward" if part in ("loss", "output") else part
+
+
 def compare(path_a: str, path_b: str) -> int:
-    """List the arrays that differ, with the largest absolute difference and
-    that difference relative to the largest magnitude in A, then the worst."""
+    """List the arrays that differ: a count of differing bytes for each
+    checkpoint, the largest absolute difference and that difference relative
+    to the largest magnitude in A for each value array; then the worst
+    relative difference per group."""
     differ = []
-    worst = None    # (relative, absolute, key)
+    worst = {}      # group: (relative, absolute, key)
     with np.load(path_a) as a, np.load(path_b) as b:
         for key in sorted(set(a.files) ^ set(b.files)):
             differ.append(key)
@@ -110,16 +123,24 @@ def compare(path_a: str, path_b: str) -> int:
                 print(f"differs: {key} (shape or dtype)")
             elif not np.array_equal(x, y):
                 differ.append(key)
+                if x.dtype == np.uint8:
+                    print(f"differs: {key} {int(np.count_nonzero(x != y))} of {x.size} bytes")
+                    continue
                 absolute = float(np.max(np.abs(x - y)))
                 scale = float(np.max(np.abs(x)))
                 relative = absolute / scale if scale > 0 else float("inf")
                 print(f"differs: {key} max abs {absolute:.3e} rel {relative:.3e}")
-                if worst is None or relative > worst[0]:
-                    worst = (relative, absolute, key)
+                group = _group(key)
+                if group not in worst or relative > worst[group][0]:
+                    worst[group] = (relative, absolute, key)
         total = len(set(a.files) | set(b.files))
     print(f"{len(differ)} of {total} arrays differ")
-    if worst is not None:
-        print(f"worst: {worst[2]} max abs {worst[1]:.3e} rel {worst[0]:.3e}")
+    for group in GROUPS:
+        if group in worst:
+            relative, absolute, key = worst[group]
+            print(f"worst {group}: {key} max abs {absolute:.3e} rel {relative:.3e}")
+        else:
+            print(f"worst {group}: none differ")
     return 1 if differ else 0
 
 

@@ -13,11 +13,22 @@ so k = N/2 keeps the whole axis. For any density and k synthesis is the
 adjoint of analysis, so each is one tape node whose VJP is the other's
 numpy kernel. Because the slice weights sum to one pointwise the frame is
 tight: on the full spectrum analysis preserves the grid norm and synthesis
-after analysis is the identity, for every admissible density. These two
-are the only code that transforms lifted data, which is slice-major too,
-(batch, channels, M, modes...); the frame API passes the full spectrum and
-the operator layers pass their truncation. A square-root density of None
+after analysis is the identity, for every admissible density. Their
+kernels (`_analyze`, `_expand`, `_reweight`) are the only code that
+transforms lifted data in the forward direction, which is slice-major too,
+(batch, channels, M, modes...); the frame API passes the full spectrum to
+`lift` and `synthesize`, and the operator layers pass their truncation to
+`spectral`. A square-root density of None
 stands for a single slice of density one and skips the weighting.
+
+An operator layer's spectral path (lift, mix, synthesize, real part) is
+one tape node, `spectral`. Its forward calls the same kernels as `lift`,
+the mix and `synthesize`, in their order, so it is theirs bit for bit;
+it stays on the complex transforms because acceptance criterion 09 times
+it. Its VJP gets a real gradient, so it runs on the half spectrum:
+`_analyze_real` (r2c along the last axis, the negative block by
+Hermitian symmetry) and `_expand_real` (the real part of an expansion as
+one c2r of the Hermitian part). There is no real-part tape op.
 
 In 2-D both prune the FFT to the retained modes: one pass per axis, last
 axis first as numpy's `fftn`/`ifftn` do. Analysis keeps an axis's retained
@@ -289,15 +300,20 @@ def _analyze(f: np.ndarray, sp: Optional[np.ndarray], k: tuple) -> np.ndarray:
     return x
 
 
+def _zero_filled(z: np.ndarray, a: int, k: int, n: int) -> np.ndarray:
+    """z with its retained modes along spatial axis a zero-filled to extent n."""
+    full = np.zeros(z.shape[:3 + a] + (n,) + z.shape[4 + a:], dtype=np.complex128)
+    for dst, src in zip(_blocks(a, k, n), _blocks(a, k, 2 * k)):
+        full[dst] = z[src]
+    return full
+
+
 def _expand(c: np.ndarray, k: tuple, extents: tuple) -> np.ndarray:
     """Zero-fill the retained modes into the full spectrum; inverse FFT per
     slice, pruned per axis."""
     z = c
     for a in reversed(range(len(k))):
-        full = np.zeros(z.shape[:3 + a] + (extents[a],) + z.shape[4 + a:], dtype=np.complex128)
-        for dst, src in zip(_blocks(a, k[a], extents[a]), _blocks(a, k[a], 2 * k[a])):
-            full[dst] = z[src]
-        z = _fft.ifft_unitary(full, (3 + a,))
+        z = _fft.ifft_unitary(_zero_filled(z, a, k[a], extents[a]), (3 + a,))
     return z
 
 
@@ -345,6 +361,85 @@ def synthesize(c: T.Tensor, sp: Optional[T.Tensor], k, extents) -> T.Tensor:
         return dc, (np.real(g[:, :, None] * np.conj(z)) if sp.requires_grad else None)
 
     return T._make(_reweight(z, spd), (c,) if sp is None else (c, sp), vjp)
+
+
+def _analyze_real(g: np.ndarray, sp: Optional[np.ndarray], k: tuple) -> np.ndarray:
+    """`_analyze` of a real g on the half spectrum. r2c along the last axis
+    keeps its bins [0, k], the other axis is transformed on those alone, and
+    the last axis's negative block follows by Hermitian symmetry:
+    X[a, N - j] = conj(X[-a, j])."""
+    x = g[:, :, None] if sp is None else g[:, :, None] * sp
+    last, kl = len(k) - 1, k[-1]
+    z = _fft.rfft_unitary(x, 3 + last)[..., :kl + 1]
+    for a in range(last):
+        z = _fft.fft_unitary(z, (3 + a,))
+    pos, neg = z[..., :kl], z[..., kl:0:-1]
+    for a in range(last):
+        n = x.shape[3 + a]
+        kept = np.r_[:k[a], n - k[a]:n]
+        pos, neg = np.take(pos, kept, axis=3 + a), np.take(neg, -kept % n, axis=3 + a)
+    out = np.empty(pos.shape[:-1] + (2 * kl,), dtype=np.complex128)
+    out[..., :kl] = pos
+    np.conj(neg, out=out[..., kl:])
+    return out
+
+
+def _expand_real(c: np.ndarray, k: tuple, extents: tuple) -> np.ndarray:
+    """Re(_expand(c)): the other axis first, then c2r along the last axis on
+    the Hermitian part H[j] = (C[j] + conj(C[N - j])) / 2, j in [0, N/2]. At
+    k = N/2 the Nyquist bin N/2 is the first of the negative block."""
+    z = c
+    last, kl, n = len(k) - 1, k[-1], extents[-1]
+    for a in range(last):
+        z = _fft.ifft_unitary(_zero_filled(z, a, k[a], extents[a]), (3 + a,))
+    h = np.zeros(z.shape[:-1] + (n // 2 + 1,), dtype=np.complex128)
+    h[..., :kl] = z[..., :kl]
+    h[..., 1:kl + 1] += np.conj(z[..., kl:][..., ::-1])
+    h[..., 0] += np.conj(z[..., 0])
+    if 2 * kl == n:
+        h[..., kl] += z[..., kl]
+    h[..., :kl + 1] *= 0.5
+    return _fft.irfft_unitary(h, n, 3 + last)
+
+
+def spectral(f: T.Tensor, sp: Optional[T.Tensor], weights: T.Tensor, spec: str, k,
+             extents) -> T.Tensor:
+    """A spectral layer's path as one tape node: the real part of
+    `synthesize(einsum2(spec, lift(f, sp, k), weights), sp, k, extents)`
+    for a real f, (batch, O, spatial...).
+
+    The forward runs `lift`'s, the mix's and `synthesize`'s kernels in their
+    order, so its values are theirs bit for bit. The VJP takes a real output
+    gradient g onto the half spectrum: the mix's gradient is `_analyze_real`
+    of g, the lifted gradient is read through the weights' stored layout
+    (`tensor._contract_grad_a`), and z2 = Re of its expansion is one c2r per
+    line; then df = sum_m sp z2 and dsp = g Re(z) + z2 f, all real.
+    """
+    k = _retained(k, extents)
+    if f.is_complex:
+        raise ContractError("the spectral node takes a real field")
+    spd = None if sp is None else sp.data
+    w = weights.data
+    lifted = _analyze(f.data, spd, k)
+    z = _expand(T._contract(spec, lifted, w), k, extents)
+    lhs, s_out = spec.split("->")
+    s_a, s_b = lhs.split(",")
+
+    def vjp(g):
+        dmixed = _analyze_real(g, spd, k)
+        dw = (T._contract(f"{s_a},{s_out}->{s_b}", lifted, dmixed, conj="a")
+              if weights.requires_grad else None)
+        dsp = None
+        if f.requires_grad or (sp is not None and sp.requires_grad):
+            z2 = _expand_real(T._contract_grad_a(spec, dmixed, lifted.shape, w), k, extents)
+            if sp is not None and sp.requires_grad:
+                dsp = T._unbroadcast(g[:, :, None] * z.real, sp.shape)
+                dsp += T._unbroadcast(z2 * f.data[:, :, None], sp.shape)
+        df = _reweight(z2, spd) if f.requires_grad else None
+        return (df, dw) if sp is None else (df, dsp, dw)
+
+    parents = (f, weights) if sp is None else (f, sp, weights)
+    return T._make(np.ascontiguousarray(_reweight(z, spd).real), parents, vjp)
 
 
 def _check_compatible(f: T.Tensor, p: DensityField) -> None:

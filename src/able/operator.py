@@ -1,10 +1,13 @@
 """Spectral operator layers on the adaptive frame, and their dense oracle.
 
-A layer computes a per-point density from its input, lifts it onto the
-retained low frequencies with `frame.lift`, mixes them with learnable
-complex weights (per slice, or across slice pairs in the cross variant),
-synthesizes back with `frame.synthesize` and keeps the real part, then
-adds the pointwise path `frame.linear`, the same per-point linear map as
+A layer computes a per-point density from its input and runs its
+spectral path as one tape node, `frame.spectral`: it lifts the input onto
+the retained low frequencies, mixes them with learnable complex weights
+(per slice, or across slice pairs in the cross variant), synthesizes back
+and keeps the real part. The node's forward runs the c2c kernels of
+`frame.lift` and `frame.synthesize`, since acceptance criterion 09 times
+it; its VJP works on the real half spectrum. The layer then adds the
+pointwise path `frame.linear`, the same per-point linear map as
 lifting, projection and every stage of the density head; one pipeline
 serves every slice count. With a single slice the density is identically
 one and the layer reduces to a plain Fourier layer: it passes no
@@ -35,8 +38,8 @@ from . import fft as _fft
 from . import tensor as T
 from .errors import ContractError
 from .frame import (DensityField, DensityNetConfig, DensityNetwork, Grid,
-                    density_from_energies, lift, linear, sqrt_density,
-                    synthesize, uniform_density)
+                    density_from_energies, linear, spectral, sqrt_density,
+                    uniform_density)
 
 KERNEL_POINT_LIMIT = 4096
 
@@ -145,11 +148,9 @@ class AbleLayer:
         extents = tuple(f.shape[2:])
         k = [self.multiplier.k_max] * self.ndim
         sp = sqrt_density(self.density(f)) if self.density_net is not None else None
-        mixed = T.einsum2(mix_spec(self.kind, self.ndim), lift(f, sp, k),
-                          self.multiplier.weights)
-        spectral = T.real(synthesize(mixed, sp, k, extents))
-
-        out = T.add(spectral, linear(f, self.pointwise, self.bias))
+        path = spectral(f, sp, self.multiplier.weights, mix_spec(self.kind, self.ndim),
+                        k, extents)
+        out = T.add(path, linear(f, self.pointwise, self.bias))
         act = T.ACTIVATIONS[self.activation]
         return act(out) if act is not None else out
 

@@ -13,7 +13,8 @@ a complex value x = a + ib, the stored gradient is dL/da + i*dL/db. Under
 this convention a holomorphic op with derivative f' propagates
 grad_in = conj(f') * grad_out. The FFT is not a tape op: the lifted
 transform in `frame` builds its analysis and synthesis nodes on `_make`
-with hand-written VJPs.
+with hand-written VJPs, and so does a layer's whole spectral path, real
+part included (`frame.spectral`), so there is no real-part op here.
 
 Tensors are immutable once built; optimizers mutate parameter buffers
 in place between steps, which is outside the taped region.
@@ -24,7 +25,10 @@ and both VJP products each run as one batched BLAS matmul through a
 transpose/reshape plan cached per (spec, shapes), and the forward result
 is a transposed view of that product. A VJP product conjugates its
 operand after that layout copy, in place on the copy, so no conjugated
-copy of a whole operand is made; `np.einsum` is kept only in the
+copy of a whole operand is made. `_contract_grad_a` is the first-operand
+product in another form, conj(conj(g) @ Wᵀ) on the forward's view of the
+second operand W, so weights stored in the forward's layout are not copied
+at all; `frame.spectral` uses it. `np.einsum` is kept only in the
 independent oracles (`reference.fno_layer`, `operator.materialize_kernel`
 and the dense path of `verify.dense_kernel_residual`).
 """
@@ -455,6 +459,19 @@ def _contract(spec: str, a: np.ndarray, b: np.ndarray, conj: Optional[str] = Non
     return p.reshape(shape_p).transpose(perm_out)
 
 
+def _contract_grad_a(spec: str, g: np.ndarray, shape_a: tuple, b: np.ndarray) -> np.ndarray:
+    """Gradient of the first operand of `_contract(spec, a, b)` for the output
+    gradient g, `einsum(out, b -> a)` with b conjugated, computed as
+    conj(conj(g) @ mbᵀ) on the forward's own matrix view mb of b: a b stored
+    in that layout is read through a transposed view, never copied."""
+    perm_a, shape3_a, perm_b, shape3_b, _, perm_out = _matmul_plan(spec, shape_a, b.shape)
+    mg = g.transpose(tuple(np.argsort(perm_out))).reshape(shape3_a[:2] + shape3_b[2:])
+    mg = _conj_operand(mg, g)
+    p = np.matmul(mg, b.transpose(perm_b).reshape(shape3_b).swapaxes(1, 2))
+    np.conj(p, out=p)
+    return p.reshape(tuple(shape_a[i] for i in perm_a)).transpose(tuple(np.argsort(perm_a)))
+
+
 def _conj_operand(op: np.ndarray, source: np.ndarray) -> np.ndarray:
     """Conjugate of the matmul operand `op` made from `source`: in place when
     the transpose/reshape copied, a new array when `op` is a view of `source`."""
@@ -507,12 +524,6 @@ def tmean(a) -> Tensor:
 
 
 # ---- complex structure --------------------------------------------------------
-
-def real(a) -> Tensor:
-    a = _wrap(a)
-    return _make(np.ascontiguousarray(a.data.real), (a,),
-                 lambda g: (g.astype(np.complex128),))
-
 
 def abs2(a) -> Tensor:
     """Squared modulus; real output for real or complex input."""

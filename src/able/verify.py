@@ -4,6 +4,7 @@ The identity catalogue writes each identity of the paper once, as a
 function that returns a residual and leaves the bound to its caller:
 `isometry_residual` and `roundtrip_residual` (the tight frame),
 `fno_residual` (one slice reduces to the Fourier layer),
+`identity_residual` (the identity multiplier resolves the identity),
 `dense_kernel_residual` (the spectral path equals its dense kernel),
 `high_temperature_residual` and `constant_density_residual` (the layer
 collapses to Fourier layers with averaged or p-weighted weights), and
@@ -194,6 +195,16 @@ def dense_kernel_residual(layer: AbleLayer, f: np.ndarray) -> float:
     return _rel_max(layer(T.Tensor(f)).data, want)
 
 
+def identity_residual(layer: AbleLayer, f: np.ndarray) -> float:
+    """Max abs gap between f and a diagonal layer's spectral path with the
+    identity multiplier on the full spectrum, for any density (resolution of
+    identity). Needs k_max = N/2 and equal in and out channels; sets the
+    spectral weights to the identity and zeroes the pointwise path in place."""
+    w = spectral_only(layer).multiplier.weights.data
+    w[...] = np.eye(layer.in_channels).reshape(w.shape[:2] + (1,) * (w.ndim - 2))
+    return float(np.max(np.abs(layer(T.Tensor(f)).data - f)))
+
+
 def high_temperature_residual(layer: AbleLayer, f: np.ndarray) -> float:
     """Relative gap between a huge-temperature diagonal layer and its mean Fourier branch."""
     w = layer.multiplier.weights.data
@@ -369,12 +380,10 @@ def _layer_checks(report: PropertyReport) -> None:
                        residual=dense_kernel_residual(layer, rng.standard_normal((1, 2, 16))),
                        tolerance=1e-8)
 
-    layer = spectral_only(make_layer("diagonal", 3, seed=31, k_max=8))
-    layer.multiplier.weights.data[...] = np.eye(2)[:, :, None, None]
-    f = rng.standard_normal((1, 2, 16))
+    layer = make_layer("diagonal", 3, seed=31, k_max=8)
     report.add(name="resolution_of_identity",
                claim="full-spectrum identity multiplier acts as the identity operator",
-               residual=float(np.max(np.abs(layer(T.Tensor(f)).data - f))),
+               residual=identity_residual(layer, rng.standard_normal((1, 2, 16))),
                tolerance=1e-10)
 
     layer = spectral_only(make_layer("diagonal", 3, seed=41, temperature=1e6))

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from able import fft
-from able.errors import UnsupportedSizeError
+from able.errors import ContractError, UnsupportedSizeError
 
 from oracles import dft_direct, dft_direct_2d
 
@@ -92,6 +92,55 @@ def test_non_power_of_two_rejected(transform, shape, axes, rejected):
             transform(x, axes=axes)
     else:
         assert transform(x, axes=axes).shape == shape
+
+
+@pytest.mark.parametrize("n", [2, 4, 8, 16, 32])
+def test_rfft_matches_direct_dft_half_spectrum(n):
+    x = rng(200 + n).standard_normal((n,))
+    got = fft.rfft_unitary(x, axis=0)
+    assert got.shape == (n // 2 + 1,)
+    assert np.max(np.abs(got - dft_direct(x.astype(complex))[:n // 2 + 1])) < 1e-10
+
+
+@pytest.mark.parametrize("n", [2, 4, 8, 16, 32])
+def test_irfft_matches_direct_inverse_dft_of_hermitian_spectrum(n):
+    half = random_complex((n // 2 + 1,), seed=300 + n)
+    # the full Hermitian spectrum: X[n - j] = conj(X[j]), bins 0 and n/2 real
+    full = np.zeros(n, dtype=np.complex128)
+    full[:n // 2 + 1] = half
+    full[0] = half[0].real
+    full[n // 2] = half[n // 2].real
+    full[n // 2 + 1:] = np.conj(full[1:n // 2][::-1])
+    want = dft_direct(full, inverse=True)
+    assert np.max(np.abs(want.imag)) < 1e-12
+    got = fft.irfft_unitary(half, n, axis=0)
+    assert got.dtype == np.float64
+    assert np.max(np.abs(got - want.real)) < 1e-10
+
+
+def test_real_pair_along_one_axis_of_a_batch():
+    x = rng(17).standard_normal((3, 16, 8))
+    spec = fft.rfft_unitary(x, axis=1)
+    assert spec.shape == (3, 9, 8)
+    for i in range(3):
+        for j in range(8):
+            want = dft_direct(x[i, :, j].astype(complex))[:9]
+            assert np.max(np.abs(spec[i, :, j] - want)) < 1e-10
+    assert np.max(np.abs(fft.irfft_unitary(spec, 16, axis=1) - x)) < 1e-12
+
+
+@pytest.mark.parametrize("transform", [
+    lambda x: fft.rfft_unitary(x, axis=-1),
+    lambda x: fft.irfft_unitary(x[..., :7], 12, axis=-1),
+], ids=["rfft", "irfft"])
+def test_real_pair_rejects_non_power_of_two(transform):
+    with pytest.raises(UnsupportedSizeError):
+        transform(rng(19).standard_normal((2, 12)))
+
+
+def test_irfft_rejects_a_bin_count_that_is_not_half_the_extent():
+    with pytest.raises(ContractError):
+        fft.irfft_unitary(random_complex((2, 8), seed=23), 16, axis=-1)
 
 
 def test_batched_transform_matches_per_row():

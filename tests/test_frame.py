@@ -530,3 +530,86 @@ def test_lift_holds_only_the_kept_modes(extents, k):
         while owner.base is not None:
             owner = owner.base
         assert c.shape[3:] == tuple(2 * kk for kk in k) and owner.nbytes == c.nbytes
+
+
+# ---- one spectral node per layer ----------------------------------------------------
+
+def chain_real_part(c):
+    """The real part of a complex tensor as its own node: the reference chain's last step."""
+    return T._make(np.ascontiguousarray(c.data.real), (c,), lambda g: (g.astype(np.complex128),))
+
+
+def spectral_case(extents, k, m, kind, heads, seed, stored=True):
+    """Field, square-root density (None for M = 1), weights and mix spec of one layer's path."""
+    r = rng(seed)
+    batch, cin, cout = 2, 3, 3
+    f = r.standard_normal((batch, cin) + extents)
+    sp = None
+    if m > 1:
+        p = r.random((batch, heads, m) + extents) + 0.05
+        sp = np.sqrt(p / p.sum(axis=2, keepdims=True))
+    spec = op.mix_spec(kind, len(extents))
+    shape = (cin, cout) + tuple(2 * kk for kk in k) + ((m, m) if kind == "cross" else (m,))
+    w = r.standard_normal(shape) + 1j * r.standard_normal(shape)
+    if stored:
+        order = T._matmul_plan(spec, (1, cin, m) + shape[2:2 + len(k)], shape)[2]
+        w = np.ascontiguousarray(w.transpose(order)).transpose(np.argsort(order))
+    return f, sp, w, spec
+
+
+def spectral_grads(build, f, sp, w, g):
+    """Output and gradients for f, sp (if any) and w of `build(f, sp, w)`, loss sum(out * g)."""
+    leaves = [T.parameter(f), None if sp is None else T.parameter(sp), T.parameter(w)]
+    out = build(*leaves)
+    T.tape_backward(T.tsum(T.mul(out, T.tensor(g))))
+    return out.data, [x.grad for x in leaves if x is not None]
+
+
+SPECTRAL_GRIDS = [((16,), (3,)), ((16,), (8,)), ((32,), (5,)), ((32,), (16,)),
+                  ((16, 32), (3, 5)), ((16, 32), (8, 5)), ((16, 32), (3, 16)),
+                  ((16, 32), (8, 16))]
+SPECTRAL_DENSITIES = [(1, None), (2, 1), (2, 3), (3, 1), (3, 3)]    # (M, heads)
+
+
+@pytest.mark.parametrize("kind", ["diagonal", "cross"])
+@pytest.mark.parametrize("m,heads", SPECTRAL_DENSITIES,
+                         ids=["M1", "M2-shared", "M2-perchannel", "M3-shared", "M3-perchannel"])
+@pytest.mark.parametrize("extents,k", SPECTRAL_GRIDS, ids=str)
+def test_spectral_node_matches_lift_mix_synthesize_chain(extents, k, m, heads, kind):
+    # k = N/2 on an axis puts the Nyquist bin in the negative block, where the
+    # half-spectrum VJP has to count it once from each side
+    f, sp, w, spec = spectral_case(extents, k, m, kind, heads, seed=sum(extents) + 10 * sum(k) + m)
+    g = rng(5).standard_normal((f.shape[0], w.shape[1]) + extents)
+
+    def chain(ft, st, wt):
+        mixed = T.einsum2(spec, frame.lift(ft, st, k), wt)
+        return chain_real_part(frame.synthesize(mixed, st, k, extents))
+
+    out, grads = spectral_grads(
+        lambda ft, st, wt: frame.spectral(ft, st, wt, spec, k, extents), f, sp, w, g)
+    want_out, want_grads = spectral_grads(chain, f, sp, w, g)
+    assert out.dtype == np.float64 and np.array_equal(out, want_out)
+    for got, want in zip(grads, want_grads):
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("extents,k", [((16,), (8,)), ((16, 32), (3, 16))], ids=str)
+def test_spectral_node_canonical_weight_layout_and_partial_parents(extents, k):
+    # weights not in the mix's stored layout, and a field that needs no gradient
+    f, sp, w, spec = spectral_case(extents, k, 2, "cross", 1, seed=9, stored=False)
+    g = rng(6).standard_normal(f.shape)
+    got = [T.tensor(f), T.parameter(sp), T.parameter(w)]
+    T.tape_backward(T.tsum(T.mul(frame.spectral(*got, spec, k, extents), T.tensor(g))))
+    _, want = spectral_grads(
+        lambda ft, st, wt: chain_real_part(frame.synthesize(
+            T.einsum2(spec, frame.lift(ft, st, k), wt), st, k, extents)), f, sp, w, g)
+    assert got[0].grad is None
+    for leaf, ref in zip(got[1:], want[1:]):
+        assert np.max(np.abs(leaf.grad - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_spectral_node_rejects_a_complex_field():
+    f, sp, w, spec = spectral_case((16,), (4,), 2, "diagonal", 1, seed=3)
+    with pytest.raises(ContractError):
+        frame.spectral(T.tensor(f + 0j), T.tensor(sp), T.tensor(w), spec, (4,), (16,))

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -37,3 +38,27 @@ def test_temperature_sweep_script_writes_sweep(tmp_path):
     assert [r["value"] for r in rows] == [0.5, 1e6]
     assert all(r["axis"] == "T" and r["density_entropy"] > 0.0 for r in rows)
     assert "monotone: True" in done.stdout
+
+
+def test_bitwise_sweep_compare_counts_bytes_and_groups_worst(tmp_path):
+    a = {"n/loss": np.array(0.5), "n/output": np.array([[1.0, 2.0]]),
+         "n/grad/w": np.array([1.0, -2.0]), "n/step2/w": np.array([3.0, 4.0]),
+         "n/checkpoint": np.array([0, 7, 9, 255], dtype=np.uint8)}
+    b = dict(a)
+    b["n/grad/w"] = np.array([1.0, -2.0 + 2.0**-47])
+    b["n/step2/w"] = np.array([3.0 + 2.0**-38, 4.0])
+    b["n/checkpoint"] = np.array([255, 7, 9, 0], dtype=np.uint8)
+    for name, arrays in (("a", a), ("b", b)):
+        np.savez(tmp_path / f"{name}.npz", **arrays)
+    done = run_script(ROOT / "scripts/bitwise_sweep.py", "--compare",
+                      str(tmp_path / "a.npz"), str(tmp_path / "b.npz"))
+    assert done.returncode == 1, done.stderr
+    lines = done.stdout.splitlines()
+    assert "differs: n/checkpoint 2 of 4 bytes" in lines
+    assert "3 of 5 arrays differ" in lines
+    assert "worst forward: none differ" in lines
+    assert "worst grad: n/grad/w max abs 7.105e-15 rel 3.553e-15" in lines
+    assert "worst step2: n/step2/w max abs 3.638e-12 rel 9.095e-13" in lines
+    same = run_script(ROOT / "scripts/bitwise_sweep.py", "--compare",
+                      str(tmp_path / "a.npz"), str(tmp_path / "a.npz"))
+    assert same.returncode == 0 and "0 of 5 arrays differ" in same.stdout

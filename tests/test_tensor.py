@@ -137,7 +137,6 @@ def test_real_op_gradients(name, loss):
 
 COMPLEX_OPS = [
     ("cmul", lambda t: T.tsum(T.abs2(T.mul(t, T.tensor(randc(t.shape, 99)))))),
-    ("real", lambda t: T.tsum(T.mul(T.real(t), T.real(t)))),
     ("lift", lambda t: T.tsum(T.abs2(T.mul(
         frame.lift(T.reshape(t, (4, 1, 8)), None, [4]), T.tensor(randc((4, 1, 1, 8), 7)))))),
     ("synthesize", lambda t: T.tsum(T.abs2(frame.synthesize(

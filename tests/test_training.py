@@ -31,6 +31,22 @@ def test_relative_l2_frozen_values():
     assert training.relative_l2(two, y).item() == pytest.approx(1.0, rel=1e-12)
 
 
+def test_relative_l2_exact_sample_has_zero_gradient():
+    # sqrt's derivative at a zero residual is infinite; the loss takes the
+    # zero subgradient there instead of 0 * inf = nan for the whole batch
+    t = rng(3).standard_normal((3, 1, 8))
+    pred = t + rng(4).standard_normal(t.shape)
+    pred[1] = t[1]
+    leaf = T.parameter(pred)
+    T.tape_backward(training.relative_l2(leaf, T.tensor(t)))
+    assert np.all(np.isfinite(leaf.grad))
+    assert np.all(leaf.grad[1] == 0.0)
+    for i in (0, 2):
+        r = pred[i] - t[i]
+        want = r / (np.linalg.norm(r) * np.linalg.norm(t[i]) * 3)
+        assert np.max(np.abs(leaf.grad[i] - want)) <= 1e-14 * np.max(np.abs(want))
+
+
 def test_relative_l2_contracts():
     y = T.tensor(np.ones((2, 4)))
     with pytest.raises(ContractError):
