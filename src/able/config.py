@@ -179,7 +179,7 @@ def config_key_help() -> str:
         "model.temperature": "softmax temperature of the density head",
         "model.learn_temperature": "make the temperature a trained parameter",
         "model.density_arch": "mlp2 pointwise head, or fd4 with stencil features (1-D)",
-        "model.density_hidden": "hidden width of the density head",
+        "model.density_hidden": "hidden width of the density head (>= 2 for fd4)",
         "model.per_channel": "separate density per channel instead of shared",
         "model.residual": "fd4 head: skip from first to third hidden layer",
         "model.activation": "gelu, silu, relu or none between layers",

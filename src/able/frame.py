@@ -37,12 +37,16 @@ its pass, so no pass transforms a line whose output is discarded or whose
 input is all zero, and the results are bitwise those of the all-axes
 transform (at 64 x 64 keeping 16 modes per axis, 80 of 128 line FFTs).
 
-The density head is built from `linear`, the per-point linear map the
-operator layers also use for lifting, the pointwise path and projection:
-every stage is channels-first, (batch, channels, spatial...), and the
-last stage's output channel h*M + m is slice m of head h, so one reshape
-makes it slice-major. Only `DensityNetwork._features` knows the head's
-arch.
+The density head is one tape node per layer, `DensityNetwork.energies`,
+with a hand-written VJP. It runs channels-first on (batch, channels,
+points), each stage one batched matmul plus its bias with silu between
+(the kernels `T.silu` uses), and the last stage's output channel h*M + m
+is slice m of head h, so one reshape makes it slice-major. The fd4 head's
+stencil features are never formed: a stencil along x commutes with a
+channel map, so its taps (`_taps`) combine the first-stage weights and
+two rolls (`_shift_sum`) apply them to the H-wide outputs. `linear`, the
+taped per-point map, is left to the operator layers' lifting, pointwise
+path and projection.
 
 Square roots on the density path keep the exact forward value but use an
 epsilon-regularized derivative so one-hot densities (the low-temperature
@@ -65,6 +69,8 @@ SQRT_GRAD_EPS = 1e-12
 
 FIRST_DIFF_STENCIL = (0.5, 0.0, -0.5)
 SECOND_DIFF_STENCIL = (-0.5, 1.0, -0.5)
+# the fd4 first stage's blocks [f, d1 f, d2 f] as stencils
+_FD4_KERNELS = ((0.0, 1.0, 0.0), FIRST_DIFF_STENCIL, SECOND_DIFF_STENCIL)
 
 
 @dataclass(frozen=True)
@@ -154,6 +160,10 @@ class DensityNetConfig:
     def __post_init__(self):
         if self.arch not in ("mlp2", "fd4"):
             raise ContractError(f"unknown density arch {self.arch!r}")
+        least = 2 if self.arch == "fd4" else 1     # fd4's middle stage is hidden // 2 wide
+        if self.hidden < least:
+            raise ContractError(
+                f"the {self.arch} density head needs hidden >= {least}, got {self.hidden}")
         if self.temperature <= 0:
             raise DomainError("temperature must be positive")
         if self.slices < 1:
@@ -168,13 +178,34 @@ def linear(x: T.Tensor, w: T.Tensor, b: T.Tensor) -> T.Tensor:
     return T.add(out, T.reshape(b, (1, -1) + (1,) * (x.ndim - 2)))
 
 
-def _stencil_conv(f: T.Tensor, kernel) -> T.Tensor:
-    """3-tap periodic convolution along the last axis (true convolution)."""
-    k0, k1, k2 = kernel
-    out = T.mul(T.roll(f, -1, axis=-1), k0)
-    if k1 != 0.0:
-        out = T.add(out, T.mul(f, k1))
-    return T.add(out, T.mul(T.roll(f, 1, axis=-1), k2))
+def _taps(blocks, kernels) -> np.ndarray:
+    """The taps (ahead, centre, behind) of a sum of 3-tap stencils: tap t is
+    the sum over j of kernels[j][t] * blocks[j], stacked on a new first axis.
+    A stencil along x commutes with a map over the other axes, so blocks may
+    be outputs or the weights that make them."""
+    return np.tensordot(np.array(kernels).T, np.asarray(blocks), axes=1)
+
+
+def _shift_sum(ahead: np.ndarray, centre: np.ndarray, behind: np.ndarray) -> np.ndarray:
+    """Periodic out[i] = ahead[i+1] + centre[i] + behind[i-1] along the last
+    axis, two rolls. With the taps of kernel k it is the true convolution
+    out[i] = k0 x[i+1] + k1 x[i] + k2 x[i-1]."""
+    out = np.roll(ahead, -1, axis=-1)
+    out += centre
+    out += np.roll(behind, 1, axis=-1)
+    return out
+
+
+def _affine(w: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """One head stage on (batch, I, P): w^T x + b, (batch, O, P)."""
+    out = np.matmul(w.T, x)
+    out += b[:, None]
+    return out
+
+
+def _weight_grad(x: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """sum over batch and points of x d^T, for x (batch, I, P) and d (batch, O, P): (I, O)."""
+    return np.matmul(x, d.transpose(0, 2, 1)).sum(axis=0)
 
 
 class DensityNetwork:
@@ -225,37 +256,77 @@ class DensityNetwork:
             params[f"{prefix}log_temperature"] = self.log_temperature
         return params
 
-    def _features(self, f: T.Tensor) -> T.Tensor:
-        """Per-point input features, channels-first: (batch, F, spatial...)."""
-        if self.config.arch == "mlp2":
-            return f
-        d1 = _stencil_conv(f, FIRST_DIFF_STENCIL)
-        d2 = _stencil_conv(f, SECOND_DIFF_STENCIL)
-        ones = T.Tensor(np.ones(f.shape[:1] + (1,) + f.shape[2:]))
-        return T.concatenate([f, d1, d2, ones], axis=1)
-
     def energies(self, f: T.Tensor) -> T.Tensor:
         """Per-point energies, slice-major: (batch, heads, M, spatial...).
 
         heads is the channel count for per-channel densities, else one.
-        Every stage is a channels-first `linear`; output channel h*M + m is
-        slice m of head h.
+        The head is one tape node whose parents are f and every weight and
+        bias. It runs channels-first on (batch, channels, points): each
+        stage is w^T x + b, silu between stages, and output channel h*M + m
+        is slice m of head h. The fd4 first stage combines the blocks
+        [W0_f | W0_d1 | W0_d2] of its weights per stencil tap, maps f once
+        through the 3H-wide result and sums the H-wide tap outputs with two
+        rolls; the ones feature's row W0[3C] joins the bias.
         """
         if f.ndim != 2 + self.ndim:
             raise ContractError(f"expected (batch, channels, spatial...), got {f.shape}")
         if f.shape[1] != self.in_channels:
             raise ContractError(
                 f"channel count {f.shape[1]} does not match network width {self.in_channels}")
-        x = self._features(f)
-        hidden = []
-        for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            pre = linear(x, w, b)
-            if len(hidden) == 2 and self.config.residual:
-                pre = T.add(pre, hidden[0])     # first hidden into the third (fd4)
-            x = T.silu(pre)
-            hidden.append(x)
-        out = linear(x, self.weights[-1], self.biases[-1])
-        return T.reshape(out, (out.shape[0], self.heads, self.config.slices) + out.shape[2:])
+        ws = [w.data for w in self.weights]
+        bs = [b.data for b in self.biases]
+        batch, c = f.shape[:2]
+        x0 = f.data.reshape(batch, c, -1)
+        stencil = self.config.arch == "fd4"
+        if stencil:
+            h = ws[0].shape[1]
+            w_taps = (_taps(ws[0][:3 * c].reshape(3, c, h), _FD4_KERNELS)
+                      .transpose(1, 0, 2).reshape(c, 3 * h))
+            v = np.matmul(w_taps.T, x0).reshape(batch, 3, h, -1)
+            pre = _shift_sum(v[:, 0], v[:, 1], v[:, 2])
+            pre += (bs[0] + ws[0][3 * c])[:, None]
+        else:
+            pre = _affine(ws[0], bs[0], x0)
+        hidden = []         # (pre-activation, sigmoid, activation) per hidden stage
+        for i in range(1, len(ws)):
+            x, s = T._silu(pre)
+            hidden.append((pre, s, x))
+            pre = _affine(ws[i], bs[i], x)
+            if i == 2 and self.config.residual:
+                pre += hidden[0][2]     # first hidden into the third (fd4)
+
+        def vjp(g):
+            d = g.reshape(pre.shape)
+            dws, dbs = [None] * len(ws), [None] * len(ws)
+            skip = None
+            for i in range(len(ws) - 1, 0, -1):
+                pre_i, s_i, x_i = hidden[i - 1]
+                dws[i], dbs[i] = _weight_grad(x_i, d), d.sum(axis=(0, 2))
+                dx = np.matmul(ws[i], d)
+                if i == 2 and self.config.residual:
+                    skip = d
+                elif i == 1 and skip is not None:
+                    dx += skip
+                d = T._silu_grad(dx, pre_i, s_i)
+            dbs[0] = d.sum(axis=(0, 2))
+            if stencil:
+                # the adjoint of _shift_sum: each tap's gradient is d shifted back
+                dv = np.empty((batch, 3, h, d.shape[-1]))
+                dv[:, 0] = np.roll(d, 1, axis=-1)
+                dv[:, 1] = d
+                dv[:, 2] = np.roll(d, -1, axis=-1)
+                dv = dv.reshape(batch, 3 * h, -1)
+                dtaps = _weight_grad(x0, dv).reshape(c, 3, h).transpose(1, 0, 2)
+                dblocks = np.tensordot(np.array(_FD4_KERNELS), dtaps, axes=1)
+                dws[0] = np.concatenate([dblocks.reshape(3 * c, h), dbs[0][None]])
+                df = np.matmul(w_taps, dv) if f.requires_grad else None
+            else:
+                dws[0] = _weight_grad(x0, d)
+                df = np.matmul(ws[0], d) if f.requires_grad else None
+            return (None if df is None else df.reshape(f.shape), *dws, *dbs)
+
+        return T._make(pre.reshape((batch, self.heads, self.config.slices) + f.shape[2:]),
+                       (f, *self.weights, *self.biases), vjp)
 
 
 def density_from_energies(energies: T.Tensor, temperature,

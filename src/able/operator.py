@@ -7,12 +7,13 @@ the retained low frequencies, mixes them with learnable complex weights
 and keeps the real part. The node's forward runs the c2c kernels of
 `frame.lift` and `frame.synthesize`, since acceptance criterion 09 times
 it; its VJP works on the real half spectrum. The layer then adds the
-pointwise path `frame.linear`, the same per-point linear map as
-lifting, projection and every stage of the density head; one pipeline
-serves every slice count. With a single slice the density is identically
-one and the layer reduces to a plain Fourier layer: it passes no
-square-root density (None), so the lifted transform skips the weighting,
-which softmax over one logit makes the identity.
+pointwise path `frame.linear`, the same per-point linear map as lifting
+and projection (the density head is its own node,
+`frame.DensityNetwork.energies`); one pipeline serves every slice count.
+With a single slice the density is identically one and the layer reduces
+to a plain Fourier layer: it passes no square-root density (None), so the
+lifted transform skips the weighting, which softmax over one logit makes
+the identity.
 
 Frequency truncation keeps, per axis, the k_max lowest nonnegative and
 the k_max lowest negative wavenumbers in the natural FFT layout, so
@@ -258,6 +259,10 @@ class ModelConfig:
     proj_hidden: int = 64
 
     def __post_init__(self):
+        for name in ("width", "n_layers", "proj_hidden"):
+            if getattr(self, name) < 1:
+                raise ContractError(f"{name} must be >= 1, got {getattr(self, name)}")
+        self.density_config()       # the density head's own checks
         if self.activation not in T.ACTIVATIONS:
             raise ContractError(f"unknown activation {self.activation!r}; "
                                 "expected gelu, silu, relu or none")

@@ -19,8 +19,9 @@ part included (`frame.spectral`), so there is no real-part op here.
 Tensors are immutable once built; optimizers mutate parameter buffers
 in place between steps, which is outside the taped region.
 
-Every contraction in the package is `einsum2`: the per-point linear maps
-(`frame.linear`, channels-first) and the spectral mode mixing. Its forward
+`einsum2` is the taped contraction, for the per-point linear maps
+(`frame.linear`, channels-first); the spectral mode mixing inside
+`frame.spectral` calls its kernel `_contract` directly. `einsum2`'s forward
 and both VJP products each run as one batched BLAS matmul through a
 transpose/reshape plan cached per (spec, shapes), and the forward result
 is a transposed view of that product. A VJP product conjugates its
@@ -30,7 +31,10 @@ product in another form, conj(conj(g) @ Wᵀ) on the forward's view of the
 second operand W, so weights stored in the forward's layout are not copied
 at all; `frame.spectral` uses it. `np.einsum` is kept only in the
 independent oracles (`reference.fno_layer`, `operator.materialize_kernel`
-and the dense path of `verify.dense_kernel_residual`).
+and the dense path of `verify.dense_kernel_residual`). The density head
+is one node of its own (`frame.DensityNetwork.energies`) whose stages
+are plain batched matmuls; it shares silu's kernels, `_silu` and
+`_silu_grad`, with `silu`.
 """
 
 from __future__ import annotations
@@ -270,29 +274,33 @@ def relu(a) -> Tensor:
     return _make(a.data * mask, (a,), lambda g: (g * mask,))
 
 
-def silu(a) -> Tensor:
-    """x sigmoid(x); self-consistent forward/backward pair.
-
-    Forward: s = 1 / (1 + exp(-x)), out = x s; VJP: g (s (1 + x (1 - s))).
-    Both run as in-place ufuncs in that order of operations, so the forward
-    allocates two input-sized buffers and the VJP one.
-    """
-    a = _wrap(a)
-    x = a.data
+def _silu(x: np.ndarray) -> tuple:
+    """silu's forward kernel: (out, s) with s = 1 / (1 + exp(-x)), out = x s,
+    as in-place ufuncs in that order; two input-sized buffers."""
     s = np.negative(x)
     np.exp(s, out=s)
     s += 1.0
     np.divide(1.0, s, out=s)
-    out = np.multiply(x, s)
+    return np.multiply(x, s), s
 
-    def vjp(g):
-        d = np.subtract(1.0, s)
-        d *= x
-        d += 1.0
-        d *= s
-        return (np.multiply(g, d, out=d),)
 
-    return _make(out, (a,), vjp)
+def _silu_grad(g: np.ndarray, x: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """silu's VJP kernel: g (s (1 + x (1 - s))) for the forward's x and s,
+    as in-place ufuncs in that order; one input-sized buffer."""
+    d = np.subtract(1.0, s)
+    d *= x
+    d += 1.0
+    d *= s
+    return np.multiply(g, d, out=d)
+
+
+def silu(a) -> Tensor:
+    """x sigmoid(x); self-consistent forward/backward pair (`_silu`,
+    `_silu_grad`, which the density head's node shares)."""
+    a = _wrap(a)
+    x = a.data
+    out, s = _silu(x)
+    return _make(out, (a,), lambda g: (_silu_grad(g, x, s),))
 
 
 _GELU_C = np.sqrt(2.0 / np.pi)
@@ -341,8 +349,8 @@ ACTIVATIONS = {"relu": relu, "silu": silu, "gelu": gelu, "none": None, None: Non
 
 def softmax(a, axis: int = -1) -> Tensor:
     """Softmax along `axis`, computed and returned C-contiguous whatever the
-    input's layout: densities are born here from a transposed `einsum2`
-    view, and the lifted transform runs slower on a strided density."""
+    input's layout: densities are born here, and the lifted transform runs
+    slower on a strided density."""
     a = _wrap(a)
     if a.is_complex:
         raise ContractError("softmax expects a real tensor")
@@ -380,12 +388,6 @@ def concatenate(parts, axis: int) -> Tensor:
         return tuple(outs)
 
     return _make(out, parts, vjp)
-
-
-def roll(a, shift: int, axis: int) -> Tensor:
-    a = _wrap(a)
-    return _make(np.roll(a.data, shift, axis=axis), (a,),
-                 lambda g: (np.roll(g, -shift, axis=axis),))
 
 
 # ---- contractions -----------------------------------------------------------

@@ -36,6 +36,8 @@ class TrainConfig:
             raise ContractError("learning rate must be nonnegative")
         if self.batch_size < 1:
             raise ContractError("batch size must be >= 1")
+        if self.epochs < 0:
+            raise ContractError(f"epochs must be >= 0, got {self.epochs}")
         if self.schedule not in ("step", "cosine", "none"):
             raise ContractError(f"unknown schedule {self.schedule!r}")
 

@@ -480,6 +480,16 @@ BAD_INPUTS = {
     "width-not-an-integer": (["train", "--set", "model.width=abc"], 2),
     "epochs-not-an-integer": (["train", "--set", "train.epochs=abc"], 2),
     "act-flags-not-a-list": (["train", "--set", "model.act_flags=5"], 2),
+    "density-hidden-negative": (["train", "--set", "model.density_hidden=-3"], 2),
+    "density-hidden-zero": (["train", "--set", "model.density_hidden=0"], 2),
+    "fd4-density-hidden-one": (["train", "--set", "model.density_arch=fd4",
+                                "--set", "model.density_hidden=1"], 2),
+    "width-zero": (["train", "--set", "model.width=0"], 2),
+    "width-negative": (["train", "--set", "model.width=-2"], 2),
+    "proj-hidden-zero": (["train", "--set", "model.proj_hidden=0"], 2),
+    "proj-hidden-negative": (["train", "--set", "model.proj_hidden=-1"], 2),
+    "n-layers-negative": (["train", "--set", "model.n_layers=-1"], 2),
+    "epochs-negative": (["train", "--set", "train.epochs=-1"], 2),
     "checkpoint-width-not-an-integer": (["eval", "--checkpoint", "{bad_ckpt}"], 3),
     "sweep-values-not-numbers": (["sweep", "--axis", "M", "--values", "x"], 2),
     "bench-m-list-not-integers": (["bench", "--m-list", "a"], 2),

@@ -1,6 +1,7 @@
 """Density fields and the lifted transform: normalization, isometry, inverses."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,8 +13,8 @@ from able import operator as op
 from able import tensor as T
 from able.errors import ContractError, DomainError, UnsupportedSizeError
 
-from oracles import (central_difference_paired, density_energies_direct, grid_norm_sq,
-                     parseval_direct, stencil_periodic)
+from oracles import (central_difference, central_difference_paired, density_energies_direct,
+                     grid_norm_sq, parseval_direct, stencil_periodic)
 
 
 def rng(seed):
@@ -103,24 +104,29 @@ def test_low_temperature_limit_max_entry():
 
 # ---- stencil features ------------------------------------------------------------
 
+def stencil(x, kernel):
+    """The density head's stencil kernel on one block: its taps, then the shifted sum."""
+    return frame._shift_sum(*frame._taps([x], [kernel]))
+
+
 def test_first_difference_stencil_against_direct_convolution():
     f = np.array([1.0, 2.0, 3.0, 4.0])
-    got = frame._stencil_conv(T.tensor(f.reshape(1, 1, 4)), frame.FIRST_DIFF_STENCIL)
+    got = stencil(f.reshape(1, 1, 4), frame.FIRST_DIFF_STENCIL)
     want = stencil_periodic(f, frame.FIRST_DIFF_STENCIL)
-    assert np.allclose(got.data[0, 0], want)
-    assert got.data[0, 0, 1] == pytest.approx(1.0)
+    assert np.allclose(got[0, 0], want)
+    assert got[0, 0, 1] == pytest.approx(1.0)
 
 
 def test_second_difference_annihilates_constants():
     f = np.full((1, 1, 8), 3.7)
-    got = frame._stencil_conv(T.tensor(f), frame.SECOND_DIFF_STENCIL)
-    assert np.max(np.abs(got.data)) < 1e-14
+    got = stencil(f, frame.SECOND_DIFF_STENCIL)
+    assert np.max(np.abs(got)) < 1e-14
 
 
 def test_random_stencil_matches_oracle():
     f = rng(9).standard_normal(16)
     for kernel in (frame.FIRST_DIFF_STENCIL, frame.SECOND_DIFF_STENCIL):
-        got = frame._stencil_conv(T.tensor(f.reshape(1, 1, 16)), kernel).data[0, 0]
+        got = stencil(f.reshape(1, 1, 16), kernel)[0, 0]
         assert np.allclose(got, stencil_periodic(f, kernel), atol=1e-14)
 
 
@@ -182,6 +188,94 @@ def test_energies_match_per_point_oracle(arch, per_channel, residual, shape):
                                    stencil=arch == "fd4", residual=residual)
     assert got.shape == want.shape
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def chain_roll(t, shift):
+    """A periodic shift along the last axis as its own node: the reference chain's stencil tap."""
+    return T._make(np.roll(t.data, shift, axis=-1), (t,), lambda g: (np.roll(g, -shift, axis=-1),))
+
+
+def chain_stencil(t, kernel):
+    k0, k1, k2 = kernel
+    out = T.mul(chain_roll(t, -1), k0)
+    if k1 != 0.0:
+        out = T.add(out, T.mul(t, k1))
+    return T.add(out, T.mul(chain_roll(t, 1), k2))
+
+
+def chain_energies(net, f):
+    """The head as a chain of tape ops: stencil features and a ones channel
+    concatenated, then one `linear` per stage, slice-major at the end."""
+    x = f
+    if net.config.arch == "fd4":
+        ones = T.tensor(np.ones(f.shape[:1] + (1,) + f.shape[2:]))
+        x = T.concatenate([f, chain_stencil(f, frame.FIRST_DIFF_STENCIL),
+                           chain_stencil(f, frame.SECOND_DIFF_STENCIL), ones], axis=1)
+    hidden = []
+    for w, b in zip(net.weights[:-1], net.biases[:-1]):
+        pre = frame.linear(x, w, b)
+        if len(hidden) == 2 and net.config.residual:
+            pre = T.add(pre, hidden[0])
+        x = T.silu(pre)
+        hidden.append(x)
+    out = frame.linear(x, net.weights[-1], net.biases[-1])
+    return T.reshape(out, (out.shape[0], net.heads, net.config.slices) + out.shape[2:])
+
+
+def head_grads(net, build, f, g):
+    """Gradients for f and then every weight and bias of loss sum(build(f) * g)."""
+    params = net.weights + net.biases
+    for p in params:
+        p.grad = None
+    ft = T.parameter(f)
+    T.tape_backward(T.tsum(T.mul(build(ft), T.tensor(g))))
+    return [ft.grad] + [p.grad for p in params]
+
+
+@pytest.mark.parametrize("arch,per_channel,residual,shape",
+                         DENSITY_HEADS + [("fd4", True, False, (2, 3, 16))])
+def test_energies_node_gradients_match_chain_and_central_differences(arch, per_channel,
+                                                                     residual, shape):
+    cfg = frame.DensityNetConfig(slices=3, arch=arch, hidden=8, per_channel=per_channel,
+                                 residual=residual)
+    net = frame.DensityNetwork(cfg, in_channels=shape[1], ndim=len(shape) - 2, rng=rng(15))
+    r = rng(16)
+    for b in net.biases:
+        b.data[...] = 0.1 * r.standard_normal(b.shape)
+    f = r.standard_normal(shape)
+    g = r.standard_normal(net.energies(T.tensor(f)).shape)
+    got = head_grads(net, net.energies, f, g)
+    chain = head_grads(net, lambda ft: chain_energies(net, ft), f, g)
+
+    def loss(a):
+        return float(np.sum(net.energies(T.tensor(a)).data * g))
+
+    # central differences perturb each weight and bias in place
+    fd = [central_difference(loss, f.copy())]
+    fd += [central_difference(lambda _: loss(f), p.data) for p in net.weights + net.biases]
+    for node, ref, diff in zip(got, chain, fd):
+        assert node.shape == ref.shape == diff.shape
+        assert np.max(np.abs(node - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert np.max(np.abs(node - diff)) <= 1e-6 * np.max(np.abs(diff))
+
+
+def test_energies_node_peaks_below_the_chain():
+    # the burgers-1d training shapes: batch 20, width 16, 256 points, fd4, M=2
+    cfg = frame.DensityNetConfig(slices=2, arch="fd4", hidden=16)
+    net = frame.DensityNetwork(cfg, in_channels=16, ndim=1, rng=rng(17))
+    f = rng(18).standard_normal((20, 16, 256))
+    g = rng(19).standard_normal((20, 1, 2, 256))
+
+    def peak(build):
+        head_grads(net, build, f, g)        # warm caches outside the trace
+        tracemalloc.start()
+        try:
+            head_grads(net, build, f, g)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(net.energies) < peak(lambda ft: chain_energies(net, ft))
 
 
 def test_density_network_initial_density_near_uniform():

@@ -127,8 +127,8 @@ def test_per_channel_requires_matching_widths():
 
 @pytest.mark.parametrize("arch,ndim", [("fd4", 1), ("mlp2", 1), ("mlp2", 2)])
 def test_layer_density_is_c_contiguous(arch, ndim):
-    # the density head's einsum2 output is a transposed view; lift and
-    # synthesize run slower on a strided density, so it must arrive row-major
+    # lift and synthesize run slower on a strided density, so it must arrive
+    # row-major whatever layout the head's energies have
     layer = make_layer(cin=3, cout=3, ndim=ndim, arch=arch, seed=4)
     x = T.tensor(rng(5).standard_normal((2, 3) + (16,) * ndim))
     assert layer.density(x).values.data.flags.c_contiguous

@@ -122,7 +122,6 @@ REAL_OPS = [
     ("softmax", lambda t: T.tsum(T.mul(T.softmax(t, axis=-1), T.tensor(np.arange(float(t.shape[-1])))))),
     ("sqrt_shifted", lambda t: T.tsum(T.sqrt(T.add(T.abs2(t), 0.5)))),
     ("reshape", lambda t: T.tsum(T.abs2(T.reshape(t, (t.size,))))),
-    ("roll", lambda t: T.tsum(T.mul(T.roll(t, 2, axis=-1), t))),
     ("sum_axis", lambda t: T.tsum(T.abs2(T.tsum(t, axis=0)))),
     ("mean", lambda t: T.tmean(T.abs2(t))),
     ("concat", lambda t: T.tsum(T.abs2(T.concatenate([t, T.mul(t, 2.0)], axis=0)))),
@@ -168,9 +167,8 @@ def test_einsum2_gradient_diagonal_mixing():
 
 
 # every contraction the operator builds, as (spec, shape_a, shape_b): the
-# per-point linear map `frame.linear` (lifting, the pointwise path,
-# projection and every density-head stage), M=1 mixing, diagonal and cross
-# mixing, in 1-D and 2-D
+# per-point linear map `frame.linear` (lifting, the pointwise path and
+# projection), M=1 mixing, diagonal and cross mixing, in 1-D and 2-D
 OPERATOR_CONTRACTIONS = [
     ("bix,io->box", (2, 3, 8), (3, 4)),
     ("bixy,io->boxy", (2, 3, 4, 4), (3, 4)),
