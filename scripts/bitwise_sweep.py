@@ -2,21 +2,24 @@
 """Bitwise regression sweep: the loss, output and every gradient of a fixed
 set of small networks, to show that a change leaves the numbers untouched.
 
-The sweep builds 256 networks, every valid combination of a grid, M from 1
-to 4, diagonal or cross mixing, a shared or per-channel density, a density
-head (fd4 with its residual skip, fd4 without it, both 1-D only, or mlp2)
-and a fixed or learned temperature. The grids are a 1-D grid of 32 points
-at k_max 6 and a non-square 16 x 32 grid at k_max 4, both truncated on
-every axis, plus two where 2 k_max equals an extent, so the whole-axis
-case runs too: 16 points at k_max 8 (the whole spectrum) and 16 x 32 at
-k_max 8 (whole on axis 0, truncated on axis 1).
+The sweep builds 280 networks. 256 are gelu networks, every valid
+combination of a grid, M from 1 to 4, diagonal or cross mixing, a shared
+or per-channel density, a density head (fd4 with its residual skip, fd4
+without it, both 1-D only, or mlp2) and a fixed or learned temperature.
+The grids are a 1-D grid of 32 points at k_max 6 and a non-square 16 x 32
+grid at k_max 4, both truncated on every axis, plus two where 2 k_max
+equals an extent, so the whole-axis case runs too: 16 points at k_max 8
+(the whole spectrum) and 16 x 32 at k_max 8 (whole on axis 0, truncated
+on axis 1). The other 24 cover every other activation: silu, relu and
+none, each on the two truncated grids with M 1 and 2 and diagonal or
+cross mixing (a shared mlp2 head, fixed temperature).
 For each network it runs one forward and backward pass of the relative L2
 loss on fixed data and records the loss, the output and the gradient of
 every parameter. It then takes two Adam steps on those gradients, with
 weight decay on the spectral weights, and records every parameter after
 the second (`<network>/step2/<parameter>`) and the bytes of the checkpoint
 `save_checkpoint` writes then (`<network>/checkpoint`, uint8). That makes
-11904 arrays: 11648 values and 256 checkpoints.
+12744 arrays: 12464 values and 280 checkpoints.
 
 Run it once per tree, with that tree's package on the path, then compare:
 
@@ -53,6 +56,7 @@ BATCH = 2
 # (name, density arch, residual): fd4 with and without its skip, and mlp2,
 # which has no skip to switch
 HEADS = (("fd4", "fd4", True), ("fd4-noskip", "fd4", False), ("mlp2", "mlp2", True))
+OTHER_ACTIVATIONS = ("silu", "relu", "none")
 
 
 def variants():
@@ -69,6 +73,13 @@ def variants():
                                   per_channel=per_channel, density_arch=arch,
                                   residual=residual, learn_temperature=learn_t, k_max=k_max,
                                   width=4, n_layers=2, proj_hidden=8, density_hidden=8)
+    # every other activation, after the gelu networks so their seeds stay put
+    for activation, (extents, k_max), m, kind in itertools.product(
+            OTHER_ACTIVATIONS, GRIDS[:2], (1, 2), ("diagonal", "cross")):
+        name = f"{'x'.join(map(str, extents))}-k{k_max}-M{m}-{kind}-shared-mlp2-fixedT-{activation}"
+        yield name, extents, dict(ndim=len(extents), slices=m, kind=kind, density_arch="mlp2",
+                                  activation=activation, k_max=k_max, width=4, n_layers=2,
+                                  proj_hidden=8, density_hidden=8)
 
 
 def sweep() -> dict:

@@ -21,12 +21,16 @@ transforms lifted data in the forward direction, which is slice-major too,
 `spectral`. A square-root density of None
 stands for a single slice of density one and skips the weighting.
 
-An operator layer's spectral path (lift, mix, synthesize, real part) is
-one tape node, `spectral`. Its forward calls the same kernels as `lift`,
-the mix and `synthesize`, in their order, so it is theirs bit for bit;
+An operator layer is one tape node after its density head, `spectral`:
+lift, mix, synthesize, real part, the pointwise map w^T f + b and the
+activation. Its forward calls the same kernels as `lift`, the mix and
+`synthesize`, in their order, so the spectral path is theirs bit for bit;
 it stays on the complex transforms because acceptance criterion 09 times
-it. Its VJP gets a real gradient, so it runs on the half spectrum:
-`_analyze_real` (r2c along the last axis, the negative block by
+it. The pointwise map is `_affine` into the node's own buffer, to which
+the path's real part is added, and the activation is one of the kernel
+pairs of `T.ACTIVATION_KERNELS`, which the tape ops share. Its VJP gets a
+real gradient, so past the activation's gradient it runs on the half
+spectrum: `_analyze_real` (r2c along the last axis, the negative block by
 Hermitian symmetry) and `_expand_real` (the real part of an expansion as
 one c2r of the Hermitian part). There is no real-part tape op.
 
@@ -45,8 +49,9 @@ is slice m of head h, so one reshape makes it slice-major. The fd4 head's
 stencil features are never formed: a stencil along x commutes with a
 channel map, so its taps (`_taps`) combine the first-stage weights and
 two rolls (`_shift_sum`) apply them to the H-wide outputs. `linear`, the
-taped per-point map, is left to the operator layers' lifting, pointwise
-path and projection.
+per-point map of the networks' lifting and projections, is one node on the
+same kernels: `_affine` forward, and W g, `_weight_grad` and the sum of g
+in its hand-written VJP.
 
 Square roots on the density path keep the exact forward value but use an
 epsilon-regularized derivative so one-hot densities (the low-temperature
@@ -171,11 +176,24 @@ class DensityNetConfig:
 
 
 def linear(x: T.Tensor, w: T.Tensor, b: T.Tensor) -> T.Tensor:
-    """Per-point linear map on channels-first data: (batch, I, spatial...)
-    with weights (I, O) and bias (O,) -> (batch, O, spatial...)."""
-    spatial = "xy"[:x.ndim - 2]
-    out = T.einsum2(f"bi{spatial},io->bo{spatial}", x, w)
-    return T.add(out, T.reshape(b, (1, -1) + (1,) * (x.ndim - 2)))
+    """Per-point linear map on real channels-first data: (batch, I, spatial...)
+    with weights (I, O) and bias (O,) -> (batch, O, spatial...).
+
+    One tape node on the head's kernels: the forward is `_affine` on the
+    spatial axes flattened, the VJP W g, `_weight_grad` and the sum of g.
+    """
+    batch, spatial = x.shape[0], x.shape[2:]
+    x3 = x.data.reshape(batch, x.shape[1], -1)
+    wd = w.data
+
+    def vjp(g):
+        g3 = g.reshape(batch, wd.shape[1], -1)
+        return (np.matmul(wd, g3).reshape(x.shape) if x.requires_grad else None,
+                _weight_grad(x3, g3) if w.requires_grad else None,
+                g3.sum(axis=(0, 2)) if b.requires_grad else None)
+
+    out = _affine(wd, b.data, x3)
+    return T._make(out.reshape((batch, wd.shape[1]) + spatial), (x, w, b), vjp)
 
 
 def _taps(blocks, kernels) -> np.ndarray:
@@ -474,29 +492,48 @@ def _expand_real(c: np.ndarray, k: tuple, extents: tuple) -> np.ndarray:
 
 
 def spectral(f: T.Tensor, sp: Optional[T.Tensor], weights: T.Tensor, spec: str, k,
-             extents) -> T.Tensor:
-    """A spectral layer's path as one tape node: the real part of
-    `synthesize(einsum2(spec, lift(f, sp, k), weights), sp, k, extents)`
-    for a real f, (batch, O, spatial...).
+             extents, pointwise: Optional[tuple] = None,
+             activation: Optional[str] = None) -> T.Tensor:
+    """A spectral layer as one tape node, (batch, O, spatial...) for a real f:
+    the real part of `synthesize(mix(lift(f, sp, k)), sp, k, extents)`, with
+    the mix `tensor._contract(spec, ., weights)`, plus the pointwise path
+    `linear(f, w, b)` when `pointwise` is the pair (w, b), all through the
+    `activation` named in `T.ACTIVATION_KERNELS` (None for none).
 
     The forward runs `lift`'s, the mix's and `synthesize`'s kernels in their
-    order, so its values are theirs bit for bit. The VJP takes a real output
-    gradient g onto the half spectrum: the mix's gradient is `_analyze_real`
-    of g, the lifted gradient is read through the weights' stored layout
+    order, so the spectral path's values are theirs bit for bit; it writes
+    pre = w^T f + b (`_affine`) into a fresh buffer, adds the path's real
+    part and applies the activation's kernel. The VJP applies the
+    activation's gradient kernel first and takes the result g onto the half
+    spectrum: the mix's gradient is `_analyze_real` of g, the lifted
+    gradient is read through the weights' stored layout
     (`tensor._contract_grad_a`), and z2 = Re of its expansion is one c2r per
-    line; then df = sum_m sp z2 and dsp = g Re(z) + z2 f, all real.
+    line; then df = w g + sum_m sp z2, dsp = g Re(z) + z2 f, dw = sum f g^T
+    (`_weight_grad`) and db = sum g, all real.
     """
     k = _retained(k, extents)
     if f.is_complex:
         raise ContractError("the spectral node takes a real field")
+    act = T.ACTIVATION_KERNELS[activation]
     spd = None if sp is None else sp.data
     w = weights.data
     lifted = _analyze(f.data, spd, k)
     z = _expand(T._contract(spec, lifted, w), k, extents)
+    batch, channels = f.shape[:2]
+    f3 = f.data.reshape(batch, channels, -1)
+    if pointwise is None:
+        pre = np.ascontiguousarray(_reweight(z, spd).real)
+    else:
+        pre = _affine(pointwise[0].data, pointwise[1].data, f3).reshape(
+            (batch, w.shape[1]) + f.shape[2:])
+        pre += _reweight(z, spd).real
+    out, saved = (pre, None) if act is None else act[0](pre)
     lhs, s_out = spec.split("->")
     s_a, s_b = lhs.split(",")
 
     def vjp(g):
+        if act is not None:
+            g = act[1](g, pre, saved)
         dmixed = _analyze_real(g, spd, k)
         dw = (T._contract(f"{s_a},{s_out}->{s_b}", lifted, dmixed, conj="a")
               if weights.requires_grad else None)
@@ -507,10 +544,18 @@ def spectral(f: T.Tensor, sp: Optional[T.Tensor], weights: T.Tensor, spec: str, 
                 dsp = T._unbroadcast(g[:, :, None] * z.real, sp.shape)
                 dsp += T._unbroadcast(z2 * f.data[:, :, None], sp.shape)
         df = _reweight(z2, spd) if f.requires_grad else None
-        return (df, dw) if sp is None else (df, dsp, dw)
+        tail = ()
+        if pointwise is not None:
+            pw, b = pointwise
+            g3 = g.reshape(batch, w.shape[1], -1)
+            if df is not None:
+                df += np.matmul(pw.data, g3).reshape(f.shape)
+            tail = (_weight_grad(f3, g3) if pw.requires_grad else None,
+                    g3.sum(axis=(0, 2)) if b.requires_grad else None)
+        return ((df, dw) if sp is None else (df, dsp, dw)) + tail
 
     parents = (f, weights) if sp is None else (f, sp, weights)
-    return T._make(np.ascontiguousarray(_reweight(z, spd).real), parents, vjp)
+    return T._make(out, parents + (() if pointwise is None else tuple(pointwise)), vjp)
 
 
 def _check_compatible(f: T.Tensor, p: DensityField) -> None:

@@ -1,15 +1,16 @@
 """Spectral operator layers on the adaptive frame, and their dense oracle.
 
-A layer computes a per-point density from its input and runs its
-spectral path as one tape node, `frame.spectral`: it lifts the input onto
-the retained low frequencies, mixes them with learnable complex weights
-(per slice, or across slice pairs in the cross variant), synthesizes back
-and keeps the real part. The node's forward runs the c2c kernels of
-`frame.lift` and `frame.synthesize`, since acceptance criterion 09 times
-it; its VJP works on the real half spectrum. The layer then adds the
-pointwise path `frame.linear`, the same per-point linear map as lifting
-and projection (the density head is its own node,
-`frame.DensityNetwork.energies`); one pipeline serves every slice count.
+A layer computes a per-point density from its input (the density head is
+one node, `frame.DensityNetwork.energies`) and runs the rest as one tape
+node, `frame.spectral`: it lifts the input onto the retained low
+frequencies, mixes them with learnable complex weights (per slice, or
+across slice pairs in the cross variant), synthesizes back, keeps the real
+part, adds the pointwise map W^T f + b and applies the activation. The
+node's forward runs the c2c kernels of `frame.lift` and
+`frame.synthesize`, since acceptance criterion 09 times it; its VJP works
+on the real half spectrum. Lifting and projection are `frame.linear`, the
+same per-point map on the same batched-matmul kernels; one pipeline serves
+every slice count.
 With a single slice the density is identically one and the layer reduces
 to a plain Fourier layer: it passes no square-root density (None), so the
 lifted transform skips the weighting, which softmax over one logit makes
@@ -74,7 +75,8 @@ class SpectralMultiplier:
 
 
 def mix_spec(kind: str, ndim: int) -> str:
-    """The `einsum2` spec of a layer's mode mixing: lifted modes by weights."""
+    """The two-operand einsum spec of a layer's mode mixing, lifted modes by
+    weights, as `tensor._contract` runs it."""
     xy = "xy"[:ndim]
     return f"biq{xy},io{xy}pq->bop{xy}" if kind == "cross" else f"bim{xy},io{xy}m->bom{xy}"
 
@@ -95,7 +97,7 @@ def make_multiplier(kind: str, k_max: int, in_channels: int, out_channels: int,
 
 
 class AbleLayer:
-    """One adaptive spectral layer: density -> lift -> mix -> synthesize -> +W."""
+    """One adaptive spectral layer: density -> lift -> mix -> synthesize -> +W -> activation."""
 
     def __init__(self, in_channels: int, out_channels: int, k_max: int, ndim: int,
                  density: DensityNetConfig, kind: str = "diagonal",
@@ -149,11 +151,8 @@ class AbleLayer:
         extents = tuple(f.shape[2:])
         k = [self.multiplier.k_max] * self.ndim
         sp = sqrt_density(self.density(f)) if self.density_net is not None else None
-        path = spectral(f, sp, self.multiplier.weights, mix_spec(self.kind, self.ndim),
-                        k, extents)
-        out = T.add(path, linear(f, self.pointwise, self.bias))
-        act = T.ACTIVATIONS[self.activation]
-        return act(out) if act is not None else out
+        return spectral(f, sp, self.multiplier.weights, mix_spec(self.kind, self.ndim),
+                        k, extents, (self.pointwise, self.bias), self.activation)
 
     __call__ = forward
 

@@ -19,22 +19,28 @@ part included (`frame.spectral`), so there is no real-part op here.
 Tensors are immutable once built; optimizers mutate parameter buffers
 in place between steps, which is outside the taped region.
 
-`einsum2` is the taped contraction, for the per-point linear maps
-(`frame.linear`, channels-first); the spectral mode mixing inside
-`frame.spectral` calls its kernel `_contract` directly. `einsum2`'s forward
-and both VJP products each run as one batched BLAS matmul through a
-transpose/reshape plan cached per (spec, shapes), and the forward result
-is a transposed view of that product. A VJP product conjugates its
-operand after that layout copy, in place on the copy, so no conjugated
-copy of a whole operand is made. `_contract_grad_a` is the first-operand
-product in another form, conj(conj(g) @ Wᵀ) on the forward's view of the
-second operand W, so weights stored in the forward's layout are not copied
-at all; `frame.spectral` uses it. `np.einsum` is kept only in the
+There is no taped contraction. `_contract` runs a two-operand einsum as
+one batched BLAS matmul through a transpose/reshape plan cached per
+(spec, shapes) (`_matmul_plan`), and returns a transposed view of the
+product; `conj` conjugates an operand after that layout copy, in place on
+the copy, so no conjugated copy of a whole operand is made.
+`_contract_grad_a` is the first-operand gradient in another form,
+conj(conj(g) @ Wᵀ) on the forward's view of the second operand W, so
+weights stored in the forward's layout are not copied at all.
+`frame.spectral` calls both for a layer's mode mixing. The per-point maps
+(`frame.linear`, the density head and a layer's pointwise path) are plain
+batched matmuls inside nodes of their own. `np.einsum` is kept only in the
 independent oracles (`reference.fno_layer`, `operator.materialize_kernel`
-and the dense path of `verify.dense_kernel_residual`). The density head
-is one node of its own (`frame.DensityNetwork.energies`) whose stages
-are plain batched matmuls; it shares silu's kernels, `_silu` and
-`_silu_grad`, with `silu`.
+and the dense path of `verify.dense_kernel_residual`).
+
+Each activation is a pair of numpy kernels, forward and VJP, run as
+in-place ufuncs: `_relu`/`_relu_grad`, `_silu`/`_silu_grad` and
+`_gelu`/`_gelu_grad`. The ops `relu`, `silu` and `gelu` are built on them,
+and nodes that apply an activation inside their own forward and VJP share
+them: the density head (`frame.DensityNetwork.energies`) silu's, and each
+layer's spectral node (`frame.spectral`) any of `ACTIVATION_KERNELS`.
+gelu is the tanh form 0.5 x (1 + tanh u), computed in its exact sigmoid
+form x sigmoid(2u) with one exp.
 """
 
 from __future__ import annotations
@@ -268,17 +274,34 @@ def texp(a) -> Tensor:
     return _make(out, (a,), lambda g: (g * np.conj(out),))
 
 
-def relu(a) -> Tensor:
+def _activation(a, kernel, grad) -> Tensor:
+    """The tape op of an activation from its kernel pair: `kernel(x)` gives
+    (out, saved) and `grad(g, x, saved)` the VJP."""
     a = _wrap(a)
-    mask = (a.data > 0).astype(np.float64)
-    return _make(a.data * mask, (a,), lambda g: (g * mask,))
+    x = a.data
+    out, saved = kernel(x)
+    return _make(out, (a,), lambda g: (grad(g, x, saved),))
+
+
+def _relu(x: np.ndarray) -> tuple:
+    """relu's forward kernel: (out, mask) with mask = [x > 0] as floats, out = x mask."""
+    mask = (x > 0).astype(np.float64)
+    return x * mask, mask
+
+
+def _relu_grad(g: np.ndarray, x: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """relu's VJP kernel: g mask."""
+    return g * mask
 
 
 def _silu(x: np.ndarray) -> tuple:
     """silu's forward kernel: (out, s) with s = 1 / (1 + exp(-x)), out = x s,
-    as in-place ufuncs in that order; two input-sized buffers."""
+    as in-place ufuncs in that order; two input-sized buffers. exp(-x)
+    overflows to inf below about x = -709, which makes s exactly 0, so the
+    overflow is not reported."""
     s = np.negative(x)
-    np.exp(s, out=s)
+    with np.errstate(over="ignore"):
+        np.exp(s, out=s)
     s += 1.0
     np.divide(1.0, s, out=s)
     return np.multiply(x, s), s
@@ -294,57 +317,63 @@ def _silu_grad(g: np.ndarray, x: np.ndarray, s: np.ndarray) -> np.ndarray:
     return np.multiply(g, d, out=d)
 
 
-def silu(a) -> Tensor:
-    """x sigmoid(x); self-consistent forward/backward pair (`_silu`,
-    `_silu_grad`, which the density head's node shares)."""
-    a = _wrap(a)
-    x = a.data
-    out, s = _silu(x)
-    return _make(out, (a,), lambda g: (_silu_grad(g, x, s),))
-
-
 _GELU_C = np.sqrt(2.0 / np.pi)
 
 
+def _gelu(x: np.ndarray) -> tuple:
+    """gelu's forward kernel in sigmoid form: (out, s) with
+    s = 1 / (1 + exp(-2c (x + 0.044715 x^3))), out = x s, as in-place ufuncs
+    in that order; two input-sized buffers. exp overflows to inf below about
+    x = -22, which makes s exactly 0, so the overflow is not reported."""
+    s = np.multiply(x, x)
+    s *= x
+    s *= 0.044715
+    np.add(x, s, out=s)
+    s *= -2.0 * _GELU_C
+    with np.errstate(over="ignore"):
+        np.exp(s, out=s)
+    s += 1.0
+    np.divide(1.0, s, out=s)
+    return np.multiply(x, s), s
+
+
+def _gelu_grad(g: np.ndarray, x: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """gelu's VJP kernel: g s (1 + 2c (1 + 3 * 0.044715 x^2) x (1 - s)) for
+    the forward's x and s, as in-place ufuncs in that order; two
+    input-sized buffers."""
+    d = np.multiply(x, x)
+    d *= 3 * 0.044715
+    d += 1.0
+    d *= 2.0 * _GELU_C
+    d *= x
+    d *= np.subtract(1.0, s)
+    d += 1.0
+    d *= s
+    return np.multiply(g, d, out=d)
+
+
+def relu(a) -> Tensor:
+    """max(x, 0) (`_relu`, `_relu_grad`)."""
+    return _activation(a, _relu, _relu_grad)
+
+
+def silu(a) -> Tensor:
+    """x sigmoid(x) (`_silu`, `_silu_grad`)."""
+    return _activation(a, _silu, _silu_grad)
+
+
 def gelu(a) -> Tensor:
-    """Tanh-form gelu; self-consistent forward/backward pair.
-
-    Forward: t = tanh(c (x + 0.044715 x^3)), out = 0.5 x (1 + t); VJP:
-    g (0.5 (1 + t) + 0.5 x (1 - t^2) c (1 + 3 * 0.044715 x^2)). Both run
-    as in-place ufuncs in that order of operations, so they allocate a few
-    input-sized buffers rather than one per operator.
-    """
-    a = _wrap(a)
-    x = a.data
-    t = np.multiply(x, x)
-    t *= x
-    t *= 0.044715
-    np.add(x, t, out=t)
-    t *= _GELU_C
-    np.tanh(t, out=t)
-    out = np.multiply(x, 0.5)
-    one_plus_t = np.add(t, 1.0)
-    out *= one_plus_t
-
-    def vjp(g):
-        d_inner = np.multiply(x, x)
-        d_inner *= 3 * 0.044715
-        d_inner += 1.0
-        d_inner *= _GELU_C
-        d = np.add(t, 1.0)
-        d *= 0.5
-        slope = np.multiply(t, t)
-        np.subtract(1.0, slope, out=slope)
-        half_x = np.multiply(x, 0.5)
-        half_x *= slope
-        half_x *= d_inner
-        d += half_x
-        return (np.multiply(g, d, out=d),)
-
-    return _make(out, (a,), vjp)
+    """Tanh-form gelu, 0.5 x (1 + tanh u) with u = c (x + 0.044715 x^3) and
+    c = sqrt(2 / pi), computed in its exact sigmoid form x sigmoid(2u), one
+    exp and no tanh (`_gelu`, `_gelu_grad`)."""
+    return _activation(a, _gelu, _gelu_grad)
 
 
 ACTIVATIONS = {"relu": relu, "silu": silu, "gelu": gelu, "none": None, None: None}
+# the kernel pairs of the same activations, for nodes that apply one inside
+# their own forward and VJP (`frame.spectral`)
+ACTIVATION_KERNELS = {"relu": (_relu, _relu_grad), "silu": (_silu, _silu_grad),
+                      "gelu": (_gelu, _gelu_grad), "none": None, None: None}
 
 
 def softmax(a, axis: int = -1) -> Tensor:
@@ -413,22 +442,22 @@ def _matmul_plan(spec: str, shape_a: tuple, shape_b: tuple) -> tuple:
     s_a, s_b = lhs.split(",")
     for what, sub in (("first operand", s_a), ("second operand", s_b), ("output", s_out)):
         if len(set(sub)) != len(sub):
-            raise ContractError(f"einsum2 {spec!r}: repeated index in the {what}")
+            raise ContractError(f"contraction {spec!r}: repeated index in the {what}")
     if len(s_a) != len(shape_a) or len(s_b) != len(shape_b):
-        raise ContractError(f"einsum2 {spec!r}: operand ranks {len(shape_a)}, "
+        raise ContractError(f"contraction {spec!r}: operand ranks {len(shape_a)}, "
                             f"{len(shape_b)} do not match the spec")
     sizes: dict = {}
     for sub, shape in ((s_a, shape_a), (s_b, shape_b)):
         for c, n in zip(sub, shape):
             if sizes.setdefault(c, n) != n:
-                raise ContractError(f"einsum2 {spec!r}: index {c!r} has extents "
+                raise ContractError(f"contraction {spec!r}: index {c!r} has extents "
                                     f"{sizes[c]} and {n}")
     for c in s_out:
         if c not in sizes:
-            raise ContractError(f"einsum2 {spec!r}: output index {c!r} is in no operand")
+            raise ContractError(f"contraction {spec!r}: output index {c!r} is in no operand")
     for c in sizes:
         if c not in s_out and not (c in s_a and c in s_b):
-            raise ContractError(f"einsum2 {spec!r}: index {c!r} is in one operand only "
+            raise ContractError(f"contraction {spec!r}: index {c!r} is in one operand only "
                                 "and not in the output")
     batch = [c for c in s_a if c in s_b and c in s_out]
     left = [c for c in s_out if c in s_a and c not in s_b]
@@ -480,29 +509,6 @@ def _conj_operand(op: np.ndarray, source: np.ndarray) -> np.ndarray:
     if not np.iscomplexobj(op):
         return op
     return np.conj(op) if np.may_share_memory(op, source) else np.conj(op, out=op)
-
-
-def einsum2(spec: str, a, b) -> Tensor:
-    """Two-operand einsum whose adjoint is again a two-operand einsum.
-
-    The forward product and both VJP products each run as one cached
-    batched matmul (`_matmul_plan`). Each VJP product conjugates the other
-    operand after its layout copy, so no conjugated copy of a whole operand
-    is made first. Every index of each operand must appear in the output or
-    the other operand, and no index may repeat within an operand; other
-    specs raise ContractError.
-    """
-    a, b = _wrap(a), _wrap(b)
-    out = _contract(spec, a.data, b.data)
-    lhs, s_out = spec.split("->")
-    s_a, s_b = lhs.split(",")
-
-    def vjp(g):
-        ga = _contract(f"{s_out},{s_b}->{s_a}", g, b.data, conj="b") if a.requires_grad else None
-        gb = _contract(f"{s_a},{s_out}->{s_b}", a.data, g, conj="a") if b.requires_grad else None
-        return ga, gb
-
-    return _make(out, (a, b), vjp)
 
 
 # ---- reductions --------------------------------------------------------------

@@ -2,9 +2,14 @@
 
 Everything in here is deliberately naive (O(N^2) sums, explicit loops,
 central differences) and shares no code with the library paths it checks.
+The exceptions are the taped chains (`taped_contraction`, `taped_linear`):
+the fused nodes are checked against chains of small tape nodes, and those
+are built on the library's tape and contraction kernels.
 """
 
 import numpy as np
+
+from able import tensor as T
 
 
 def dft_direct(x: np.ndarray, inverse: bool = False) -> np.ndarray:
@@ -178,7 +183,20 @@ GELU_C = np.sqrt(2.0 / np.pi)
 
 
 def gelu_reference(x: np.ndarray) -> tuple:
-    """Tanh-form gelu as whole-array expressions: (output, VJP function)."""
+    """Sigmoid-form gelu x sigmoid(2u), u = c (x + 0.044715 x^3), as
+    whole-array expressions: (output, VJP function)."""
+    s = 1.0 / (1.0 + np.exp(-2.0 * GELU_C * (x + 0.044715 * (x * x * x))))
+    out = x * s
+
+    def vjp(g):
+        slope = (2.0 * GELU_C) * (1.0 + (3 * 0.044715) * (x * x))
+        return g * (s * (1.0 + slope * x * (1.0 - s)))
+
+    return out, vjp
+
+
+def gelu_tanh_reference(x: np.ndarray) -> tuple:
+    """Tanh-form gelu 0.5 x (1 + tanh u) as whole-array expressions: (output, VJP function)."""
     inner = GELU_C * (x + 0.044715 * (x * x * x))
     t = np.tanh(inner)
     out = 0.5 * x * (1.0 + t)
@@ -200,3 +218,26 @@ def silu_reference(x: np.ndarray) -> tuple:
         return g * (s * (1.0 + x * (1.0 - s)))
 
     return out, vjp
+
+
+def taped_contraction(spec: str, a, b):
+    """A two-operand einsum as one tape node: the forward and both VJP
+    products are `tensor._contract`, the VJP conjugating the other operand."""
+    a, b = T._wrap(a), T._wrap(b)
+    lhs, s_out = spec.split("->")
+    s_a, s_b = lhs.split(",")
+
+    def vjp(g):
+        return (T._contract(f"{s_out},{s_b}->{s_a}", g, b.data, conj="b"),
+                T._contract(f"{s_a},{s_out}->{s_b}", a.data, g, conj="a"))
+
+    return T._make(T._contract(spec, a.data, b.data), (a, b), vjp)
+
+
+def taped_linear(x, w, b):
+    """Per-point linear map on channels-first data, (batch, I, spatial...)
+    by weights (I, O) plus bias (O,), as the chain of a taped contraction,
+    a reshape of the bias and an add."""
+    spatial = "xy"[:x.ndim - 2]
+    out = taped_contraction(f"bi{spatial},io->bo{spatial}", x, w)
+    return T.add(out, T.reshape(b, (1, -1) + (1,) * (x.ndim - 2)))

@@ -2,6 +2,7 @@
 
 import itertools
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -14,7 +15,8 @@ from able import tensor as T
 from able.errors import ContractError, DomainError, UnsupportedSizeError
 
 from oracles import (central_difference, central_difference_paired, density_energies_direct,
-                     grid_norm_sq, parseval_direct, stencil_periodic)
+                     grid_norm_sq, parseval_direct, stencil_periodic, taped_contraction,
+                     taped_linear)
 
 
 def rng(seed):
@@ -205,7 +207,7 @@ def chain_stencil(t, kernel):
 
 def chain_energies(net, f):
     """The head as a chain of tape ops: stencil features and a ones channel
-    concatenated, then one `linear` per stage, slice-major at the end."""
+    concatenated, then one taped linear map per stage, slice-major at the end."""
     x = f
     if net.config.arch == "fd4":
         ones = T.tensor(np.ones(f.shape[:1] + (1,) + f.shape[2:]))
@@ -213,12 +215,12 @@ def chain_energies(net, f):
                            chain_stencil(f, frame.SECOND_DIFF_STENCIL), ones], axis=1)
     hidden = []
     for w, b in zip(net.weights[:-1], net.biases[:-1]):
-        pre = frame.linear(x, w, b)
+        pre = taped_linear(x, w, b)
         if len(hidden) == 2 and net.config.residual:
             pre = T.add(pre, hidden[0])
         x = T.silu(pre)
         hidden.append(x)
-    out = frame.linear(x, net.weights[-1], net.biases[-1])
+    out = taped_linear(x, net.weights[-1], net.biases[-1])
     return T.reshape(out, (out.shape[0], net.heads, net.config.slices) + out.shape[2:])
 
 
@@ -579,7 +581,7 @@ def test_lift_and_synthesize_bitwise_equal_oracle_index_for_every_k(extents, m, 
 @pytest.mark.parametrize("extents,k", [((16,), (2,)), ((16,), (8,)), ((8, 32), (2, 4)),
                                        ((8, 32), (4, 4)), ((8, 32), (4, 16))], ids=str)
 def test_synthesize_of_slice_outermost_coefficients_is_bitwise_its_contiguous_copy(extents, k):
-    # einsum2's diagonal mix returns its output with the slice axis outermost;
+    # the diagonal mix (`tensor._contract`) returns its output with the slice axis outermost;
     # equal strides keep sums over the output in one order, whatever the layout
     kept = tuple(2 * kk for kk in k)
     # (slice and channel axes ahead of the batch axis in memory, so a single
@@ -633,10 +635,10 @@ def chain_real_part(c):
     return T._make(np.ascontiguousarray(c.data.real), (c,), lambda g: (g.astype(np.complex128),))
 
 
-def spectral_case(extents, k, m, kind, heads, seed, stored=True):
+def spectral_case(extents, k, m, kind, heads, seed, stored=True, batch=2, channels=3):
     """Field, square-root density (None for M = 1), weights and mix spec of one layer's path."""
     r = rng(seed)
-    batch, cin, cout = 2, 3, 3
+    cin = cout = channels
     f = r.standard_normal((batch, cin) + extents)
     sp = None
     if m > 1:
@@ -651,9 +653,10 @@ def spectral_case(extents, k, m, kind, heads, seed, stored=True):
     return f, sp, w, spec
 
 
-def spectral_grads(build, f, sp, w, g):
-    """Output and gradients for f, sp (if any) and w of `build(f, sp, w)`, loss sum(out * g)."""
-    leaves = [T.parameter(f), None if sp is None else T.parameter(sp), T.parameter(w)]
+def node_grads(build, arrays, g):
+    """Output and gradients of loss sum(build(*leaves) * g) for every array
+    that is not None, each array a leaf of its own."""
+    leaves = [None if a is None else T.parameter(a) for a in arrays]
     out = build(*leaves)
     T.tape_backward(T.tsum(T.mul(out, T.tensor(g))))
     return out.data, [x.grad for x in leaves if x is not None]
@@ -676,12 +679,12 @@ def test_spectral_node_matches_lift_mix_synthesize_chain(extents, k, m, heads, k
     g = rng(5).standard_normal((f.shape[0], w.shape[1]) + extents)
 
     def chain(ft, st, wt):
-        mixed = T.einsum2(spec, frame.lift(ft, st, k), wt)
+        mixed = taped_contraction(spec, frame.lift(ft, st, k), wt)
         return chain_real_part(frame.synthesize(mixed, st, k, extents))
 
-    out, grads = spectral_grads(
-        lambda ft, st, wt: frame.spectral(ft, st, wt, spec, k, extents), f, sp, w, g)
-    want_out, want_grads = spectral_grads(chain, f, sp, w, g)
+    out, grads = node_grads(
+        lambda ft, st, wt: frame.spectral(ft, st, wt, spec, k, extents), [f, sp, w], g)
+    want_out, want_grads = node_grads(chain, [f, sp, w], g)
     assert out.dtype == np.float64 and np.array_equal(out, want_out)
     for got, want in zip(grads, want_grads):
         assert got.shape == want.shape and got.dtype == want.dtype
@@ -695,9 +698,9 @@ def test_spectral_node_canonical_weight_layout_and_partial_parents(extents, k):
     g = rng(6).standard_normal(f.shape)
     got = [T.tensor(f), T.parameter(sp), T.parameter(w)]
     T.tape_backward(T.tsum(T.mul(frame.spectral(*got, spec, k, extents), T.tensor(g))))
-    _, want = spectral_grads(
+    _, want = node_grads(
         lambda ft, st, wt: chain_real_part(frame.synthesize(
-            T.einsum2(spec, frame.lift(ft, st, k), wt), st, k, extents)), f, sp, w, g)
+            taped_contraction(spec, frame.lift(ft, st, k), wt), st, k, extents)), [f, sp, w], g)
     assert got[0].grad is None
     for leaf, ref in zip(got[1:], want[1:]):
         assert np.max(np.abs(leaf.grad - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -707,3 +710,86 @@ def test_spectral_node_rejects_a_complex_field():
     f, sp, w, spec = spectral_case((16,), (4,), 2, "diagonal", 1, seed=3)
     with pytest.raises(ContractError):
         frame.spectral(T.tensor(f + 0j), T.tensor(sp), T.tensor(w), spec, (4,), (16,))
+
+
+# ---- the layer tail inside the spectral node and the linear node -------------------
+
+LAYER_GRIDS = [((8,), (3,)), ((4, 8), (1, 3))]
+
+
+@pytest.mark.parametrize("activation", list(T.ACTIVATIONS), ids=str)
+@pytest.mark.parametrize("kind", ["diagonal", "cross"])
+@pytest.mark.parametrize("m", [1, 2], ids=["M1", "M2"])
+@pytest.mark.parametrize("extents,k", LAYER_GRIDS, ids=str)
+def test_layer_node_matches_spectral_linear_add_activation_chain(extents, k, m, kind,
+                                                                 activation):
+    f, sp, w, spec = spectral_case(extents, k, m, kind, 1, seed=sum(extents) + m, batch=1,
+                                   channels=2)
+    r = rng(7)
+    arrays = [f, sp, w, r.standard_normal((2, 2)), 0.5 * r.standard_normal(2)]
+    g = r.standard_normal(f.shape)
+    act = T.ACTIVATIONS[activation]
+
+    def node(ft, st, wt, pwt, bt):
+        return frame.spectral(ft, st, wt, spec, k, extents, (pwt, bt), activation)
+
+    def chain(ft, st, wt, pwt, bt):
+        out = T.add(frame.spectral(ft, st, wt, spec, k, extents), taped_linear(ft, pwt, bt))
+        return out if act is None else act(out)
+
+    out, grads = node_grads(node, arrays, g)
+    want_out, want_grads = node_grads(chain, arrays, g)
+    assert np.max(np.abs(out - want_out)) <= 1e-12 * np.max(np.abs(want_out))
+    present = [i for i, a in enumerate(arrays) if a is not None]
+    for i, got, want in zip(present, grads, want_grads):
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), i
+
+        def loss(a, i=i):
+            args = [None if x is None else T.tensor(x) for x in arrays[:i] + [a] + arrays[i + 1:]]
+            return float(np.sum(node(*args).data * g))
+
+        fd = central_difference_paired(loss, arrays[i])
+        assert np.max(np.abs(got - fd)) <= 1e-6 * np.max(np.abs(fd)), i
+
+
+@pytest.mark.parametrize("activation", ["relu", "silu", "gelu"])
+@pytest.mark.parametrize("m", [1, 2], ids=["M1", "M2"])
+def test_layer_node_reaches_activation_limits_without_overflow_warnings(m, activation):
+    # zero spectral weights and an identity pointwise map make the
+    # pre-activation the field itself, one extreme value per batch entry
+    values = np.array([-1e4, -800.0, -30.0, 0.0, 30.0, 800.0])
+    f = np.repeat(values[:, None, None], 2, axis=2)
+    _, sp, w, spec = spectral_case((2,), (1,), m, "diagonal", 1, seed=4, batch=6, channels=1)
+    arrays = [f, sp, np.zeros_like(w), np.eye(1), np.zeros(1)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out, grads = node_grads(lambda ft, st, wt, pwt, bt: frame.spectral(
+            ft, st, wt, spec, (1,), (2,), (pwt, bt), activation), arrays, np.ones(f.shape))
+    slope = np.where(f > 0, 1.0, 0.0) + (0.0 if activation == "relu" else 0.5) * (f == 0)
+    assert all(np.all(np.isfinite(x)) for x in [out] + grads)
+    assert np.allclose(out, np.maximum(f, 0.0), rtol=1e-12, atol=1e-10)
+    assert np.allclose(grads[0], slope, rtol=1e-12, atol=1e-10)
+    assert np.allclose(grads[-2], np.sum(f * slope), rtol=1e-12, atol=1e-10)
+    assert np.allclose(grads[-1], np.sum(slope), rtol=1e-12, atol=1e-10)
+
+
+@pytest.mark.parametrize("shape", [(3, 2, 8), (2, 3, 4, 8)], ids=["1d", "2d"])
+def test_linear_node_matches_the_taped_chain(shape):
+    r = rng(8)
+    arrays = [r.standard_normal(shape), r.standard_normal((shape[1], 4)),
+              r.standard_normal(4)]
+    g = r.standard_normal((shape[0], 4) + shape[2:])
+    out, grads = node_grads(frame.linear, arrays, g)
+    want_out, want_grads = node_grads(taped_linear, arrays, g)
+    assert out.shape == want_out.shape
+    assert np.max(np.abs(out - want_out)) <= 1e-13 * np.max(np.abs(want_out))
+    for got, want in zip(grads, want_grads):
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_linear_node_skips_parents_without_grad():
+    x, w, b = T.tensor(np.ones((2, 3, 4))), T.parameter(np.ones((3, 2))), T.tensor(np.ones(2))
+    dx, dw, db = frame.linear(x, w, b)._vjp(np.ones((2, 2, 4)))
+    assert dx is None and db is None and np.array_equal(dw, np.full((3, 2), 8.0))

@@ -1,5 +1,6 @@
 """Autodiff correctness: every primitive against central finite differences."""
 
+import warnings
 import weakref
 import zlib
 
@@ -12,7 +13,8 @@ from able import fft, frame
 from able import tensor as T
 from able.errors import ContractError, DomainError
 
-from oracles import central_difference_paired, gelu_reference, silu_reference
+from oracles import (central_difference_paired, gelu_reference, gelu_tanh_reference,
+                     silu_reference)
 
 
 def autodiff_grad(build_loss, x0: np.ndarray) -> np.ndarray:
@@ -66,13 +68,18 @@ def test_gelu_at_zero():
 
 
 def test_gelu_matches_whole_array_expressions_bitwise():
+    # the sigmoid-form kernels bit for bit, and the tanh form they rewrite to roundoff
     x = 4.0 * rng(70).standard_normal((3, 4, 50))
     for arr in (x, x.transpose(2, 0, 1)):
         out = T.gelu(T.parameter(arr))
         want, want_vjp = gelu_reference(arr)
         assert np.array_equal(out.data, want)
         g = rng(71).standard_normal(arr.shape)
-        assert np.array_equal(out._vjp(g)[0], want_vjp(g))
+        got_vjp = out._vjp(g)[0]
+        assert np.array_equal(got_vjp, want_vjp(g))
+        tanh_out, tanh_vjp = gelu_tanh_reference(arr)
+        assert np.max(np.abs(out.data - tanh_out)) <= 1e-14 * np.max(np.abs(tanh_out))
+        assert np.max(np.abs(got_vjp - tanh_vjp(g))) <= 1e-14 * np.max(np.abs(tanh_vjp(g)))
 
 
 def test_silu_matches_whole_array_expressions_bitwise():
@@ -83,6 +90,25 @@ def test_silu_matches_whole_array_expressions_bitwise():
         assert np.array_equal(out.data, want)
         g = rng(73).standard_normal(arr.shape)
         assert np.array_equal(out._vjp(g)[0], want_vjp(g))
+
+
+EXTREMES = np.array([-1e4, -800.0, -30.0, 0.0, 30.0, 800.0])
+
+
+@pytest.mark.parametrize("name", ["relu", "silu", "gelu"])
+def test_activations_reach_their_limits_without_overflow_warnings(name):
+    # exp(-x) overflows to inf for silu below about -709 and gelu below about
+    # -22; the sigmoid is then exactly 0, so the overflow is not reported
+    x = T.parameter(EXTREMES.copy())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = T.ACTIVATIONS[name](x)
+        T.tape_backward(T.tsum(out))
+    slope_at_zero = 0.0 if name == "relu" else 0.5
+    assert np.all(np.isfinite(out.data)) and np.all(np.isfinite(x.grad))
+    assert np.allclose(out.data, np.maximum(EXTREMES, 0.0), rtol=1e-12, atol=1e-10)
+    assert np.allclose(x.grad, np.where(EXTREMES > 0, 1.0, 0.0) + slope_at_zero * (EXTREMES == 0),
+                       rtol=1e-12, atol=1e-10)
 
 
 def test_sqrt_quarter_tensor():
@@ -150,25 +176,29 @@ def test_complex_op_gradients(name, loss):
     assert_grad_matches(loss, z)
 
 
-def test_einsum2_gradient_diagonal_mixing():
-    w = randc((3, 2, 6), seed=21)
+def assert_contract_grads_match(spec, a, b, rtol=1e-5):
+    """The contraction kernels' gradients of sum |_contract(spec, a, b)|^2 for
+    both operands, `_contract_grad_a` and the second-operand product, against
+    central differences."""
+    g = 2.0 * T._contract(spec, a, b)
+    lhs, s_out = spec.split("->")
+    s_a, s_b = lhs.split(",")
+    got = (T._contract_grad_a(spec, g, a.shape, b),
+           T._contract(f"{s_a},{s_out}->{s_b}", a, g, conj="a"))
+    want = (central_difference_paired(lambda x: np.sum(np.abs(T._contract(spec, x, b)) ** 2), a),
+            central_difference_paired(lambda y: np.sum(np.abs(T._contract(spec, a, y)) ** 2), b))
+    for ga, fd in zip(got, want):
+        assert ga.shape == fd.shape
+        assert np.max(np.abs(ga - fd)) / max(np.max(np.abs(fd)), 1e-8) < rtol
 
-    def loss(t):
-        return T.tsum(T.abs2(T.einsum2("bim,iom->bom", t, T.tensor(w))))
 
-    assert_grad_matches(loss, randc((4, 3, 6), seed=22))
-
-    x = randc((4, 3, 6), seed=23)
-
-    def loss_w(t):
-        return T.tsum(T.abs2(T.einsum2("bim,iom->bom", T.tensor(x), t)))
-
-    assert_grad_matches(loss_w, w)
+def test_contract_gradient_diagonal_mixing():
+    assert_contract_grads_match("bim,iom->bom", randc((4, 3, 6), seed=22),
+                                randc((3, 2, 6), seed=21))
 
 
-# every contraction the operator builds, as (spec, shape_a, shape_b): the
-# per-point linear map `frame.linear` (lifting, the pointwise path and
-# projection), M=1 mixing, diagonal and cross mixing, in 1-D and 2-D
+# every contraction the operator has built, as (spec, shape_a, shape_b): a
+# per-point linear map, M=1 mixing, diagonal and cross mixing, in 1-D and 2-D
 OPERATOR_CONTRACTIONS = [
     ("bix,io->box", (2, 3, 8), (3, 4)),
     ("bixy,io->boxy", (2, 3, 4, 4), (3, 4)),
@@ -184,24 +214,16 @@ OPERATOR_CONTRACTIONS = [
 @pytest.mark.parametrize("complex_operands", [False, True], ids=["real", "complex"])
 @pytest.mark.parametrize("spec,shape_a,shape_b", OPERATOR_CONTRACTIONS,
                          ids=[c[0] for c in OPERATOR_CONTRACTIONS])
-def test_einsum2_operator_contractions(spec, shape_a, shape_b, complex_operands):
+def test_contract_operator_contractions(spec, shape_a, shape_b, complex_operands):
     if complex_operands:
         a, b = randc(shape_a, seed=51), randc(shape_b, seed=52)
     else:
         a, b = rng(51).standard_normal(shape_a), rng(52).standard_normal(shape_b)
     want = np.einsum(spec, a, b)
-    got = T.einsum2(spec, T.tensor(a), T.tensor(b)).data
+    got = T._contract(spec, a, b)
     assert got.shape == want.shape
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
-
-    def loss_a(t):
-        return T.tsum(T.abs2(T.einsum2(spec, t, T.tensor(b))))
-
-    def loss_b(t):
-        return T.tsum(T.abs2(T.einsum2(spec, T.tensor(a), t)))
-
-    assert_grad_matches(loss_a, a)
-    assert_grad_matches(loss_b, b)
+    assert_contract_grads_match(spec, a, b)
 
 
 # (spec, shape_a, shape_b, whether the second operand's matmul layout is a view)
@@ -210,38 +232,40 @@ VJP_LAYOUTS = [("bi,io->bo", (5, 3), (3, 4), True),
 
 
 @pytest.mark.parametrize("spec,shape_a,shape_b,view", VJP_LAYOUTS, ids=[c[0] for c in VJP_LAYOUTS])
-def test_einsum2_vjp_conjugates_copies_not_operands(spec, shape_a, shape_b, view):
+def test_contract_conjugates_copies_not_operands(spec, shape_a, shape_b, view):
     a, b = randc(shape_a, seed=61), randc(shape_b, seed=62)
     a0, b0 = a.copy(), b.copy()
-    out = T.einsum2(spec, T.parameter(a), T.parameter(b))
-    g = randc(out.shape, seed=63)
+    g = randc(T._contract(spec, a, b).shape, seed=63)
     lhs, s_out = spec.split("->")
     s_a, s_b = lhs.split(",")
     spec_ga, spec_gb = f"{s_out},{s_b}->{s_a}", f"{s_a},{s_out}->{s_b}"
     plan = T._matmul_plan(spec_ga, g.shape, b.shape)
     assert np.may_share_memory(b.transpose(plan[2]).reshape(plan[3]), b) == view
-    ga, gb = out._vjp(g)
+    ga = T._contract(spec_ga, g, b, conj="b")
+    gb = T._contract(spec_gb, a, g, conj="a")
+    ga_stored = T._contract_grad_a(spec, g, a.shape, b)
     assert np.array_equal(a, a0) and np.array_equal(b, b0)
     assert np.array_equal(ga, T._contract(spec_ga, g, np.conj(b)))
     assert np.array_equal(gb, T._contract(spec_gb, np.conj(a), g))
+    assert np.max(np.abs(ga_stored - ga)) <= 1e-14 * np.max(np.abs(ga))
 
 
-def test_einsum2_rejects_index_in_one_operand_only():
+def test_contract_rejects_index_in_one_operand_only():
     # 'k' is neither in the output nor in the other operand
     with pytest.raises(ContractError, match="one operand only"):
-        T.einsum2("bik,io->bo", T.tensor(np.ones((2, 3, 4))), T.tensor(np.ones((3, 5))))
+        T._contract("bik,io->bo", np.ones((2, 3, 4)), np.ones((3, 5)))
 
 
-def test_einsum2_rejects_repeated_index_in_an_operand():
+def test_contract_rejects_repeated_index_in_an_operand():
     with pytest.raises(ContractError, match="repeated index"):
-        T.einsum2("bii,io->bo", T.tensor(np.ones((2, 3, 3))), T.tensor(np.ones((3, 5))))
+        T._contract("bii,io->bo", np.ones((2, 3, 3)), np.ones((3, 5)))
 
 
-def test_einsum2_rejects_mismatched_extents():
+def test_contract_rejects_mismatched_extents():
     # 'i' and 'q' swap extents, so the summed block sizes agree; only a
     # per-index check catches it
     with pytest.raises(ContractError, match="extents"):
-        T.einsum2("biq,iqo->bo", T.tensor(np.ones((2, 2, 3))), T.tensor(np.ones((3, 2, 5))))
+        T._contract("biq,iqo->bo", np.ones((2, 2, 3)), np.ones((3, 2, 5)))
 
 
 def test_take_put_modes_adjoint_gradient():
@@ -301,8 +325,7 @@ def test_backward_drops_each_vjp_closure_it_runs():
         T.tape_backward(loss)
 
 
-@pytest.mark.parametrize("op", [T.mul, T.div, lambda a, b: T.einsum2("ij,jk->ik", a, b)],
-                         ids=["mul", "div", "einsum2"])
+@pytest.mark.parametrize("op", [T.mul, T.div], ids=["mul", "div"])
 def test_vjp_skips_operands_without_grad(op):
     x = T.parameter(np.full((2, 2), 2.0))
     c = T.tensor(np.full((2, 2), 3.0))

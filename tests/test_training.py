@@ -374,7 +374,7 @@ class LinearModel:
         return {"w": self.w}
 
     def __call__(self, x):
-        return T.einsum2("bi,io->bo", x, self.w)
+        return oracles.taped_contraction("bi,io->bo", x, self.w)
 
 
 def test_gradient_check_linear_model_quadratic_loss():
