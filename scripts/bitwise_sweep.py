@@ -94,8 +94,8 @@ def sweep() -> dict:
         for i, (name, extents, kwargs) in enumerate(variants()):
             net = build_network(ModelConfig(**kwargs), seed=i)
             data = np.random.default_rng(1000 + i).standard_normal((2, BATCH, 1) + extents)
-            out = net(T.tensor(data[0]))
-            loss = relative_l2(out, T.tensor(data[1]))
+            out = net(T.Tensor(data[0]))
+            loss = relative_l2(out, T.Tensor(data[1]))
             T.tape_backward(loss)
             arrays[f"{name}/loss"] = loss.data
             arrays[f"{name}/output"] = out.data

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import verify as verify_mod
-from .config import RunConfig, config_key_help, load_config, stream_seed
+from .config import RunConfig, config_key_help, is_number, load_config, stream_seed
 from .dataio import (Dataset, dataset_read, dataset_write, load_checkpoint,
                      make_burgers_dataset, make_darcy_dataset, write_atomic, write_json)
 from .errors import (AbleError, ContractError, DataFormatError, DomainError,
@@ -208,14 +208,14 @@ def cmd_bench(args) -> int:
 # ---- parser -----------------------------------------------------------------------
 
 def _number_list(text: str) -> list:
-    """argparse type: comma-separated JSON numbers."""
+    """argparse type: comma-separated finite JSON numbers."""
     try:
         values = [json.loads(v) for v in text.split(",")]
     except json.JSONDecodeError:
         values = None
-    if not values or not all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                             for v in values):
-        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
+    if not values or not all(is_number(v) for v in values):
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated finite numbers, got {text!r}")
     return values
 
 

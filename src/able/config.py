@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field, fields
 from typing import Optional
 
@@ -68,6 +69,13 @@ TASK_DATA_DEFAULTS = {
 }
 
 
+def is_number(value) -> bool:
+    """A finite JSON number: an int or a float, not a bool, NaN or an infinity
+    (Python's `json` reads `NaN` and `Infinity`)."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and (isinstance(value, int) or math.isfinite(value)))
+
+
 def _expected_type(value, default) -> Optional[str]:
     """What `value` should have been, given its field's default; None if it fits."""
     if default is None:                 # act_flags: per-layer switches
@@ -80,8 +88,7 @@ def _expected_type(value, default) -> Optional[str]:
     if isinstance(default, int):
         return None if isinstance(value, int) and not isinstance(value, bool) else "an integer"
     if isinstance(default, float):
-        ok = isinstance(value, (int, float)) and not isinstance(value, bool)
-        return None if ok else "a number"
+        return None if is_number(value) else "a finite number"
     return None if isinstance(value, str) else "a string"
 
 

@@ -21,14 +21,14 @@ transforms lifted data in the forward direction, which is slice-major too,
 `spectral`. A square-root density of None
 stands for a single slice of density one and skips the weighting.
 
-An operator layer is one tape node after its density head, `spectral`:
+An operator layer is one tape node after its density nodes, `spectral`:
 lift, mix, synthesize, real part, the pointwise map w^T f + b and the
 activation. Its forward calls the same kernels as `lift`, the mix and
 `synthesize`, in their order, so the spectral path is theirs bit for bit;
 it stays on the complex transforms because acceptance criterion 09 times
 it. The pointwise map is `_affine` into the node's own buffer, to which
 the path's real part is added, and the activation is one of the kernel
-pairs of `T.ACTIVATION_KERNELS`, which the tape ops share. Its VJP gets a
+pairs of `T.ACTIVATION_KERNELS`, which `linear` shares. Its VJP gets a
 real gradient, so past the activation's gradient it runs on the half
 spectrum: `_analyze_real` (r2c along the last axis, the negative block by
 Hermitian symmetry) and `_expand_real` (the real part of an expansion as
@@ -44,18 +44,22 @@ transform (at 64 x 64 keeping 16 modes per axis, 80 of 128 line FFTs).
 The density head is one tape node per layer, `DensityNetwork.energies`,
 with a hand-written VJP. It runs channels-first on (batch, channels,
 points), each stage one batched matmul plus its bias with silu between
-(the kernels `T.silu` uses), and the last stage's output channel h*M + m
-is slice m of head h, so one reshape makes it slice-major. The fd4 head's
-stencil features are never formed: a stencil along x commutes with a
-channel map, so its taps (`_taps`) combine the first-stage weights and
-two rolls (`_shift_sum`) apply them to the H-wide outputs. `linear`, the
-per-point map of the networks' lifting and projections, is one node on the
-same kernels: `_affine` forward, and W g, `_weight_grad` and the sum of g
-in its hand-written VJP.
-
-Square roots on the density path keep the exact forward value but use an
-epsilon-regularized derivative so one-hot densities (the low-temperature
-regime) keep finite gradients.
+(the kernels `T.ACTIVATION_KERNELS` holds), and the last stage's output
+channel h*M + m is slice m of head h, so one reshape makes it slice-major.
+The fd4 head's stencil features are never formed: a stencil along x
+commutes with a channel map, so its taps (`_taps`) combine the first-stage
+weights and two rolls (`_shift_sum`) apply them to the H-wide outputs.
+`sqrt_softmax`, the next node, is the square-root density the spectral
+node reads: the softmax over slices of energies / T (`_softmax`) and its
+square root, whose derivative is epsilon-regularized so one-hot densities
+(the low-temperature regime) keep finite gradients; a learned
+log-temperature is its parent. `density_from_energies` is the same softmax
+off the tape, a `DensityField` for the frame API and the checks, and the
+frame API (`able_forward`, `able_inverse`) takes its square roots off the
+tape too (`sqrt_density`). `linear`, the per-point map of the lifting and
+projections, is one node on the head's kernels: `_affine` and an optional
+activation forward; the activation's gradient, W g, `_weight_grad` and the
+sum of g in its VJP.
 """
 
 from __future__ import annotations
@@ -129,6 +133,8 @@ class DensityField:
         if spatial != self.grid.extents:
             raise ContractError(
                 f"density spatial shape {spatial} != grid extents {self.grid.extents}")
+        if not np.all(np.isfinite(v)):
+            raise ContractError("density has non-finite entries")
         if np.any(v < -tol) or np.any(v > 1.0 + tol):
             raise ContractError("density entries outside [0, 1]")
         rows = v.sum(axis=2)
@@ -169,30 +175,34 @@ class DensityNetConfig:
         if self.hidden < least:
             raise ContractError(
                 f"the {self.arch} density head needs hidden >= {least}, got {self.hidden}")
-        if self.temperature <= 0:
-            raise DomainError("temperature must be positive")
+        if not self.temperature > 0:
+            raise DomainError(f"temperature must be positive, got {self.temperature}")
         if self.slices < 1:
             raise ContractError("slice count must be >= 1")
 
 
-def linear(x: T.Tensor, w: T.Tensor, b: T.Tensor) -> T.Tensor:
-    """Per-point linear map on real channels-first data: (batch, I, spatial...)
-    with weights (I, O) and bias (O,) -> (batch, O, spatial...).
-
-    One tape node on the head's kernels: the forward is `_affine` on the
-    spatial axes flattened, the VJP W g, `_weight_grad` and the sum of g.
-    """
+def linear(x: T.Tensor, w: T.Tensor, b: T.Tensor,
+           activation: Optional[str] = None) -> T.Tensor:
+    """Per-point linear map on real channels-first data, (batch, I, spatial...)
+    with weights (I, O) and bias (O,) -> (batch, O, spatial...), then the
+    `activation` of `T.ACTIVATION_KERNELS`. One tape node: `_affine` on the
+    flattened spatial axes and the activation's kernel; its VJP the
+    activation's gradient kernel, W g, `_weight_grad` and the sum of g."""
+    act = T.ACTIVATION_KERNELS[activation]
     batch, spatial = x.shape[0], x.shape[2:]
     x3 = x.data.reshape(batch, x.shape[1], -1)
     wd = w.data
+    pre = _affine(wd, b.data, x3)
+    out, saved = (pre, None) if act is None else act[0](pre)
 
     def vjp(g):
         g3 = g.reshape(batch, wd.shape[1], -1)
+        if act is not None:
+            g3 = act[1](g3, pre, saved)
         return (np.matmul(wd, g3).reshape(x.shape) if x.requires_grad else None,
                 _weight_grad(x3, g3) if w.requires_grad else None,
                 g3.sum(axis=(0, 2)) if b.requires_grad else None)
 
-    out = _affine(wd, b.data, x3)
     return T._make(out.reshape((batch, wd.shape[1]) + spatial), (x, w, b), vjp)
 
 
@@ -257,13 +267,13 @@ class DensityNetwork:
             T.parameter(np.array(np.log(config.temperature)))
             if config.learn_temperature else None
         )
-        self._fixed_temperature = T.Tensor(np.array(config.temperature))
 
     @property
-    def temperature(self) -> T.Tensor:
+    def temperature(self) -> float:
+        """The softmax temperature: exp(log_temperature) when learned."""
         if self.log_temperature is not None:
-            return T.texp(self.log_temperature)
-        return self._fixed_temperature
+            return float(np.exp(self.log_temperature.data))
+        return self.config.temperature
 
     def named_parameters(self, prefix: str = "") -> dict:
         params = {}
@@ -347,22 +357,55 @@ class DensityNetwork:
                        (f, *self.weights, *self.biases), vjp)
 
 
-def density_from_energies(energies: T.Tensor, temperature,
+def _softmax(x: np.ndarray) -> np.ndarray:
+    """Softmax over the slice axis (2) of (batch, heads, M, spatial...),
+    C-contiguous whatever the input's layout: the lifted transform runs
+    slower on a strided density."""
+    x = np.ascontiguousarray(x)
+    e = np.exp(x - x.max(axis=2, keepdims=True))
+    return e / e.sum(axis=2, keepdims=True)
+
+
+def density_from_energies(energies: np.ndarray, temperature: float,
                           grid: Optional[Grid] = None) -> DensityField:
-    """Temperature softmax over the slice axis; rows sum to one by construction."""
-    t_val = temperature.item() if isinstance(temperature, T.Tensor) else float(temperature)
-    if t_val <= 0:
-        raise DomainError("temperature must be positive")
-    scaled = T.div(energies, temperature if isinstance(temperature, T.Tensor) else t_val)
-    p = T.softmax(scaled, axis=2)
-    return DensityField(p, grid if grid is not None else Grid(p.shape[3:]))
+    """Temperature softmax of an energy array over slices, off the tape."""
+    if not temperature > 0:
+        raise DomainError(f"temperature must be positive, got {temperature}")
+    p = _softmax(energies / temperature)
+    return DensityField(T.Tensor(p), grid if grid is not None else Grid(p.shape[3:]))
+
+
+def sqrt_softmax(energies: T.Tensor, temperature: float,
+                 log_temperature: Optional[T.Tensor] = None) -> T.Tensor:
+    """sqrt(p) for p = `_softmax`(energies / t), as one tape node: a layer's
+    square-root density, (batch, heads, M, spatial...). t is `temperature`,
+    or exp(log_temperature), a parent of the node, when that is given. The
+    VJP takes the square root's derivative at p + SQRT_GRAD_EPS."""
+    t = temperature if log_temperature is None else np.exp(log_temperature.data)
+    e = energies.data
+    p = _softmax(e / t)
+
+    def vjp(g):
+        g = g * (0.5 / np.sqrt(p + SQRT_GRAD_EPS))
+        g = p * (g - (g * p).sum(axis=2, keepdims=True))
+        de = g * (1.0 / t)
+        if log_temperature is None:
+            return (de,)
+        return de, -np.sum(g * e) / t     # d(e / t) / d log t = -e / t
+
+    parents = (energies,) if log_temperature is None else (energies, log_temperature)
+    return T._make(np.sqrt(p), parents, vjp)
 
 
 # ---- forward / inverse transform --------------------------------------------
 
 def sqrt_density(p: DensityField) -> T.Tensor:
-    """sqrt(p), (batch, heads, M, spatial...), to weight lifted data."""
-    return T.sqrt(p.values, grad_eps=SQRT_GRAD_EPS)
+    """sqrt(p), (batch, heads, M, spatial...), to weight lifted data; no tape,
+    so the frame API differentiates in the field and coefficients only."""
+    v = p.values.data
+    if np.any(v < 0):
+        raise DomainError("square root of a negative density entry")
+    return T.Tensor(np.sqrt(v))
 
 
 def _retained(k, extents) -> tuple:

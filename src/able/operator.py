@@ -1,16 +1,19 @@
 """Spectral operator layers on the adaptive frame, and their dense oracle.
 
-A layer computes a per-point density from its input (the density head is
-one node, `frame.DensityNetwork.energies`) and runs the rest as one tape
-node, `frame.spectral`: it lifts the input onto the retained low
+A layer computes a per-point square-root density from its input in two
+tape nodes (the density head, `frame.DensityNetwork.energies`, and its
+softmax and square root, `frame.sqrt_softmax`) and runs the rest as one
+tape node, `frame.spectral`: it lifts the input onto the retained low
 frequencies, mixes them with learnable complex weights (per slice, or
 across slice pairs in the cross variant), synthesizes back, keeps the real
 part, adds the pointwise map W^T f + b and applies the activation. The
 node's forward runs the c2c kernels of `frame.lift` and
 `frame.synthesize`, since acceptance criterion 09 times it; its VJP works
 on the real half spectrum. Lifting and projection are `frame.linear`, the
-same per-point map on the same batched-matmul kernels; one pipeline serves
-every slice count.
+same per-point map on the same batched-matmul kernels, the first projection
+with the activation inside its node; the coordinate channels are joined to
+the input in numpy, since the input is data. One pipeline serves every
+slice count.
 With a single slice the density is identically one and the layer reduces
 to a plain Fourier layer: it passes no square-root density (None), so the
 lifted transform skips the weighting, which softmax over one logit makes
@@ -40,7 +43,7 @@ from . import fft as _fft
 from . import tensor as T
 from .errors import ContractError
 from .frame import (DensityField, DensityNetConfig, DensityNetwork, Grid,
-                    density_from_energies, linear, spectral, sqrt_density,
+                    density_from_energies, linear, spectral, sqrt_softmax,
                     uniform_density)
 
 KERNEL_POINT_LIMIT = 4096
@@ -136,11 +139,12 @@ class AbleLayer:
         return params
 
     def density(self, f: T.Tensor) -> DensityField:
-        """Density this layer derives from its input; uniform ones when M == 1."""
+        """Density this layer derives from its input, off the tape; uniform when M == 1."""
         grid = Grid(f.shape[2:])
         if self.density_net is None:
             return uniform_density(grid, 1, batch=f.shape[0])
-        e = self.density_net.energies(f)
+        with T.no_grad():
+            e = self.density_net.energies(f).data
         return density_from_energies(e, self.density_net.temperature, grid)
 
     def forward(self, f: T.Tensor) -> T.Tensor:
@@ -150,7 +154,9 @@ class AbleLayer:
             raise ContractError(f"channel count {f.shape[1]} != layer width {self.in_channels}")
         extents = tuple(f.shape[2:])
         k = [self.multiplier.k_max] * self.ndim
-        sp = sqrt_density(self.density(f)) if self.density_net is not None else None
+        head = self.density_net
+        sp = None if head is None else sqrt_softmax(head.energies(f), head.config.temperature,
+                                                    head.log_temperature)
         return spectral(f, sp, self.multiplier.weights, mix_spec(self.kind, self.ndim),
                         k, extents, (self.pointwise, self.bias), self.activation)
 
@@ -262,7 +268,7 @@ class ModelConfig:
             if getattr(self, name) < 1:
                 raise ContractError(f"{name} must be >= 1, got {getattr(self, name)}")
         self.density_config()       # the density head's own checks
-        if self.activation not in T.ACTIVATIONS:
+        if self.activation not in T.ACTIVATION_KERNELS:
             raise ContractError(f"unknown activation {self.activation!r}; "
                                 "expected gelu, silu, relu or none")
         if self.act_flags is not None:
@@ -319,16 +325,16 @@ class AbleNetwork:
         return params
 
     def _coords(self, f: T.Tensor) -> T.Tensor:
+        """The input and one coordinate channel per axis, in numpy: the input is data."""
         batch = f.shape[0]
         extents = f.shape[2:]
-        channels = []
+        channels = [f.data]
         for d, n in enumerate(extents):
-            ax = np.arange(n) / n
             shape = [1, 1] + [1] * len(extents)
             shape[2 + d] = n
-            grid = np.broadcast_to(ax.reshape(shape), (batch, 1) + tuple(extents))
-            channels.append(T.Tensor(np.ascontiguousarray(grid)))
-        return T.concatenate([f] + channels, axis=1)
+            channels.append(np.broadcast_to((np.arange(n) / n).reshape(shape),
+                                            (batch, 1) + tuple(extents)))
+        return T.Tensor(np.concatenate(channels, axis=1))
 
     def lift_input(self, f: T.Tensor) -> T.Tensor:
         """The input lifted to the layer width: what the first layer sees."""
@@ -344,10 +350,7 @@ class AbleNetwork:
         x = self.lift_input(f)
         for layer in self.layers:
             x = layer(x)
-        act = T.ACTIVATIONS[self.config.activation]
-        h = linear(x, self.proj1_w, self.proj1_b)
-        if act is not None:
-            h = act(h)
+        h = linear(x, self.proj1_w, self.proj1_b, self.config.activation)
         return linear(h, self.proj2_w, self.proj2_b)
 
     __call__ = forward

@@ -1,46 +1,46 @@
 """Reverse-mode automatic differentiation over dense numpy arrays.
 
-Define-by-run: every operation links its output to its parents with a
-closure computing the vector-Jacobian product, and `tape_backward` replays
-the recorded graph once in reverse topological order. The tape therefore
-exists only between a forward pass and its backward pass and is rebuilt
+Define-by-run: every node links its output to its parents with a closure
+computing the vector-Jacobian product, and `tape_backward` replays the
+recorded graph once in reverse topological order. The tape is rebuilt
 from scratch every step: the sweep drops each node's VJP closure once it
 has run, which frees the buffers kept only for the backward pass, so a
 spent graph cannot be swept again.
 
+This module holds the tape and the kernels its nodes share, not a library
+of ops: each node is built on `_make` with a hand-written VJP by the
+module that owns its computation. A training step records the lifting
+and both projections (`frame.linear`), per adaptive layer its density
+head (`frame.DensityNetwork.energies`) and square-root density
+(`frame.sqrt_softmax`), per layer its spectral node (`frame.spectral`),
+and the loss (`training.relative_l2`); the frame API adds `frame.lift`
+and `frame.synthesize`.
+
 Complex tensors follow the paired-reals convention: for a real loss L and
-a complex value x = a + ib, the stored gradient is dL/da + i*dL/db. Under
-this convention a holomorphic op with derivative f' propagates
-grad_in = conj(f') * grad_out. The FFT is not a tape op: the lifted
-transform in `frame` builds its analysis and synthesis nodes on `_make`
-with hand-written VJPs, and so does a layer's whole spectral path, real
-part included (`frame.spectral`), so there is no real-part op here.
+a complex value x = a + ib, the stored gradient is dL/da + i*dL/db, so a
+holomorphic map with derivative f' propagates grad_in = conj(f') *
+grad_out. `tape_backward` sums a gradient over the axes broadcasting
+added (`_unbroadcast`) and keeps the real part of a real tensor's
+(`_project`). Tensors are immutable once built; optimizers mutate
+parameter buffers in place between steps, outside the taped region.
 
-Tensors are immutable once built; optimizers mutate parameter buffers
-in place between steps, which is outside the taped region.
-
-There is no taped contraction. `_contract` runs a two-operand einsum as
-one batched BLAS matmul through a transpose/reshape plan cached per
-(spec, shapes) (`_matmul_plan`), and returns a transposed view of the
-product; `conj` conjugates an operand after that layout copy, in place on
-the copy, so no conjugated copy of a whole operand is made.
-`_contract_grad_a` is the first-operand gradient in another form,
-conj(conj(g) @ Wᵀ) on the forward's view of the second operand W, so
-weights stored in the forward's layout are not copied at all.
-`frame.spectral` calls both for a layer's mode mixing. The per-point maps
-(`frame.linear`, the density head and a layer's pointwise path) are plain
-batched matmuls inside nodes of their own. `np.einsum` is kept only in the
-independent oracles (`reference.fno_layer`, `operator.materialize_kernel`
-and the dense path of `verify.dense_kernel_residual`).
+`_contract` runs a two-operand einsum as one batched BLAS matmul through a
+transpose/reshape plan cached per (spec, shapes) (`_matmul_plan`), and
+returns a transposed view of the product; `conj` conjugates an operand
+after that layout copy, in place on the copy. `_contract_grad_a` is the
+first-operand gradient as conj(conj(g) @ Wᵀ) on the forward's view of the
+second operand W, so weights stored in the forward's layout are never
+copied. `frame.spectral` calls both for a layer's mode mixing; the
+per-point maps are plain batched matmuls inside their nodes. `np.einsum`
+is kept only in the independent oracles (`reference.fno_layer`,
+`operator.materialize_kernel`, `verify.dense_kernel_residual`).
 
 Each activation is a pair of numpy kernels, forward and VJP, run as
-in-place ufuncs: `_relu`/`_relu_grad`, `_silu`/`_silu_grad` and
-`_gelu`/`_gelu_grad`. The ops `relu`, `silu` and `gelu` are built on them,
-and nodes that apply an activation inside their own forward and VJP share
-them: the density head (`frame.DensityNetwork.energies`) silu's, and each
-layer's spectral node (`frame.spectral`) any of `ACTIVATION_KERNELS`.
-gelu is the tanh form 0.5 x (1 + tanh u), computed in its exact sigmoid
-form x sigmoid(2u) with one exp.
+in-place ufuncs (`_relu`, `_silu`, `_gelu` and their `_grad`s), which the
+nodes apply inside their own forward and VJP: the density head silu's,
+the spectral node and `frame.linear` any of `ACTIVATION_KERNELS`. gelu is
+the tanh form 0.5 x (1 + tanh u), computed in its exact sigmoid form
+x sigmoid(2u) with one exp.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import ContractError, DomainError
+from .errors import ContractError
 
 _grad_enabled = True
 
@@ -111,16 +111,8 @@ class Tensor:
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}, grad={self.requires_grad})"
 
 
-def tensor(data) -> Tensor:
-    return Tensor(data)
-
-
 def parameter(data) -> Tensor:
     return Tensor(data, requires_grad=True)
-
-
-def _wrap(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 def _make(data: np.ndarray, parents: Sequence[Tensor], vjp: Callable) -> Tensor:
@@ -213,75 +205,7 @@ def tape_backward(loss: Tensor) -> None:
                 grads[id(p)] = pg
 
 
-# ---- elementwise arithmetic ----------------------------------------------
-
-def add(a, b) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
-    return _make(a.data + b.data, (a, b), lambda g: (g, g))
-
-
-def sub(a, b) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
-    return _make(a.data - b.data, (a, b), lambda g: (g, -g))
-
-
-def mul(a, b) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
-    ad, bd = a.data, b.data
-
-    def vjp(g):
-        return (g * np.conj(bd) if a.requires_grad else None,
-                g * np.conj(ad) if b.requires_grad else None)
-
-    return _make(ad * bd, (a, b), vjp)
-
-
-def div(a, b) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
-    ad, bd = a.data, b.data
-    out = ad / bd
-
-    def vjp(g):
-        return (g * np.conj(1.0 / bd) if a.requires_grad else None,
-                g * np.conj(-ad / (bd * bd)) if b.requires_grad else None)
-
-    return _make(out, (a, b), vjp)
-
-
-def sqrt(a, grad_eps: float = 0.0) -> Tensor:
-    """Elementwise square root of a nonnegative real tensor.
-
-    `grad_eps` regularizes only the backward pass: the derivative is
-    evaluated as 0.5/sqrt(x + grad_eps) so a zero input keeps a finite
-    gradient while the forward value stays exact.
-    """
-    a = _wrap(a)
-    if a.is_complex:
-        raise DomainError("sqrt is defined for real tensors only")
-    if np.any(a.data < 0):
-        raise DomainError("sqrt of negative input")
-    out = np.sqrt(a.data)
-
-    def vjp(g):
-        return (g * (0.5 / np.sqrt(a.data + grad_eps)),)
-
-    return _make(out, (a,), vjp)
-
-
-def texp(a) -> Tensor:
-    a = _wrap(a)
-    out = np.exp(a.data)
-    return _make(out, (a,), lambda g: (g * np.conj(out),))
-
-
-def _activation(a, kernel, grad) -> Tensor:
-    """The tape op of an activation from its kernel pair: `kernel(x)` gives
-    (out, saved) and `grad(g, x, saved)` the VJP."""
-    a = _wrap(a)
-    x = a.data
-    out, saved = kernel(x)
-    return _make(out, (a,), lambda g: (grad(g, x, saved),))
-
+# ---- activation kernels ------------------------------------------------------
 
 def _relu(x: np.ndarray) -> tuple:
     """relu's forward kernel: (out, mask) with mask = [x > 0] as floats, out = x mask."""
@@ -352,71 +276,10 @@ def _gelu_grad(g: np.ndarray, x: np.ndarray, s: np.ndarray) -> np.ndarray:
     return np.multiply(g, d, out=d)
 
 
-def relu(a) -> Tensor:
-    """max(x, 0) (`_relu`, `_relu_grad`)."""
-    return _activation(a, _relu, _relu_grad)
-
-
-def silu(a) -> Tensor:
-    """x sigmoid(x) (`_silu`, `_silu_grad`)."""
-    return _activation(a, _silu, _silu_grad)
-
-
-def gelu(a) -> Tensor:
-    """Tanh-form gelu, 0.5 x (1 + tanh u) with u = c (x + 0.044715 x^3) and
-    c = sqrt(2 / pi), computed in its exact sigmoid form x sigmoid(2u), one
-    exp and no tanh (`_gelu`, `_gelu_grad`)."""
-    return _activation(a, _gelu, _gelu_grad)
-
-
-ACTIVATIONS = {"relu": relu, "silu": silu, "gelu": gelu, "none": None, None: None}
-# the kernel pairs of the same activations, for nodes that apply one inside
-# their own forward and VJP (`frame.spectral`)
+# the kernel pairs of each activation, for the nodes that apply one inside
+# their own forward and VJP (`frame.spectral`, `frame.linear`)
 ACTIVATION_KERNELS = {"relu": (_relu, _relu_grad), "silu": (_silu, _silu_grad),
                       "gelu": (_gelu, _gelu_grad), "none": None, None: None}
-
-
-def softmax(a, axis: int = -1) -> Tensor:
-    """Softmax along `axis`, computed and returned C-contiguous whatever the
-    input's layout: densities are born here, and the lifted transform runs
-    slower on a strided density."""
-    a = _wrap(a)
-    if a.is_complex:
-        raise ContractError("softmax expects a real tensor")
-    x = np.ascontiguousarray(a.data)
-    z = x - x.max(axis=axis, keepdims=True)
-    e = np.exp(z)
-    out = e / e.sum(axis=axis, keepdims=True)
-
-    def vjp(g):
-        return (out * (g - (g * out).sum(axis=axis, keepdims=True)),)
-
-    return _make(out, (a,), vjp)
-
-
-# ---- shape manipulation ----------------------------------------------------
-
-def reshape(a, shape) -> Tensor:
-    a = _wrap(a)
-    old = a.shape
-    return _make(a.data.reshape(shape), (a,), lambda g: (g.reshape(old),))
-
-
-def concatenate(parts, axis: int) -> Tensor:
-    parts = [_wrap(p) for p in parts]
-    sizes = [p.shape[axis] for p in parts]
-    out = np.concatenate([p.data for p in parts], axis=axis)
-    offsets = np.cumsum([0] + sizes)
-
-    def vjp(g):
-        outs = []
-        for i in range(len(parts)):
-            sl = [slice(None)] * g.ndim
-            sl[axis] = slice(offsets[i], offsets[i + 1])
-            outs.append(g[tuple(sl)])
-        return tuple(outs)
-
-    return _make(out, parts, vjp)
 
 
 # ---- contractions -----------------------------------------------------------
@@ -509,32 +372,3 @@ def _conj_operand(op: np.ndarray, source: np.ndarray) -> np.ndarray:
     if not np.iscomplexobj(op):
         return op
     return np.conj(op) if np.may_share_memory(op, source) else np.conj(op, out=op)
-
-
-# ---- reductions --------------------------------------------------------------
-
-def tsum(a, axis=None) -> Tensor:
-    a = _wrap(a)
-    out = a.data.sum(axis=axis)
-    shape = a.shape
-
-    def vjp(g):
-        gg = g if axis is None else np.expand_dims(g, axis)
-        return (np.broadcast_to(gg, shape).copy(),)
-
-    return _make(out, (a,), vjp)
-
-
-def tmean(a) -> Tensor:
-    """Mean over every element."""
-    a = _wrap(a)
-    return mul(tsum(a), 1.0 / a.size)
-
-
-# ---- complex structure --------------------------------------------------------
-
-def abs2(a) -> Tensor:
-    """Squared modulus; real output for real or complex input."""
-    a = _wrap(a)
-    out = np.ascontiguousarray((a.data * np.conj(a.data)).real)
-    return _make(out, (a,), lambda g: (2.0 * g * a.data,))

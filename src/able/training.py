@@ -1,4 +1,9 @@
-"""Loss, optimizer, schedules, the training loop, and gradient checking."""
+"""Loss, optimizer, schedules, the training loop, and gradient checking.
+
+The training loss, `relative_l2`, is one tape node, the last of a step's
+graph, on the per-sample norm kernel that the evaluation metric
+(`relative_l2_numpy`) uses too.
+"""
 
 from __future__ import annotations
 
@@ -48,31 +53,35 @@ def _sample_norms(arr: np.ndarray) -> np.ndarray:
     return np.sqrt((arr.reshape(arr.shape[0], -1) ** 2).sum(axis=1))
 
 
-def relative_l2(pred: T.Tensor, target: T.Tensor) -> T.Tensor:
-    """Per-sample ||pred - target|| / ||target||, averaged over the batch.
+def _target_norms(target: np.ndarray) -> np.ndarray:
+    norms = _sample_norms(target)
+    if np.any(norms == 0):
+        raise DomainError("relative L2 undefined for a zero-norm target sample")
+    return norms
 
-    An exactly predicted sample takes the zero subgradient: the norm's
-    square root differentiates at residual + tiny, which leaves any
-    representable nonzero squared residual above about 1e-292 unchanged.
-    """
+
+def relative_l2(pred: T.Tensor, target: T.Tensor) -> T.Tensor:
+    """Per-sample ||pred - target|| / ||target||, averaged over the batch, as
+    one tape node on `relative_l2_numpy`'s kernel. The gradient of sample i
+    is r_i / (B ||r_i|| ||t_i||) for its residual r_i, and zero (the zero
+    subgradient) on an exactly predicted sample; the target is data."""
     if pred.shape != target.shape:
         raise ContractError(f"shape mismatch {pred.shape} vs {target.shape}")
-    t_norms = _sample_norms(target.data)
-    if np.any(t_norms == 0):
-        raise DomainError("relative L2 undefined for a zero-norm target sample")
+    t_norms = _target_norms(target.data)
     batch = pred.shape[0]
-    diff = T.sub(pred, target)
-    flat = T.reshape(diff, (batch, -1))
-    per = T.sqrt(T.tsum(T.abs2(flat), axis=1), grad_eps=np.finfo(np.float64).tiny)
-    return T.tmean(T.div(per, T.Tensor(t_norms)))
+    diff = (pred.data - target.data).reshape(batch, -1)
+    norms = _sample_norms(diff)
+
+    def vjp(g):
+        scale = np.divide(g / batch, norms * t_norms, out=np.zeros_like(norms), where=norms > 0)
+        return ((scale[:, None] * diff).reshape(pred.shape),)
+
+    return T._make((norms / t_norms).sum() * (1.0 / batch), (pred,), vjp)
 
 
 def relative_l2_numpy(pred: np.ndarray, target: np.ndarray) -> np.ndarray:
     """Per-sample values, plain numpy (evaluation path)."""
-    t_norms = _sample_norms(target)
-    if np.any(t_norms == 0):
-        raise DomainError("relative L2 undefined for a zero-norm target sample")
-    return _sample_norms(pred - target) / t_norms
+    return _sample_norms(pred - target) / _target_norms(target)
 
 
 # ---- optimizer -------------------------------------------------------------------

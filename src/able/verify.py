@@ -221,7 +221,7 @@ def constant_density_residual(layer: AbleLayer, f: np.ndarray, p: Sequence[float
     p = np.asarray(p, dtype=np.float64)
     head = layer.density_net
     head.weights[-1].data[...] = 0.0
-    head.biases[-1].data[...] = np.tile(float(head.temperature.data) * np.log(p), head.heads)
+    head.biases[-1].data[...] = np.tile(head.temperature * np.log(p), head.heads)
     w = layer.multiplier.weights.data
     reduced = (w @ np.sqrt(p)) @ np.sqrt(p) if layer.kind == "cross" else w @ p
     return _rel_max(layer(T.Tensor(f)).data, _fno_branch(layer, f, reduced))
@@ -288,8 +288,7 @@ def run_frame_properties(seeds: Sequence[int], extents_list: Sequence[tuple],
                 rng = np.random.default_rng(1000 * seed + 10 * m + grid.points)
                 tag = f"N={'x'.join(map(str, extents))},M={m},seed={seed}"
                 f = T.Tensor(_random_complex((1, 1) + grid.extents, rng))
-                energies = rng.standard_normal((1,) + grid.extents + (m,)) * 2
-                energies = T.Tensor(_slice_major(energies))
+                energies = _slice_major(rng.standard_normal((1,) + grid.extents + (m,)) * 2)
                 p = density_from_energies(energies, 0.8, grid)
                 if inject == "density-normalization":
                     p = DensityField(T.Tensor(p.values.data * 0.9), grid)
@@ -334,13 +333,13 @@ def run_frame_properties(seeds: Sequence[int], extents_list: Sequence[tuple],
 
 def _temperature_checks(report: PropertyReport) -> None:
     rng = np.random.default_rng(77)
-    energies = T.Tensor(_slice_major(rng.standard_normal((1, 32, 4)) * 2))
+    energies = _slice_major(rng.standard_normal((1, 32, 4)) * 2)
     low = density_from_energies(energies, 1e-6).values.data
     report.add(
         name="low_temperature_one_hot",
         claim="at vanishing temperature every density row is one-hot",
         residual=float(1.0 - low.max(axis=2).min()), tolerance=1e-6)
-    spread = T.Tensor(np.broadcast_to(np.array([3.0, 1.0, -2.0])[:, None], (1, 1, 3, 32)).copy())
+    spread = np.broadcast_to(np.array([3.0, 1.0, -2.0])[:, None], (1, 1, 3, 32))
     high = density_from_energies(spread, 1e6).values.data
     report.add(
         name="high_temperature_uniform",
@@ -608,7 +607,7 @@ def entropy_vs_temperature_at_fixed_weights(net, probe: np.ndarray,
     if layer is None:
         return [0.0] * len(t_list)
     with T.no_grad():
-        energies = layer.density_net.energies(net.lift_input(T.Tensor(probe)))
+        energies = layer.density_net.energies(net.lift_input(T.Tensor(probe))).data
     out = []
     for t in t_list:
         p = density_from_energies(energies, t)

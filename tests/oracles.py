@@ -2,9 +2,10 @@
 
 Everything in here is deliberately naive (O(N^2) sums, explicit loops,
 central differences) and shares no code with the library paths it checks.
-The exceptions are the taped chains (`taped_contraction`, `taped_linear`):
-the fused nodes are checked against chains of small tape nodes, and those
-are built on the library's tape and contraction kernels.
+The exceptions are the taped chains (the `taped_*` functions): the fused
+nodes are checked against chains of small tape nodes, one per step, built
+on the library's tape, contraction and activation kernels, and the test
+losses (`inner`, `sq_norm`) are one node each.
 """
 
 import numpy as np
@@ -53,6 +54,17 @@ def central_difference_paired(f, x0: np.ndarray, h: float = 1e-6) -> np.ndarray:
         return central_difference(f, x0.copy(), h=h)
     return (central_difference(lambda a: f(a + 1j * x0.imag), x0.real.copy(), h=h)
             + 1j * central_difference(lambda a: f(x0.real + 1j * a), x0.imag.copy(), h=h))
+
+
+def assert_grad_matches(build_loss, x0: np.ndarray, rtol: float = 1e-5) -> np.ndarray:
+    """The tape's gradient of the loss `build_loss` at a leaf x0 against
+    central differences, relative to the largest entry; returns the tape's."""
+    leaf = T.parameter(x0.copy())
+    T.tape_backward(build_loss(leaf))
+    want = central_difference_paired(lambda a: build_loss(T.Tensor(a.copy())).item(), x0)
+    assert leaf.grad.dtype == x0.dtype
+    assert np.max(np.abs(leaf.grad - want)) / max(np.max(np.abs(want)), 1e-8) < rtol
+    return leaf.grad
 
 
 def stencil_periodic(f: np.ndarray, kernel) -> np.ndarray:
@@ -220,10 +232,38 @@ def silu_reference(x: np.ndarray) -> tuple:
     return out, vjp
 
 
+# ---- the fused nodes' reference chains, one small tape node per step ----------
+
+def taped_add(a, b):
+    """a + b; the tape sums a broadcast gradient back to each shape."""
+    return T._make(a.data + b.data, (a, b), lambda g: (g, g))
+
+
+def taped_scale(a, c: float):
+    """c a for a constant c."""
+    return T._make(c * a.data, (a,), lambda g: (c * g,))
+
+
+def taped_reshape(a, shape):
+    return T._make(a.data.reshape(shape), (a,), lambda g: (g.reshape(a.shape),))
+
+
+def taped_concatenate(parts, axis: int):
+    cuts = np.cumsum([p.shape[axis] for p in parts])[:-1]
+    return T._make(np.concatenate([p.data for p in parts], axis=axis), parts,
+                   lambda g: tuple(np.split(g, cuts, axis=axis)))
+
+
+def taped_activation(name: str, a):
+    """The activation `name` of `tensor.ACTIVATION_KERNELS` as its own node."""
+    kernel, grad = T.ACTIVATION_KERNELS[name]
+    out, saved = kernel(a.data)
+    return T._make(out, (a,), lambda g: (grad(g, a.data, saved),))
+
+
 def taped_contraction(spec: str, a, b):
     """A two-operand einsum as one tape node: the forward and both VJP
     products are `tensor._contract`, the VJP conjugating the other operand."""
-    a, b = T._wrap(a), T._wrap(b)
     lhs, s_out = spec.split("->")
     s_a, s_b = lhs.split(",")
 
@@ -240,4 +280,18 @@ def taped_linear(x, w, b):
     a reshape of the bias and an add."""
     spatial = "xy"[:x.ndim - 2]
     out = taped_contraction(f"bi{spatial},io->bo{spatial}", x, w)
-    return T.add(out, T.reshape(b, (1, -1) + (1,) * (x.ndim - 2)))
+    return taped_add(out, taped_reshape(b, (1, -1) + (1,) * (x.ndim - 2)))
+
+
+# ---- test losses, one node each ------------------------------------------------
+
+def inner(x, g):
+    """Re sum(x conj(g)) for a fixed array g: the loss whose gradient in x is
+    g, for a real or a complex x."""
+    return T._make(np.sum(x.data * np.conj(g)).real, (x,), lambda d: (d * g,))
+
+
+def sq_norm(x, centre=0.0):
+    """sum |x - centre|^2 for a fixed centre; its gradient in x is 2 (x - centre)."""
+    r = x.data - centre
+    return T._make(np.sum((r * np.conj(r)).real), (x,), lambda d: (2.0 * d * r,))

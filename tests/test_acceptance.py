@@ -37,7 +37,7 @@ def test_criterion_01_parseval_isometry():
                 shape = (1, 1) + grid.extents
                 f = T.Tensor(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
                 e = rng.standard_normal((1,) + grid.extents + (m,)) * 2
-                e = T.Tensor(np.moveaxis(e, -1, 1)[:, None])
+                e = np.moveaxis(e, -1, 1)[:, None]
                 p = density_from_energies(e, 0.8, grid)
                 coeff = able_forward(f, p).values.data
                 worst_parseval = max(worst_parseval, verify.isometry_residual(f.data, coeff))
@@ -106,7 +106,7 @@ def test_criterion_05_temperature_limits():
     layer = verify.spectral_only(verify.make_layer("diagonal", 3, seed=40, temperature=1e6))
     high_t_res = verify.high_temperature_residual(layer, rng.standard_normal((2, 2, 16)))
 
-    energies = T.Tensor(np.moveaxis(rng.standard_normal((1, 64, 4)), -1, 1)[:, None])
+    energies = np.moveaxis(rng.standard_normal((1, 64, 4)), -1, 1)[:, None]
     low = density_from_energies(energies, 1e-6).values.data
     min_max_entry = float(low.max(axis=2).min())
 

@@ -234,9 +234,10 @@ def test_eval_unknown_model_key_is_file_error(trained_run, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("changes", [{"density_arch": "foo"}, {"kind": "foo"},
-                                     {"temperature": -1.0}, {"slices": 0},
-                                     {"ndim": 2, "density_arch": "fd4"}],
-                         ids=["density-arch", "kind", "temperature", "slices", "2-D-fd4"])
+                                     {"temperature": -1.0}, {"temperature": float("nan")},
+                                     {"slices": 0}, {"ndim": 2, "density_arch": "fd4"}],
+                         ids=["density-arch", "kind", "temperature", "temperature-nan",
+                              "slices", "2-D-fd4"])
 def test_eval_header_that_fails_the_build_is_file_error(trained_run, tmp_path, capsys, changes):
     tmp, _ = trained_run
     bad = _checkpoint_with_model(tmp / "run1/model.ckpt", tmp_path / "unbuildable.ckpt",
@@ -491,7 +492,13 @@ BAD_INPUTS = {
     "n-layers-negative": (["train", "--set", "model.n_layers=-1"], 2),
     "epochs-negative": (["train", "--set", "train.epochs=-1"], 2),
     "checkpoint-width-not-an-integer": (["eval", "--checkpoint", "{bad_ckpt}"], 3),
+    "learning-rate-nan": (["train", "--set", "train.learning_rate=NaN"], 2),
+    "temperature-nan": (["train", "--set", "model.temperature=NaN"], 2),
+    "temperature-infinite": (["train", "--set", "model.temperature=Infinity"], 2),
+    "nu-negative-infinite": (["train", "--set", "data.nu=-Infinity"], 2),
     "sweep-values-not-numbers": (["sweep", "--axis", "M", "--values", "x"], 2),
+    "sweep-values-infinite": (["sweep", "--axis", "T", "--values", "0.5,Infinity"], 2),
+    "sweep-values-nan": (["sweep", "--axis", "T", "--values", "NaN"], 2),
     "bench-m-list-not-integers": (["bench", "--m-list", "a"], 2),
     "bench-n-list-not-powers-of-two": (["bench", "--n-list", "1000,2000"], 2),
     "bench-single-value-lists": (["bench", "--m-list", "1", "--n-list", "1024"], 2),

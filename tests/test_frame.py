@@ -14,9 +14,10 @@ from able import operator as op
 from able import tensor as T
 from able.errors import ContractError, DomainError, UnsupportedSizeError
 
-from oracles import (central_difference, central_difference_paired, density_energies_direct,
-                     grid_norm_sq, parseval_direct, stencil_periodic, taped_contraction,
-                     taped_linear)
+from oracles import (assert_grad_matches, central_difference, central_difference_paired,
+                     density_energies_direct, grid_norm_sq, inner, parseval_direct,
+                     stencil_periodic, taped_activation, taped_add, taped_concatenate,
+                     taped_contraction, taped_linear, taped_reshape, taped_scale)
 
 
 def rng(seed):
@@ -31,8 +32,7 @@ def slice_major(a, per_channel=False):
 def random_density(grid, m, batch=1, seed=0, channels=None):
     shape = (batch,) + ((channels,) if channels else ()) + grid.extents + (m,)
     e = rng(seed).standard_normal(shape) * 2.0
-    p = T.softmax(T.tensor(slice_major(e, channels is not None)), axis=2)
-    return frame.DensityField(p, grid)
+    return frame.density_from_energies(slice_major(e, channels is not None), 1.0, grid)
 
 
 # ---- grid / density types -----------------------------------------------------
@@ -56,27 +56,28 @@ def test_grid_properties():
 
 def test_density_validate_rejects_bad_rows():
     g = frame.Grid((8,))
-    bad = frame.DensityField(T.tensor(slice_major(np.full((1, 8, 2), 0.45))), g)
-    with pytest.raises(ContractError):
-        bad.validate()
+    for fill in (0.45, np.nan):
+        bad = frame.DensityField(T.Tensor(slice_major(np.full((1, 8, 2), fill))), g)
+        with pytest.raises(ContractError):
+            bad.validate()
 
 
 def test_density_from_energies_rejects_nonpositive_temperature():
     with pytest.raises(DomainError):
-        frame.density_from_energies(T.tensor(slice_major(np.zeros((1, 8, 2)))), 0.0)
+        frame.density_from_energies(slice_major(np.zeros((1, 8, 2))), 0.0)
 
 
 # ---- softmax density examples ---------------------------------------------------
 
 def test_equal_energies_give_uniform():
-    p = frame.density_from_energies(T.tensor(slice_major(np.zeros((1, 4, 2)))), 1.0)
+    p = frame.density_from_energies(slice_major(np.zeros((1, 4, 2))), 1.0)
     assert np.allclose(p.values.data, 0.5, atol=1e-15)
 
 
 def test_low_temperature_one_hot():
     e = np.zeros((1, 4, 2))
     e[..., 0] = 1.0
-    p = frame.density_from_energies(T.tensor(slice_major(e)), 1e-4)
+    p = frame.density_from_energies(slice_major(e), 1e-4)
     assert np.all(np.abs(p.values.data[:, :, 0] - 1.0) < 1e-10)
     assert np.all(p.values.data[:, :, 1] < 1e-10)
 
@@ -84,23 +85,20 @@ def test_low_temperature_one_hot():
 def test_high_temperature_uniform():
     e = np.zeros((1, 4, 3))
     e[..., 0], e[..., 1], e[..., 2] = 3.0, 1.0, -2.0
-    p = frame.density_from_energies(T.tensor(slice_major(e)), 1e6)
+    p = frame.density_from_energies(slice_major(e), 1e6)
     assert np.max(np.abs(p.values.data - 1.0 / 3.0)) < 1e-6
 
 
 def test_entropy_monotone_in_temperature():
     e = rng(5).standard_normal((1, 16, 4)) * 2
-    entropies = [
-        frame.density_entropy(frame.density_from_energies(T.tensor(slice_major(e)), t)
-                              .values.data)
-        for t in (0.01, 0.1, 1.0, 10.0, 100.0)
-    ]
+    entropies = [frame.density_entropy(frame.density_from_energies(slice_major(e), t).values.data)
+                 for t in (0.01, 0.1, 1.0, 10.0, 100.0)]
     assert all(b >= a - 1e-12 for a, b in zip(entropies, entropies[1:]))
 
 
 def test_low_temperature_limit_max_entry():
     e = rng(6).standard_normal((1, 32, 4))
-    p = frame.density_from_energies(T.tensor(slice_major(e)), 1e-6)
+    p = frame.density_from_energies(slice_major(e), 1e-6)
     assert np.all(p.values.data.max(axis=2) >= 1.0 - 1e-6)
 
 
@@ -139,17 +137,17 @@ def test_zero_network_zero_energies():
     net = frame.DensityNetwork(cfg, in_channels=2, ndim=1, rng=rng(0))
     for w in net.weights:
         w.data[...] = 0.0
-    e = net.energies(T.tensor(np.zeros((2, 2, 8))))
+    e = net.energies(T.Tensor(np.zeros((2, 2, 8))))
     assert np.array_equal(e.data, np.zeros((2, 1, 3, 8)))
 
 
 def test_fd4_network_shapes_and_channel_check():
     cfg = frame.DensityNetConfig(slices=2, arch="fd4", hidden=16)
     net = frame.DensityNetwork(cfg, in_channels=3, ndim=1, rng=rng(1))
-    out = net.energies(T.tensor(rng(2).standard_normal((4, 3, 16))))
+    out = net.energies(T.Tensor(rng(2).standard_normal((4, 3, 16))))
     assert out.shape == (4, 1, 2, 16)
     with pytest.raises(ContractError):
-        net.energies(T.tensor(np.zeros((4, 5, 16))))
+        net.energies(T.Tensor(np.zeros((4, 5, 16))))
 
 
 def test_fd4_rejected_in_2d():
@@ -161,7 +159,7 @@ def test_fd4_rejected_in_2d():
 def test_per_channel_network_output_layout():
     cfg = frame.DensityNetConfig(slices=4, arch="mlp2", hidden=8, per_channel=True)
     net = frame.DensityNetwork(cfg, in_channels=3, ndim=2, rng=rng(3))
-    out = net.energies(T.tensor(rng(4).standard_normal((2, 3, 8, 8))))
+    out = net.energies(T.Tensor(rng(4).standard_normal((2, 3, 8, 8))))
     assert out.shape == (2, 3, 4, 8, 8)
 
 
@@ -184,7 +182,7 @@ def test_energies_match_per_point_oracle(arch, per_channel, residual, shape):
                                  residual=residual)
     net = frame.DensityNetwork(cfg, in_channels=shape[1], ndim=len(shape) - 2, rng=rng(5))
     f = rng(6).standard_normal(shape)
-    got = net.energies(T.tensor(f)).data
+    got = net.energies(T.Tensor(f)).data
     want = density_energies_direct(f, [w.data for w in net.weights],
                                    [b.data for b in net.biases], slices=3, heads=net.heads,
                                    stencil=arch == "fd4", residual=residual)
@@ -199,10 +197,10 @@ def chain_roll(t, shift):
 
 def chain_stencil(t, kernel):
     k0, k1, k2 = kernel
-    out = T.mul(chain_roll(t, -1), k0)
+    out = taped_scale(chain_roll(t, -1), k0)
     if k1 != 0.0:
-        out = T.add(out, T.mul(t, k1))
-    return T.add(out, T.mul(chain_roll(t, 1), k2))
+        out = taped_add(out, taped_scale(t, k1))
+    return taped_add(out, taped_scale(chain_roll(t, 1), k2))
 
 
 def chain_energies(net, f):
@@ -210,18 +208,18 @@ def chain_energies(net, f):
     concatenated, then one taped linear map per stage, slice-major at the end."""
     x = f
     if net.config.arch == "fd4":
-        ones = T.tensor(np.ones(f.shape[:1] + (1,) + f.shape[2:]))
-        x = T.concatenate([f, chain_stencil(f, frame.FIRST_DIFF_STENCIL),
-                           chain_stencil(f, frame.SECOND_DIFF_STENCIL), ones], axis=1)
+        ones = T.Tensor(np.ones(f.shape[:1] + (1,) + f.shape[2:]))
+        x = taped_concatenate([f, chain_stencil(f, frame.FIRST_DIFF_STENCIL),
+                               chain_stencil(f, frame.SECOND_DIFF_STENCIL), ones], axis=1)
     hidden = []
     for w, b in zip(net.weights[:-1], net.biases[:-1]):
         pre = taped_linear(x, w, b)
         if len(hidden) == 2 and net.config.residual:
-            pre = T.add(pre, hidden[0])
-        x = T.silu(pre)
+            pre = taped_add(pre, hidden[0])
+        x = taped_activation("silu", pre)
         hidden.append(x)
     out = taped_linear(x, net.weights[-1], net.biases[-1])
-    return T.reshape(out, (out.shape[0], net.heads, net.config.slices) + out.shape[2:])
+    return taped_reshape(out, (out.shape[0], net.heads, net.config.slices) + out.shape[2:])
 
 
 def head_grads(net, build, f, g):
@@ -230,7 +228,7 @@ def head_grads(net, build, f, g):
     for p in params:
         p.grad = None
     ft = T.parameter(f)
-    T.tape_backward(T.tsum(T.mul(build(ft), T.tensor(g))))
+    T.tape_backward(inner(build(ft), g))
     return [ft.grad] + [p.grad for p in params]
 
 
@@ -245,12 +243,12 @@ def test_energies_node_gradients_match_chain_and_central_differences(arch, per_c
     for b in net.biases:
         b.data[...] = 0.1 * r.standard_normal(b.shape)
     f = r.standard_normal(shape)
-    g = r.standard_normal(net.energies(T.tensor(f)).shape)
+    g = r.standard_normal(net.energies(T.Tensor(f)).shape)
     got = head_grads(net, net.energies, f, g)
     chain = head_grads(net, lambda ft: chain_energies(net, ft), f, g)
 
     def loss(a):
-        return float(np.sum(net.energies(T.tensor(a)).data * g))
+        return float(np.sum(net.energies(T.Tensor(a)).data * g))
 
     # central differences perturb each weight and bias in place
     fd = [central_difference(loss, f.copy())]
@@ -283,9 +281,56 @@ def test_energies_node_peaks_below_the_chain():
 def test_density_network_initial_density_near_uniform():
     cfg = frame.DensityNetConfig(slices=4, arch="mlp2", hidden=16)
     net = frame.DensityNetwork(cfg, in_channels=2, ndim=1, rng=rng(7))
-    e = net.energies(T.tensor(rng(8).standard_normal((2, 2, 32))))
-    p = frame.density_from_energies(e, cfg.temperature)
+    e = net.energies(T.Tensor(rng(8).standard_normal((2, 2, 32))))
+    p = frame.density_from_energies(e.data, cfg.temperature)
     assert np.max(np.abs(p.values.data - 0.25)) < 0.2
+
+
+# ---- the square-root density node ---------------------------------------------------
+
+@pytest.mark.parametrize("learned", [False, True], ids=["fixed-T", "learned-T"])
+@pytest.mark.parametrize("shape", [(2, 1, 3, 16), (2, 3, 2, 4, 8)],
+                         ids=["shared-1d", "per-channel-2d"])
+def test_sqrt_softmax_node_matches_density_from_energies_and_central_differences(shape,
+                                                                                 learned):
+    r = rng(95)
+    arrays = [2.0 * r.standard_normal(shape), np.array(np.log(0.6))]
+    g = r.standard_normal(shape)
+
+    def node(et, log_t):
+        return frame.sqrt_softmax(et, 0.6, log_t if learned else None)
+
+    out, grads = node_grads(node, arrays, g)
+    p = frame.density_from_energies(arrays[0], np.exp(arrays[1]) if learned else 0.6)
+    assert np.array_equal(out, np.sqrt(p.values.data))
+    assert (grads[1] is not None) == learned
+    for i in range(1 + learned):
+        def loss(a, i=i):
+            return float(np.sum(node(*[T.Tensor(x) for x in arrays[:i] + [a] + arrays[i + 1:]])
+                                .data * g))
+
+        fd = central_difference(loss, arrays[i].copy())
+        assert np.max(np.abs(grads[i] - fd)) <= 1e-6 * np.max(np.abs(fd)), i
+
+
+def test_sqrt_softmax_keeps_a_finite_gradient_at_a_one_hot_density():
+    # at T = 1e-3 the density is exactly one-hot; sqrt's derivative at 0 is
+    # taken at SQRT_GRAD_EPS
+    e = T.parameter(slice_major(np.array([[[1.0, 0.0]] * 4])))
+    sp = frame.sqrt_softmax(e, 1e-3)
+    assert np.array_equal(sp.data[:, :, 0], np.ones((1, 1, 4)))
+    assert np.array_equal(sp.data[:, :, 1], np.zeros((1, 1, 4)))
+    T.tape_backward(inner(sp, np.ones(sp.shape)))
+    assert np.all(np.isfinite(e.grad))
+
+
+def test_sqrt_density_rejects_a_negative_entry():
+    values = slice_major(np.full((1, 8, 2), 0.5))
+    values[0, 0, 0, 3], values[0, 0, 1, 3] = -1e-12, 1.0 + 1e-12
+    p = frame.DensityField(T.Tensor(values), frame.Grid((8,)))
+    p.validate()
+    with pytest.raises(DomainError):
+        frame.sqrt_density(p)
 
 
 # ---- transform: Parseval / roundtrip ------------------------------------------------
@@ -297,7 +342,7 @@ def randc(shape, seed):
 
 def test_m1_uniform_density_reduces_to_plain_fft_bitwise():
     g = frame.Grid((32,))
-    f = T.tensor(randc((2, 3, 32), seed=10))
+    f = T.Tensor(randc((2, 3, 32), seed=10))
     p = frame.uniform_density(g, 1, batch=2)
     lifted = frame.able_forward(f, p)
     plain = fft.fft_unitary(f.data, axes=(2,))
@@ -310,7 +355,7 @@ def test_m1_uniform_density_reduces_to_plain_fft_bitwise():
 def test_zero_field_zero_coefficients():
     g = frame.Grid((16,))
     p = random_density(g, 3, seed=11)
-    out = frame.able_forward(T.tensor(np.zeros((1, 1, 16))), p)
+    out = frame.able_forward(T.Tensor(np.zeros((1, 1, 16))), p)
     assert np.all(out.values.data == 0)
 
 
@@ -318,7 +363,7 @@ def test_parseval_against_direct_sum():
     g = frame.Grid((64,))
     f = randc((1, 1, 64), seed=12)
     p = random_density(g, 4, seed=13)
-    lifted = frame.able_forward(T.tensor(f), p)
+    lifted = frame.able_forward(T.Tensor(f), p)
     lhs = parseval_direct(lifted.values.data)
     rhs = grid_norm_sq(f)
     assert abs(lhs - rhs) / rhs < 1e-10
@@ -330,7 +375,7 @@ def test_isometry_and_left_inverse_1d(n, m):
     g = frame.Grid((n,))
     f = randc((2, 2, n), seed=n * 10 + m)
     p = random_density(g, m, batch=2, seed=n + m)
-    coeff = frame.able_forward(T.tensor(f), p).values.data
+    coeff = frame.able_forward(T.Tensor(f), p).values.data
     assert verify.isometry_residual(f, coeff) < 1e-10
     assert verify.roundtrip_residual(f, coeff, p) < 1e-10
 
@@ -340,7 +385,7 @@ def test_isometry_and_left_inverse_2d(m):
     g = frame.Grid((8, 16))
     f = randc((1, 2, 8, 16), seed=50 + m)
     p = random_density(g, m, seed=60 + m)
-    coeff = frame.able_forward(T.tensor(f), p).values.data
+    coeff = frame.able_forward(T.Tensor(f), p).values.data
     assert verify.isometry_residual(f, coeff) < 1e-10
     assert verify.roundtrip_residual(f, coeff, p) < 1e-10
 
@@ -349,7 +394,7 @@ def test_per_channel_roundtrip():
     g = frame.Grid((16,))
     f = randc((2, 3, 16), seed=70)
     p = random_density(g, 2, batch=2, seed=71, channels=3)
-    coeff = frame.able_forward(T.tensor(f), p).values.data
+    coeff = frame.able_forward(T.Tensor(f), p).values.data
     assert verify.roundtrip_residual(f, coeff, p) < 1e-10
 
 
@@ -361,9 +406,9 @@ def test_one_hot_partition_step_roundtrip_exact():
     pv = np.zeros((1, n, 2))
     pv[0, : n // 2, 0] = 1.0
     pv[0, n // 2:, 1] = 1.0
-    p = frame.DensityField(T.tensor(slice_major(pv)), g)
+    p = frame.DensityField(T.Tensor(slice_major(pv)), g)
     f = np.where(np.arange(n) < n // 2, 1.0, -2.0).reshape(1, 1, n)
-    back = frame.able_inverse(frame.able_forward(T.tensor(f), p), p)
+    back = frame.able_inverse(frame.able_forward(T.Tensor(f), p), p)
     direct = sum(
         fft.ifft_unitary(fft.fft_unitary((pv[0, :, m] * f[0, 0]).astype(complex), (0,)), (0,))
         * pv[0, :, m]
@@ -375,28 +420,24 @@ def test_one_hot_partition_step_roundtrip_exact():
 
 def test_forward_rejects_invalid_density():
     g = frame.Grid((8,))
-    bad = frame.DensityField(T.tensor(slice_major(np.full((1, 8, 2), 0.4))), g)
+    bad = frame.DensityField(T.Tensor(slice_major(np.full((1, 8, 2), 0.4))), g)
     with pytest.raises(ContractError):
-        frame.able_forward(T.tensor(np.zeros((1, 1, 8))), bad)
+        frame.able_forward(T.Tensor(np.zeros((1, 1, 8))), bad)
 
 
 def test_forward_rejects_grid_mismatch():
     g = frame.Grid((8,))
     p = random_density(g, 2, seed=80)
     with pytest.raises(ContractError):
-        frame.able_forward(T.tensor(np.zeros((1, 1, 16))), p)
+        frame.able_forward(T.Tensor(np.zeros((1, 1, 16))), p)
 
 
 def test_gradient_flows_through_density_path():
-    g = frame.Grid((16,))
     cfg = frame.DensityNetConfig(slices=2, arch="mlp2", hidden=8)
     net = frame.DensityNetwork(cfg, in_channels=1, ndim=1, rng=rng(90))
-    f = T.tensor(rng(91).standard_normal((1, 1, 16)))
-    p = frame.density_from_energies(net.energies(f), cfg.temperature)
-    lifted = frame.able_forward(f, p)
-    target = T.tensor(randc((1, 1, 2, 16), seed=92))
-    loss = T.tsum(T.abs2(T.sub(lifted.values, target)))
-    T.tape_backward(loss)
+    f = T.Tensor(rng(91).standard_normal((1, 1, 16)))
+    sp = frame.sqrt_softmax(net.energies(f), cfg.temperature)
+    T.tape_backward(inner(frame.lift(f, sp, [8]), randc((1, 1, 2, 16), seed=92)))
     grads = [w.grad for w in net.weights]
     assert all(g is not None for g in grads)
     assert any(np.max(np.abs(g)) > 1e-12 for g in grads)
@@ -416,14 +457,6 @@ def node_case(ndim, heads, truncated, seed):
     return extents, modes, sp
 
 
-def assert_node_grad(build_loss, x0):
-    leaf = T.parameter(x0.copy())
-    T.tape_backward(build_loss(leaf))
-    want = central_difference_paired(lambda a: build_loss(T.tensor(a.copy())).item(), x0)
-    assert leaf.grad.dtype == x0.dtype
-    assert np.max(np.abs(leaf.grad - want)) / max(np.max(np.abs(want)), 1e-8) < 1e-5
-
-
 @pytest.mark.parametrize("truncated", [True, False], ids=["truncated", "full"])
 @pytest.mark.parametrize("dtype", [float, complex], ids=["real", "complex"])
 @pytest.mark.parametrize("heads", [None, 1, 2], ids=["sp-none", "shared", "per-channel"])
@@ -435,19 +468,19 @@ def test_lift_and_synthesize_gradients(ndim, heads, dtype, truncated):
     f = randc((1, 2) + extents, seed=101)
     c = randc((1, 2, m) + kept, seed=102)
     f, c = (f, c) if dtype is complex else (f.real.copy(), c.real.copy())
-    w_lift = T.tensor(randc(c.shape, seed=103))
-    w_syn = T.tensor(randc(f.shape, seed=104))
+    w_lift = randc(c.shape, seed=103)
+    w_syn = randc(f.shape, seed=104)
 
     def lift_loss(x, s):
-        return T.tsum(T.abs2(T.mul(frame.lift(x, s, modes), w_lift)))
+        return inner(frame.lift(x, s, modes), w_lift)
 
     def synthesize_loss(x, s):
-        return T.tsum(T.abs2(T.mul(frame.synthesize(x, s, modes, extents), w_syn)))
+        return inner(frame.synthesize(x, s, modes, extents), w_syn)
 
     for loss, x0 in ((lift_loss, f), (synthesize_loss, c)):
-        assert_node_grad(lambda t: loss(t, None if sp is None else T.tensor(sp)), x0)
+        assert_grad_matches(lambda t: loss(t, None if sp is None else T.Tensor(sp)), x0)
         if sp is not None:
-            assert_node_grad(lambda t: loss(T.tensor(x0), t), sp)
+            assert_grad_matches(lambda t: loss(T.Tensor(x0), t), sp)
 
 
 @pytest.mark.parametrize("heads", [None, 1, 2], ids=["sp-none", "shared", "per-channel"])
@@ -457,9 +490,9 @@ def test_synthesize_is_adjoint_of_lift(ndim, heads):
     m = 1 if sp is None else sp.shape[2]
     f = randc((1, 2) + extents, seed=111)
     c = randc((1, 2, m) + tuple(2 * k for k in modes), seed=112)
-    s = None if sp is None else T.tensor(sp)
-    lhs = np.vdot(c, frame.lift(T.tensor(f), s, modes).data)
-    rhs = np.vdot(frame.synthesize(T.tensor(c), s, modes, extents).data, f)
+    s = None if sp is None else T.Tensor(sp)
+    lhs = np.vdot(c, frame.lift(T.Tensor(f), s, modes).data)
+    rhs = np.vdot(frame.synthesize(T.Tensor(c), s, modes, extents).data, f)
     assert abs(lhs - rhs) <= 1e-12 * np.linalg.norm(f) * np.linalg.norm(c)
 
 
@@ -474,7 +507,7 @@ def test_isometry_property(exp, m, seed):
     g = frame.Grid((n,))
     f = randc((1, 1, n), seed=seed)
     p = random_density(g, m, seed=seed + 1)
-    assert verify.isometry_residual(f, frame.able_forward(T.tensor(f), p).values.data) < 1e-10
+    assert verify.isometry_residual(f, frame.able_forward(T.Tensor(f), p).values.data) < 1e-10
 
 
 @settings(max_examples=20, deadline=None)
@@ -484,7 +517,7 @@ def test_isometry_property(exp, m, seed):
 )
 def test_density_normalization_property(t, seed):
     e = rng(seed).standard_normal((2, 8, 5)) * 4
-    p = frame.density_from_energies(T.tensor(slice_major(e)), t)
+    p = frame.density_from_energies(slice_major(e), t)
     assert np.max(np.abs(p.values.data.sum(axis=2) - 1.0)) < 1e-10
     p.validate()
 
@@ -513,10 +546,10 @@ def test_lift_and_synthesize_bitwise_equal_all_axes_fft(extents, m, dtype, trunc
     f = randc((2, 3) + extents, seed=120)
     f = f if dtype is complex else f.real.copy()
     sp = None if m == 1 else rng(121).random((2, 1, m) + extents) + 0.1
-    s = None if sp is None else T.tensor(sp)
+    s = None if sp is None else T.Tensor(sp)
     x = f[:, :, None] if sp is None else f[:, :, None] * sp
     lifted = fft.fft_unitary(x, axes)[mesh]
-    assert np.array_equal(frame.lift(T.tensor(f), s, modes).data, lifted)
+    assert np.array_equal(frame.lift(T.Tensor(f), s, modes).data, lifted)
 
     c = randc(lifted.shape, seed=122)
     c = c if dtype is complex else c.real.copy()
@@ -524,7 +557,7 @@ def test_lift_and_synthesize_bitwise_equal_all_axes_fft(extents, m, dtype, trunc
     full[mesh] = c
     z = fft.ifft_unitary(full, axes)
     want = z[:, :, 0] if sp is None else (z * sp).sum(axis=2)
-    assert np.array_equal(frame.synthesize(T.tensor(c), s, modes, extents).data, want)
+    assert np.array_equal(frame.synthesize(T.Tensor(c), s, modes, extents).data, want)
 
 
 def record_fft_calls(monkeypatch):
@@ -540,7 +573,7 @@ def record_fft_calls(monkeypatch):
 def test_2d_transform_runs_later_passes_on_retained_lines_only(monkeypatch):
     extents = (64, 64)
     modes = [8, 8]     # k_max 8 on each axis: 16 of 64 modes
-    f = T.tensor(randc((1, 2) + extents, seed=130))
+    f = T.Tensor(randc((1, 2) + extents, seed=130))
     calls = record_fft_calls(monkeypatch)
     c = frame.lift(f, None, modes)
     assert calls == [("fft_unitary", (1, 2, 1, 64, 64), (4,)),
@@ -563,11 +596,11 @@ def test_lift_and_synthesize_bitwise_equal_oracle_index_for_every_k(extents, m, 
     f = randc((2, 3) + extents, seed=140)
     f = f if dtype is complex else f.real.copy()
     sp = None if m == 1 else rng(141).random((2, 1, m) + extents) + 0.1
-    s = None if sp is None else T.tensor(sp)
+    s = None if sp is None else T.Tensor(sp)
     spectrum = fft.fft_unitary(f[:, :, None] if sp is None else f[:, :, None] * sp, axes)
     for k in itertools.product(*[range(1, n // 2 + 1) for n in extents]):
         mesh = oracle_mesh(k, extents)
-        assert np.array_equal(frame.lift(T.tensor(f), s, k).data, spectrum[mesh]), k
+        assert np.array_equal(frame.lift(T.Tensor(f), s, k).data, spectrum[mesh]), k
 
         c = randc(spectrum[mesh].shape, seed=142)
         c = c if dtype is complex else c.real.copy()
@@ -575,7 +608,7 @@ def test_lift_and_synthesize_bitwise_equal_oracle_index_for_every_k(extents, m, 
         full[mesh] = c
         z = fft.ifft_unitary(full, axes)
         want = z[:, :, 0] if sp is None else (z * sp).sum(axis=2)
-        assert np.array_equal(frame.synthesize(T.tensor(c), s, k, extents).data, want), k
+        assert np.array_equal(frame.synthesize(T.Tensor(c), s, k, extents).data, want), k
 
 
 @pytest.mark.parametrize("extents,k", [((16,), (2,)), ((16,), (8,)), ((8, 32), (2, 4)),
@@ -589,10 +622,10 @@ def test_synthesize_of_slice_outermost_coefficients_is_bitwise_its_contiguous_co
     spatial = tuple(range(3, 3 + len(k)))
     c = np.transpose(randc((2, 3, 2) + kept, seed=150), (2, 1, 0) + spatial)
     assert c.shape == (2, 3, 2) + kept and not c[:, :, :1].flags.c_contiguous
-    for s in (None, T.tensor(rng(151).random((2, 1, 2) + extents) + 0.1)):
+    for s in (None, T.Tensor(rng(151).random((2, 1, 2) + extents) + 0.1)):
         cc = c[:, :, :1] if s is None else c
-        got = frame.synthesize(T.tensor(cc), s, k, extents).data
-        want = frame.synthesize(T.tensor(np.ascontiguousarray(cc)), s, k, extents).data
+        got = frame.synthesize(T.Tensor(cc), s, k, extents).data
+        want = frame.synthesize(T.Tensor(np.ascontiguousarray(cc)), s, k, extents).data
         assert np.array_equal(got, want) and got.strides == want.strides
 
 
@@ -600,16 +633,16 @@ def test_synthesize_of_slice_outermost_coefficients_is_bitwise_its_contiguous_co
                                        ((8, 32), [4]), ((8, 32), [5, 4]), ((8, 32), [2, 0])],
                          ids=["k0", "2k>N", "1d-two-ks", "2d-one-k", "2d-2k>N", "2d-k0"])
 def test_bad_k_is_contract_error(extents, k):
-    f = T.tensor(randc((1, 2) + extents, seed=160))
+    f = T.Tensor(randc((1, 2) + extents, seed=160))
     with pytest.raises(ContractError):
         frame.lift(f, None, k)
-    c = T.tensor(randc((1, 2, 1) + tuple(n // 2 for n in extents), seed=161))
+    c = T.Tensor(randc((1, 2, 1) + tuple(n // 2 for n in extents), seed=161))
     with pytest.raises(ContractError):
         frame.synthesize(c, None, k, extents)
 
 
 def test_synthesize_rejects_coefficients_that_do_not_match_k():
-    c = T.tensor(randc((1, 2, 1, 8), seed=162))
+    c = T.Tensor(randc((1, 2, 1, 8), seed=162))
     with pytest.raises(ContractError):
         frame.synthesize(c, None, [2], (16,))
 
@@ -619,8 +652,8 @@ def test_synthesize_rejects_coefficients_that_do_not_match_k():
 def test_lift_holds_only_the_kept_modes(extents, k):
     # the tape keeps lift's output alive; a view into the full spectrum would
     # keep the whole spectrum alive with it
-    f = T.tensor(randc((2, 3) + extents, seed=170))
-    for sp in (None, T.tensor(rng(171).random((2, 1, 2) + extents) + 0.1)):
+    f = T.Tensor(randc((2, 3) + extents, seed=170))
+    for sp in (None, T.Tensor(rng(171).random((2, 1, 2) + extents) + 0.1)):
         c = frame.lift(f, sp, k).data
         owner = c
         while owner.base is not None:
@@ -658,7 +691,7 @@ def node_grads(build, arrays, g):
     that is not None, each array a leaf of its own."""
     leaves = [None if a is None else T.parameter(a) for a in arrays]
     out = build(*leaves)
-    T.tape_backward(T.tsum(T.mul(out, T.tensor(g))))
+    T.tape_backward(inner(out, g))
     return out.data, [x.grad for x in leaves if x is not None]
 
 
@@ -696,8 +729,8 @@ def test_spectral_node_canonical_weight_layout_and_partial_parents(extents, k):
     # weights not in the mix's stored layout, and a field that needs no gradient
     f, sp, w, spec = spectral_case(extents, k, 2, "cross", 1, seed=9, stored=False)
     g = rng(6).standard_normal(f.shape)
-    got = [T.tensor(f), T.parameter(sp), T.parameter(w)]
-    T.tape_backward(T.tsum(T.mul(frame.spectral(*got, spec, k, extents), T.tensor(g))))
+    got = [T.Tensor(f), T.parameter(sp), T.parameter(w)]
+    T.tape_backward(inner(frame.spectral(*got, spec, k, extents), g))
     _, want = node_grads(
         lambda ft, st, wt: chain_real_part(frame.synthesize(
             taped_contraction(spec, frame.lift(ft, st, k), wt), st, k, extents)), [f, sp, w], g)
@@ -709,7 +742,7 @@ def test_spectral_node_canonical_weight_layout_and_partial_parents(extents, k):
 def test_spectral_node_rejects_a_complex_field():
     f, sp, w, spec = spectral_case((16,), (4,), 2, "diagonal", 1, seed=3)
     with pytest.raises(ContractError):
-        frame.spectral(T.tensor(f + 0j), T.tensor(sp), T.tensor(w), spec, (4,), (16,))
+        frame.spectral(T.Tensor(f + 0j), T.Tensor(sp), T.Tensor(w), spec, (4,), (16,))
 
 
 # ---- the layer tail inside the spectral node and the linear node -------------------
@@ -717,7 +750,7 @@ def test_spectral_node_rejects_a_complex_field():
 LAYER_GRIDS = [((8,), (3,)), ((4, 8), (1, 3))]
 
 
-@pytest.mark.parametrize("activation", list(T.ACTIVATIONS), ids=str)
+@pytest.mark.parametrize("activation", list(T.ACTIVATION_KERNELS), ids=str)
 @pytest.mark.parametrize("kind", ["diagonal", "cross"])
 @pytest.mark.parametrize("m", [1, 2], ids=["M1", "M2"])
 @pytest.mark.parametrize("extents,k", LAYER_GRIDS, ids=str)
@@ -728,14 +761,13 @@ def test_layer_node_matches_spectral_linear_add_activation_chain(extents, k, m, 
     r = rng(7)
     arrays = [f, sp, w, r.standard_normal((2, 2)), 0.5 * r.standard_normal(2)]
     g = r.standard_normal(f.shape)
-    act = T.ACTIVATIONS[activation]
 
     def node(ft, st, wt, pwt, bt):
         return frame.spectral(ft, st, wt, spec, k, extents, (pwt, bt), activation)
 
     def chain(ft, st, wt, pwt, bt):
-        out = T.add(frame.spectral(ft, st, wt, spec, k, extents), taped_linear(ft, pwt, bt))
-        return out if act is None else act(out)
+        return chain_activation(activation, taped_add(
+            frame.spectral(ft, st, wt, spec, k, extents), taped_linear(ft, pwt, bt)))
 
     out, grads = node_grads(node, arrays, g)
     want_out, want_grads = node_grads(chain, arrays, g)
@@ -746,7 +778,7 @@ def test_layer_node_matches_spectral_linear_add_activation_chain(extents, k, m, 
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), i
 
         def loss(a, i=i):
-            args = [None if x is None else T.tensor(x) for x in arrays[:i] + [a] + arrays[i + 1:]]
+            args = [None if x is None else T.Tensor(x) for x in arrays[:i] + [a] + arrays[i + 1:]]
             return float(np.sum(node(*args).data * g))
 
         fd = central_difference_paired(loss, arrays[i])
@@ -774,14 +806,21 @@ def test_layer_node_reaches_activation_limits_without_overflow_warnings(m, activ
     assert np.allclose(grads[-1], np.sum(slope), rtol=1e-12, atol=1e-10)
 
 
+def chain_activation(name, t):
+    """The activation `name` as its own node after the chain; none for None or "none"."""
+    return t if T.ACTIVATION_KERNELS[name] is None else taped_activation(name, t)
+
+
+@pytest.mark.parametrize("activation", list(T.ACTIVATION_KERNELS), ids=str)
 @pytest.mark.parametrize("shape", [(3, 2, 8), (2, 3, 4, 8)], ids=["1d", "2d"])
-def test_linear_node_matches_the_taped_chain(shape):
+def test_linear_node_matches_the_taped_chain(shape, activation):
     r = rng(8)
     arrays = [r.standard_normal(shape), r.standard_normal((shape[1], 4)),
               r.standard_normal(4)]
     g = r.standard_normal((shape[0], 4) + shape[2:])
-    out, grads = node_grads(frame.linear, arrays, g)
-    want_out, want_grads = node_grads(taped_linear, arrays, g)
+    out, grads = node_grads(lambda x, w, b: frame.linear(x, w, b, activation), arrays, g)
+    want_out, want_grads = node_grads(
+        lambda x, w, b: chain_activation(activation, taped_linear(x, w, b)), arrays, g)
     assert out.shape == want_out.shape
     assert np.max(np.abs(out - want_out)) <= 1e-13 * np.max(np.abs(want_out))
     for got, want in zip(grads, want_grads):
@@ -790,6 +829,6 @@ def test_linear_node_matches_the_taped_chain(shape):
 
 
 def test_linear_node_skips_parents_without_grad():
-    x, w, b = T.tensor(np.ones((2, 3, 4))), T.parameter(np.ones((3, 2))), T.tensor(np.ones(2))
+    x, w, b = T.Tensor(np.ones((2, 3, 4))), T.parameter(np.ones((3, 2))), T.Tensor(np.ones(2))
     dx, dw, db = frame.linear(x, w, b)._vjp(np.ones((2, 2, 4)))
     assert dx is None and db is None and np.array_equal(dw, np.full((3, 2), 8.0))

@@ -13,6 +13,8 @@ from able.errors import ContractError
 from able.frame import DensityField, DensityNetConfig, Grid
 from able.training import gradient_check, relative_l2, restore_network
 
+from oracles import sq_norm
+
 
 def rng(seed):
     return np.random.default_rng(seed)
@@ -42,7 +44,7 @@ def test_mode_indices_rejects_oversized():
 def test_layer_rejects_kmax_exceeding_grid():
     layer = make_layer(k_max=8)
     with pytest.raises(ContractError):
-        layer(T.tensor(rng(0).standard_normal((1, 2, 8))))
+        layer(T.Tensor(rng(0).standard_normal((1, 2, 8))))
 
 
 # ---- FNO reduction -------------------------------------------------------------
@@ -69,7 +71,7 @@ def test_zero_spectral_weights_identity_pointwise(kind):
     layer.pointwise.data[...] = np.eye(2)
     layer.bias.data[...] = 0.0
     f = rng(6).standard_normal((1, 2, 16))
-    assert np.max(np.abs(layer(T.tensor(f)).data - f)) < 1e-14
+    assert np.max(np.abs(layer(T.Tensor(f)).data - f)) < 1e-14
 
 
 # ---- dense kernel oracle ---------------------------------------------------------
@@ -109,12 +111,12 @@ def test_cross_with_diagonal_blocks_equals_diagonal():
     for bd, bc in zip(diag.density_net.biases, cross.density_net.biases):
         bc.data[...] = bd.data
     f = rng(21).standard_normal((2, 2, 16))
-    assert np.max(np.abs(diag(T.tensor(f)).data - cross(T.tensor(f)).data)) < 1e-13
+    assert np.max(np.abs(diag(T.Tensor(f)).data - cross(T.Tensor(f)).data)) < 1e-13
 
 
 def test_kernel_refuses_oversized_grid():
     layer = make_layer(k_max=4, ndim=1, slices=1)
-    big = T.tensor(np.zeros((1, 2, 8192)))
+    big = T.Tensor(np.zeros((1, 2, 8192)))
     with pytest.raises(ContractError):
         op.materialize_kernel(layer, big)
 
@@ -130,7 +132,7 @@ def test_layer_density_is_c_contiguous(arch, ndim):
     # lift and synthesize run slower on a strided density, so it must arrive
     # row-major whatever layout the head's energies have
     layer = make_layer(cin=3, cout=3, ndim=ndim, arch=arch, seed=4)
-    x = T.tensor(rng(5).standard_normal((2, 3) + (16,) * ndim))
+    x = T.Tensor(rng(5).standard_normal((2, 3) + (16,) * ndim))
     assert layer.density(x).values.data.flags.c_contiguous
 
 
@@ -174,7 +176,7 @@ def test_variant_matrix(head, kind, per_channel, learn_t):
         for value in (base + h, base - h):
             log_t.data[...] = value
             with T.no_grad():
-                losses.append(relative_l2(net(T.tensor(x)), T.tensor(y)).item())
+                losses.append(relative_l2(net(T.Tensor(x)), T.Tensor(y)).item())
         log_t.data[...] = base
         fd = (losses[0] - losses[1]) / (2 * h)
         assert abs(log_t.grad.item() - fd) <= 1e-4 * max(abs(fd), 1e-8), (log_t.grad, fd)
@@ -193,7 +195,7 @@ def test_m2_nonconstant_density_breaks_translation_invariance():
                                             temperature=0.3, seed=32))
     # drive the density away from uniform with a structured input
     f = (3.0 * np.sin(2 * np.pi * np.arange(16) / 16)).reshape(1, 1, 16)
-    p = layer.density(T.tensor(f))
+    p = layer.density(T.Tensor(f))
     assert np.max(np.abs(p.values.data - 0.5)) > 1e-3, "density stayed uniform"
     assert verify.kernel_diagonal_spread(layer, f)[1] > 1e-3
 
@@ -205,10 +207,10 @@ def test_one_hot_partition_kernel_vanishes_across_cells():
     pv[0, : n // 2, 0] = 1.0
     pv[0, n // 2:, 1] = 1.0
     # bypass the density net: materialize with an explicit one-hot field
-    field = DensityField(T.tensor(np.moveaxis(pv, -1, 1)[:, None]), Grid((n,)))
+    field = DensityField(T.Tensor(np.moveaxis(pv, -1, 1)[:, None]), Grid((n,)))
     layer.density = lambda f, _field=field: _field
     f = rng(34).standard_normal((1, 1, n))
-    kernel = op.materialize_kernel(layer, T.tensor(f))[0, 0, 0]
+    kernel = op.materialize_kernel(layer, T.Tensor(f))[0, 0, 0]
     cross_block = np.abs(kernel[: n // 2, n // 2:])
     assert cross_block.max() < 1e-14
     assert np.abs(kernel[: n // 2, : n // 2]).max() > 1e-6
@@ -228,14 +230,14 @@ def small_model(**kw):
 def test_network_shapes_and_composition():
     net = op.build_network(small_model(n_layers=1), seed=1)
     f = rng(50).standard_normal((3, 1, 16))
-    out = net(T.tensor(f))
+    out = net(T.Tensor(f))
     assert out.shape == (3, 1, 16)
     # manual composition: lift -> single layer -> projection
     x = np.concatenate([f, np.broadcast_to(np.arange(16) / 16, (3, 1, 16))], axis=1)
     lifted = np.einsum("bix,io->box", x, net.lift_w.data) + net.lift_b.data.reshape(1, -1, 1)
-    mid = net.layers[0](T.tensor(lifted)).data
+    mid = net.layers[0](T.Tensor(lifted)).data
     h = np.einsum("bix,io->box", mid, net.proj1_w.data) + net.proj1_b.data.reshape(1, -1, 1)
-    h = T.gelu(T.tensor(h)).data
+    h = T._gelu(h)[0]
     want = np.einsum("bix,io->box", h, net.proj2_w.data) + net.proj2_b.data.reshape(1, -1, 1)
     assert np.max(np.abs(out.data - want)) < 1e-13
 
@@ -247,7 +249,7 @@ def test_network_zero_spectral_weights_is_pointwise_composition():
         for w in layer.density_net.weights:
             w.data[...] = 0.0
     f = rng(51).standard_normal((2, 1, 16))
-    got = net(T.tensor(f)).data
+    got = net(T.Tensor(f)).data
 
     def pw(x, w, b):
         return np.einsum("bix,io->box", x, w) + b.reshape(1, -1, 1)
@@ -256,8 +258,8 @@ def test_network_zero_spectral_weights_is_pointwise_composition():
     for layer in net.layers:
         x = pw(x, layer.pointwise.data, layer.bias.data)
         if layer.activation:
-            x = T.gelu(T.tensor(x)).data
-    x = T.gelu(T.tensor(pw(x, net.proj1_w.data, net.proj1_b.data))).data
+            x = T._gelu(x)[0]
+    x = T._gelu(pw(x, net.proj1_w.data, net.proj1_b.data))[0]
     want = pw(x, net.proj2_w.data, net.proj2_b.data)
     assert np.max(np.abs(got - want)) < 1e-13
 
@@ -268,8 +270,7 @@ def test_network_gradients_match_finite_differences():
     target = rng(53).standard_normal((1, 1, 16))
 
     def loss_value():
-        out = net(T.tensor(f))
-        return T.tsum(T.abs2(T.sub(out, T.tensor(target))))
+        return sq_norm(net(T.Tensor(f)), target)
 
     loss = loss_value()
     T.tape_backward(loss)
@@ -309,14 +310,13 @@ def test_learnable_temperature_stays_positive_and_gets_gradient():
     net = op.build_network(small_model(slices=2, learn_temperature=True, n_layers=1),
                            seed=6)
     f = rng(60).standard_normal((1, 1, 16))
-    out = net(T.tensor(f))
-    T.tape_backward(T.tsum(T.abs2(out)))
+    T.tape_backward(sq_norm(net(T.Tensor(f))))
     log_t = net.named_parameters()["layers.0.density.log_temperature"]
     assert log_t.grad is not None
     # even a hostile update cannot make the effective temperature nonpositive
     log_t.data[...] = -50.0
     with T.no_grad():
-        p = net.layers[0].density(net.lift_input(T.tensor(f)))
+        p = net.layers[0].density(net.lift_input(T.Tensor(f)))
     p.validate()
 
 
@@ -370,7 +370,7 @@ def test_mix_forward_does_not_copy_the_weights(kind):
 def test_spectral_weight_gradient_arrives_in_storage_order(kind, ndim):
     layer = make_layer(ndim=ndim, kind=kind)
     f = rng(61).standard_normal((2, 2) + (16,) * ndim)
-    T.tape_backward(T.tsum(T.abs2(layer(T.tensor(f)))))
+    T.tape_backward(sq_norm(layer(T.Tensor(f))))
     perm, _ = mix_operand_plan(layer)
     assert layer.multiplier.weights.grad.transpose(perm).flags.c_contiguous
 

@@ -1,34 +1,30 @@
-"""Autodiff correctness: every primitive against central finite differences."""
+"""The tape and the kernels its nodes share.
 
+The tape's sweep, the activation kernel pairs and the contraction kernels
+are checked against whole-array expressions and central differences, each
+model node's gradient against central differences, and one training
+step's graph against the nodes the model is made of: nothing else may be
+recorded. The nodes are checked against chains of small reference nodes
+in `test_frame.py`.
+"""
+
+import inspect
 import warnings
 import weakref
 import zlib
+from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from able import fft, frame
+from able import fft, frame, training
 from able import tensor as T
-from able.errors import ContractError, DomainError
+from able.errors import ContractError
+from able.operator import ModelConfig, build_network
 
-from oracles import (central_difference_paired, gelu_reference, gelu_tanh_reference,
-                     silu_reference)
-
-
-def autodiff_grad(build_loss, x0: np.ndarray) -> np.ndarray:
-    leaf = T.parameter(x0.copy())
-    loss = build_loss(leaf)
-    T.tape_backward(loss)
-    return leaf.grad
-
-
-def assert_grad_matches(build_loss, x0, rtol=1e-5):
-    got = autodiff_grad(build_loss, x0)
-    want = central_difference_paired(lambda a: build_loss(T.Tensor(a.copy())).item(), x0)
-    denom = max(np.max(np.abs(want)), 1e-8)
-    assert np.max(np.abs(got - want)) / denom < rtol
+from oracles import (assert_grad_matches, central_difference_paired, gelu_reference,
+                     gelu_tanh_reference, inner, silu_reference, sq_norm, taped_activation,
+                     taped_add, taped_reshape, taped_scale)
 
 
 def rng(seed):
@@ -45,51 +41,46 @@ def randc(shape, seed):
 def test_quadratic_gradient_exact():
     x = rng(0).standard_normal(16)
     leaf = T.parameter(x.copy())
-    loss = T.tsum(T.mul(leaf, leaf))
-    T.tape_backward(loss)
+    T.tape_backward(sq_norm(leaf))
     assert np.array_equal(leaf.grad, 2.0 * x)
 
 
 def test_fft_norm_gradient_is_2x():
     # unitarity makes sum |lift(x)|^2 == sum x^2 on the full spectrum, so
     # grad is exactly 2x
-    x = rng(1).standard_normal(16)
+    x = rng(1).standard_normal((1, 1, 16))
 
-    def loss(t):
-        return T.tsum(T.abs2(frame.lift(T.reshape(t, (1, 1, 16)), None, [8])))
-
-    got = autodiff_grad(loss, x)
+    got = assert_grad_matches(lambda t: sq_norm(frame.lift(t, None, [8])), x)
     assert np.max(np.abs(got - 2.0 * x)) < 1e-12
-    assert_grad_matches(loss, x.copy())
 
 
 def test_gelu_at_zero():
-    assert T.gelu(T.tensor(np.zeros(3))).data == pytest.approx(np.zeros(3))
+    assert T._gelu(np.zeros(3))[0] == pytest.approx(np.zeros(3))
 
 
 def test_gelu_matches_whole_array_expressions_bitwise():
     # the sigmoid-form kernels bit for bit, and the tanh form they rewrite to roundoff
     x = 4.0 * rng(70).standard_normal((3, 4, 50))
     for arr in (x, x.transpose(2, 0, 1)):
-        out = T.gelu(T.parameter(arr))
+        out, s = T._gelu(arr)
         want, want_vjp = gelu_reference(arr)
-        assert np.array_equal(out.data, want)
+        assert np.array_equal(out, want)
         g = rng(71).standard_normal(arr.shape)
-        got_vjp = out._vjp(g)[0]
+        got_vjp = T._gelu_grad(g, arr, s)
         assert np.array_equal(got_vjp, want_vjp(g))
         tanh_out, tanh_vjp = gelu_tanh_reference(arr)
-        assert np.max(np.abs(out.data - tanh_out)) <= 1e-14 * np.max(np.abs(tanh_out))
+        assert np.max(np.abs(out - tanh_out)) <= 1e-14 * np.max(np.abs(tanh_out))
         assert np.max(np.abs(got_vjp - tanh_vjp(g))) <= 1e-14 * np.max(np.abs(tanh_vjp(g)))
 
 
 def test_silu_matches_whole_array_expressions_bitwise():
     x = 4.0 * rng(72).standard_normal((3, 4, 50))
     for arr in (x, x.transpose(2, 0, 1)):
-        out = T.silu(T.parameter(arr))
+        out, s = T._silu(arr)
         want, want_vjp = silu_reference(arr)
-        assert np.array_equal(out.data, want)
+        assert np.array_equal(out, want)
         g = rng(73).standard_normal(arr.shape)
-        assert np.array_equal(out._vjp(g)[0], want_vjp(g))
+        assert np.array_equal(T._silu_grad(g, arr, s), want_vjp(g))
 
 
 EXTREMES = np.array([-1e4, -800.0, -30.0, 0.0, 30.0, 800.0])
@@ -99,59 +90,35 @@ EXTREMES = np.array([-1e4, -800.0, -30.0, 0.0, 30.0, 800.0])
 def test_activations_reach_their_limits_without_overflow_warnings(name):
     # exp(-x) overflows to inf for silu below about -709 and gelu below about
     # -22; the sigmoid is then exactly 0, so the overflow is not reported
-    x = T.parameter(EXTREMES.copy())
+    kernel, grad = T.ACTIVATION_KERNELS[name]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        out = T.ACTIVATIONS[name](x)
-        T.tape_backward(T.tsum(out))
+        out, saved = kernel(EXTREMES)
+        slope = grad(np.ones_like(EXTREMES), EXTREMES, saved)
     slope_at_zero = 0.0 if name == "relu" else 0.5
-    assert np.all(np.isfinite(out.data)) and np.all(np.isfinite(x.grad))
-    assert np.allclose(out.data, np.maximum(EXTREMES, 0.0), rtol=1e-12, atol=1e-10)
-    assert np.allclose(x.grad, np.where(EXTREMES > 0, 1.0, 0.0) + slope_at_zero * (EXTREMES == 0),
+    assert np.all(np.isfinite(out)) and np.all(np.isfinite(slope))
+    assert np.allclose(out, np.maximum(EXTREMES, 0.0), rtol=1e-12, atol=1e-10)
+    assert np.allclose(slope, np.where(EXTREMES > 0, 1.0, 0.0) + slope_at_zero * (EXTREMES == 0),
                        rtol=1e-12, atol=1e-10)
-
-
-def test_sqrt_quarter_tensor():
-    out = T.sqrt(T.tensor(np.full((4,), 0.25)))
-    assert np.array_equal(out.data, np.full((4,), 0.5))
-
-
-def test_sqrt_negative_rejected():
-    with pytest.raises(DomainError):
-        T.sqrt(T.tensor(np.array([-1.0])))
 
 
 def test_nonscalar_loss_rejected():
     x = T.parameter(np.ones(4))
     with pytest.raises(ContractError):
-        T.tape_backward(T.mul(x, x))
+        T.tape_backward(taped_scale(x, 2.0))
 
 
 def test_complex_loss_rejected():
     x = T.parameter(np.ones(4) + 0j)
     with pytest.raises(ContractError):
-        T.tape_backward(T.tsum(T.mul(x, x)))
+        T.tape_backward(T._make(np.sum(x.data * x.data), (x,), lambda g: (2.0 * g * x.data,)))
 
 
-# ---- finite-difference sweep over primitives --------------------------------
+# ---- nodes against central differences -------------------------------------------
 
-REAL_OPS = [
-    ("add", lambda t: T.tsum(T.mul(T.add(t, 0.7), T.add(t, 0.7)))),
-    ("sub", lambda t: T.tsum(T.abs2(T.sub(t, 0.3)))),
-    ("mul_broadcast", lambda t: T.tsum(T.mul(t, T.tensor(np.linspace(0.5, 2.0, t.shape[-1]))))),
-    ("div", lambda t: T.tsum(T.div(t, 2.5))),
-    ("div_by_tensor", lambda t: T.tsum(T.div(T.tensor(np.ones(t.shape)), T.add(T.abs2(t), 1.0)))),
-    ("exp", lambda t: T.tsum(T.texp(T.mul(t, 0.3)))),
-    ("relu", lambda t: T.tsum(T.mul(T.relu(t), T.relu(t)))),
-    ("silu", lambda t: T.tsum(T.silu(t))),
-    ("gelu", lambda t: T.tsum(T.gelu(t))),
-    ("softmax", lambda t: T.tsum(T.mul(T.softmax(t, axis=-1), T.tensor(np.arange(float(t.shape[-1])))))),
-    ("sqrt_shifted", lambda t: T.tsum(T.sqrt(T.add(T.abs2(t), 0.5)))),
-    ("reshape", lambda t: T.tsum(T.abs2(T.reshape(t, (t.size,))))),
-    ("sum_axis", lambda t: T.tsum(T.abs2(T.tsum(t, axis=0)))),
-    ("mean", lambda t: T.tmean(T.abs2(t))),
-    ("concat", lambda t: T.tsum(T.abs2(T.concatenate([t, T.mul(t, 2.0)], axis=0)))),
-]
+G = rng(80).standard_normal((4, 8))
+REAL_OPS = [(name, lambda t, name=name: inner(taped_activation(name, t), G))
+            for name in ("relu", "silu", "gelu")]
 
 
 @pytest.mark.parametrize("name,loss", REAL_OPS, ids=[n for n, _ in REAL_OPS])
@@ -161,12 +128,10 @@ def test_real_op_gradients(name, loss):
 
 
 COMPLEX_OPS = [
-    ("cmul", lambda t: T.tsum(T.abs2(T.mul(t, T.tensor(randc(t.shape, 99)))))),
-    ("lift", lambda t: T.tsum(T.abs2(T.mul(
-        frame.lift(T.reshape(t, (4, 1, 8)), None, [4]), T.tensor(randc((4, 1, 1, 8), 7)))))),
-    ("synthesize", lambda t: T.tsum(T.abs2(frame.synthesize(
-        T.reshape(t, (1, 1, 1, 4, 8)), None, [2, 4], (4, 8))))),
-    ("exp_complex", lambda t: T.tsum(T.abs2(T.texp(T.mul(t, 0.2))))),
+    ("lift", lambda t: inner(frame.lift(taped_reshape(t, (4, 1, 8)), None, [4]),
+                             randc((4, 1, 1, 8), 7))),
+    ("synthesize", lambda t: inner(frame.synthesize(
+        taped_reshape(t, (1, 1, 1, 4, 8)), None, [2, 4], (4, 8)), randc((1, 1, 4, 8), 8))),
 ]
 
 
@@ -275,7 +240,7 @@ def test_take_put_modes_adjoint_gradient():
 
     def loss(t):
         kept = frame.lift(t, None, k)
-        return T.tsum(T.abs2(frame.synthesize(kept, None, k, (8,))))
+        return sq_norm(frame.synthesize(kept, None, k, (8,)))
 
     assert_grad_matches(loss, randc((2, 1, 8), seed=31))
 
@@ -284,7 +249,7 @@ def test_take_modes_2d_in_place_block():
     x = randc((2, 3, 8, 8), seed=41)
     spectrum = fft.fft_unitary(x, (2, 3))
     k = [2, 1]      # modes {0, 1, 6, 7} on axis 0 and {0, 7} on axis 1
-    kept = frame.lift(T.tensor(x), None, k)
+    kept = frame.lift(T.Tensor(x), None, k)
     assert kept.shape == (2, 3, 1, 4, 2)
     assert np.array_equal(kept.data[:, :, 0, 2, 1], spectrum[:, :, 6, 7])
     back = frame.synthesize(kept, None, k, (8, 8))
@@ -294,29 +259,20 @@ def test_take_modes_2d_in_place_block():
     assert np.max(np.abs(back_spectrum[:, :, 3, :])) < 1e-12
 
 
-def test_sqrt_grad_eps_keeps_gradient_finite_at_zero():
-    x = T.parameter(np.array([0.0, 0.25]))
-    loss = T.tsum(T.sqrt(x, grad_eps=1e-12))
-    T.tape_backward(loss)
-    assert np.all(np.isfinite(x.grad))
-    assert x.grad[1] == pytest.approx(1.0, rel=1e-9)
-
-
 def test_grad_accumulates_across_reuse():
     x = T.parameter(np.array([2.0]))
-    y = T.add(T.mul(x, x), T.mul(x, 3.0))
-    T.tape_backward(T.tsum(y))
+    T.tape_backward(taped_add(inner(x, np.array([4.0])), inner(x, np.array([3.0]))))
     assert x.grad == pytest.approx(np.array([7.0]))
 
 
 def test_backward_drops_each_vjp_closure_it_runs():
     x = T.parameter(rng(74).standard_normal(8))
-    h = T.silu(x)
+    h = taped_activation("silu", x)
     # the sigmoid s is kept only for the VJP
     saved = [weakref.ref(c.cell_contents) for c in h._vjp.__closure__
              if isinstance(c.cell_contents, np.ndarray) and c.cell_contents is not x.data]
     assert len(saved) == 1 and saved[0]() is not None
-    loss = T.tsum(T.mul(h, h))
+    loss = sq_norm(h)
     T.tape_backward(loss)
     assert saved[0]() is None           # freed although `loss` is still held
     s = 1.0 / (1.0 + np.exp(-x.data))
@@ -325,37 +281,67 @@ def test_backward_drops_each_vjp_closure_it_runs():
         T.tape_backward(loss)
 
 
-@pytest.mark.parametrize("op", [T.mul, T.div], ids=["mul", "div"])
-def test_vjp_skips_operands_without_grad(op):
-    x = T.parameter(np.full((2, 2), 2.0))
-    c = T.tensor(np.full((2, 2), 3.0))
-    g = np.ones((2, 2))
-    ga, gb = op(x, c)._vjp(g)
-    assert ga is not None and gb is None
-    ga, gb = op(c, x)._vjp(g)
-    assert ga is None and gb is not None
-
-
 def test_no_grad_suppresses_tape():
-    x = T.parameter(np.ones(4))
+    x = T.parameter(np.ones((1, 2, 4)))
     with T.no_grad():
-        y = T.tsum(T.mul(x, x))
+        y = frame.linear(x, T.parameter(np.ones((2, 3))), T.parameter(np.zeros(3)), "gelu")
     assert not y.requires_grad
     assert y._vjp is None
 
 
 def test_real_leaf_through_complex_path_gets_real_grad():
-    def loss(t):
-        return T.tsum(T.abs2(frame.lift(T.reshape(t, (1, 1, 8)), None, [4])))
-
-    g = autodiff_grad(loss, rng(12).standard_normal(8))
+    g = assert_grad_matches(lambda t: sq_norm(frame.lift(t, None, [4])),
+                            rng(12).standard_normal((1, 1, 8)))
     assert g.dtype == np.float64
 
 
-@settings(max_examples=25, deadline=None)
-@given(seed=st.integers(0, 10_000))
-def test_softmax_rows_sum_to_one(seed):
-    e = rng(seed).standard_normal((5, 7)) * 3
-    p = T.softmax(T.tensor(e), axis=-1).data
-    assert np.max(np.abs(p.sum(axis=-1) - 1.0)) < 1e-12
-    assert np.all(p >= 0) and np.all(p <= 1)
+# ---- what a training step records ----------------------------------------------------
+
+def recorded_nodes(loss):
+    """(the function that made it, its parents) for each node of the graph under `loss`."""
+    nodes, stack = {}, [loss]
+    while stack:
+        node = stack.pop()
+        if node._parents and id(node) not in nodes:
+            nodes[id(node)] = node
+            stack.extend(node._parents)
+    return [(n._vjp.__qualname__.split(".<locals>")[0], n._parents) for n in nodes.values()]
+
+
+TAPE_VARIANTS = {
+    "M1": dict(slices=1),
+    "M2-diagonal": dict(slices=2),
+    "M2-cross": dict(slices=2, kind="cross"),
+    "M2-diagonal-learned-T": dict(slices=2, learn_temperature=True),
+    "M2-cross-learned-T": dict(slices=2, kind="cross", learn_temperature=True),
+    "M2-2d-mlp2-learned-T": dict(slices=2, ndim=2, density_arch="mlp2",
+                                 learn_temperature=True),
+}
+
+
+@pytest.mark.parametrize("variant", list(TAPE_VARIANTS))
+def test_a_training_step_records_only_the_model_nodes(variant):
+    cfg = ModelConfig(**{**dict(width=4, n_layers=3, k_max=2, density_hidden=4,
+                                proj_hidden=8), **TAPE_VARIANTS[variant]})
+    net = build_network(cfg, seed=0)
+    shape = (2, 1) + (8,) * cfg.ndim
+    loss = training.relative_l2(net(T.Tensor(rng(90).standard_normal(shape))),
+                                T.Tensor(rng(91).standard_normal(shape)))
+    nodes = recorded_nodes(loss)
+    adaptive = cfg.n_layers if cfg.slices > 1 else 0
+    want = {"linear": 3, "spectral": cfg.n_layers, "DensityNetwork.energies": adaptive,
+            "sqrt_softmax": adaptive, "relative_l2": 1}
+    assert Counter(name for name, _ in nodes) == Counter({k: v for k, v in want.items() if v})
+    # past the energies, a learned log-temperature is the only parent, each layer's once
+    extra = [id(p) for name, parents in nodes if name == "sqrt_softmax" for p in parents[1:]]
+    learned = [id(layer.density_net.log_temperature) for layer in net.layers
+               if cfg.learn_temperature]
+    assert sorted(extra) == sorted(learned)
+    T.tape_backward(loss)
+    assert all(p.grad is not None for p in net.named_parameters().values())
+
+
+def test_tensor_module_exports_only_the_tape():
+    public = {n for n, v in vars(T).items() if not n.startswith("_") and not inspect.ismodule(v)
+              and getattr(v, "__module__", T.__name__) == T.__name__}
+    assert public == {"ACTIVATION_KERNELS", "Tensor", "no_grad", "parameter", "tape_backward"}
