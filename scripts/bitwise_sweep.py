@@ -18,8 +18,12 @@ loss on fixed data and records the loss, the output and the gradient of
 every parameter. It then takes two Adam steps on those gradients, with
 weight decay on the spectral weights, and records every parameter after
 the second (`<network>/step2/<parameter>`) and the bytes of the checkpoint
-`save_checkpoint` writes then (`<network>/checkpoint`, uint8). That makes
-12744 arrays: 12464 values and 280 checkpoints.
+`save_checkpoint` writes then (`<network>/checkpoint`, uint8). Last it
+records the generators' output, the inputs and targets of
+`make_burgers_dataset(2, nu=0.1, resolution=256, generate_at=1024)` and
+`make_darcy_dataset(2, resolution=64, generate_at=256)` at seeds 0 and 1
+(`data/<generator>-s<seed>/inputs` and `.../targets`). That makes 12752
+arrays: 12464 network values, 280 checkpoints and 8 data arrays.
 
 Run it once per tree, with that tree's package on the path, then compare:
 
@@ -33,7 +37,8 @@ prints how many bytes differ. For each other array whose values differ it
 prints the largest absolute difference and that difference divided by the
 largest magnitude of the array in the first file, and at the end the worst
 relative difference in each group: forward values (loss and output),
-gradients (`grad/`) and parameters after two steps (`step2/`).
+gradients (`grad/`), parameters after two steps (`step2/`) and the
+generators' output (`data/`).
 """
 
 import argparse
@@ -51,6 +56,7 @@ import numpy as np  # noqa: E402
 
 GRIDS = (((32,), 6), ((16, 32), 4), ((16,), 8), ((16, 32), 8))   # (extents, k_max)
 BATCH = 2
+DATA_SEEDS = (0, 1)
 
 
 # (name, density arch, residual): fd4 with and without its skip, and mlp2,
@@ -84,7 +90,7 @@ def variants():
 
 def sweep() -> dict:
     from able import tensor as T
-    from able.dataio import save_checkpoint
+    from able.dataio import make_burgers_dataset, make_darcy_dataset, save_checkpoint
     from able.operator import ModelConfig, build_network
     from able.training import Adam, relative_l2, spectral_weight_names
 
@@ -110,14 +116,24 @@ def sweep() -> dict:
                 arrays[f"{name}/step2/{pname}"] = p.data
             save_checkpoint(checkpoint, net.config, params)
             arrays[f"{name}/checkpoint"] = np.frombuffer(checkpoint.read_bytes(), dtype=np.uint8)
+    for seed in DATA_SEEDS:
+        for name, dataset in (
+                ("burgers", make_burgers_dataset(2, nu=0.1, seed=seed, resolution=256,
+                                                 generate_at=1024)),
+                ("darcy", make_darcy_dataset(2, seed=seed, resolution=64, generate_at=256))):
+            arrays[f"data/{name}-s{seed}/inputs"] = dataset.inputs
+            arrays[f"data/{name}-s{seed}/targets"] = dataset.targets
     return arrays
 
 
-GROUPS = ("forward", "grad", "step2")
+GROUPS = ("forward", "grad", "step2", "data")
 
 
 def _group(key: str) -> str:
-    """The group of a value array: forward for loss and output, else grad or step2."""
+    """The group of a value array: data for the generators' output, forward
+    for a network's loss and output, else grad or step2."""
+    if key.startswith("data/"):
+        return "data"
     part = key.split("/")[1]
     return "forward" if part in ("loss", "output") else part
 
@@ -173,7 +189,8 @@ def main(argv=None) -> int:
         return compare(*args.compare)
     arrays = sweep()
     np.savez(args.out, **arrays)
-    print(f"wrote {len(arrays)} arrays of {len(list(variants()))} networks to {args.out}")
+    print(f"wrote {len(arrays)} arrays of {len(list(variants()))} networks and "
+          f"{2 * len(DATA_SEEDS)} datasets to {args.out}")
     return 0
 
 

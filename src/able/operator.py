@@ -365,12 +365,17 @@ def build_network(config: ModelConfig, seed: int = 0) -> AbleNetwork:
 # ---- flop accounting -----------------------------------------------------------
 
 def _transform_flops(extents: Sequence[int], kept: Sequence[int], analysis: bool) -> float:
-    """One pruned transform's flops, 5 N log2 N per line each pass computes."""
+    """One pruned transform's flops, 5 N log2 N per c2c line each pass
+    computes. Both directions run the same lines along axis a,
+    prod(N_b, b < a) * prod(K_b, b > a): the analysis last axis first, the
+    synthesis the other axes first and then one c2r per line along the
+    last axis, charged at half a c2c line."""
     total = 0.0
+    last = len(extents) - 1
     for a, n in enumerate(extents):
-        before = extents[:a] if analysis else kept[:a]
-        after = kept[a + 1:] if analysis else extents[a + 1:]
-        total += float(np.prod(before)) * float(np.prod(after)) * 5.0 * n * np.log2(n)
+        lines = float(np.prod(extents[:a])) * float(np.prod(kept[a + 1:]))
+        per_line = 2.5 if a == last and not analysis else 5.0
+        total += lines * per_line * n * np.log2(n)
     return total
 
 
@@ -378,12 +383,14 @@ def count_flops(net: AbleNetwork, grid: Grid) -> dict:
     """Analytic per-forward flop estimate, broken down by term.
 
     Convention (documented, not a hardware claim): one complex multiply-add
-    is 8 real flops; each length-N line transform costs 5 N log2 N real
-    flops; forward and inverse transforms are counted separately. The fft
-    term counts only the lines the pruned transform computes: along axis a,
-    analysis transforms prod(N_b, b < a) * prod(K_b, b > a) lines and
-    synthesis prod(K_b, b < a) * prod(N_b, b > a), with N the grid extents
-    and K the retained mode counts.
+    is 8 real flops; each length-N c2c line transform costs 5 N log2 N real
+    flops and each c2r line 2.5 N log2 N; forward and inverse transforms
+    are counted separately. The fft term counts only the lines the pruned
+    transform computes, prod(N_b, b < a) * prod(K_b, b > a) along axis a
+    in both directions, with N the grid extents and K the retained mode
+    counts: the analysis runs c2c passes from the last axis back, the
+    synthesis (`frame._expand_real`) c2c passes on the other axes and then
+    one c2r per line along the last axis.
     """
     cfg = net.config
     points = grid.points

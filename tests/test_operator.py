@@ -411,12 +411,13 @@ def test_flops_fft_nlogn_law():
 
 def test_flops_fft_2d_counts_only_the_pruned_lines():
     # 64x64 keeping 16 modes per axis: analysis runs 64 rows then 16 kept
-    # columns, synthesis 16 kept rows then 64 columns, so 80 of the 128
-    # line transforms a full fftn would run, each 5 * 64 * log2(64) flops
+    # columns, 80 of the 128 c2c lines a full fftn would run, each
+    # 5 * 64 * log2(64) flops; synthesis runs the 16 kept columns c2c, then
+    # 64 rows c2r at half a c2c line, so 16 + 32 c2c-line equivalents
     net = op.build_network(small_model(ndim=2, k_max=8, slices=2), seed=0)
     got = op.count_flops(net, Grid((64, 64)))["fft"]
-    layers, slices, channels = 2, 2, 4 + 4
-    assert got == layers * slices * channels * 80 * 5 * 64 * 6
+    layers, slices, in_channels, out_channels = 2, 2, 4, 4
+    assert got == layers * slices * (in_channels * 80 + out_channels * 48) * 5 * 64 * 6
 
 
 def test_flops_monotone_in_slices():

@@ -251,6 +251,67 @@ def test_sine_basis_orthonormal_and_diagonalises_laplacian(n):
     assert np.allclose(s2 @ dense @ s2.T, expected, atol=1e-10 * expected.max())
 
 
+@pytest.mark.parametrize("n", [2, 4, 64, 256])
+def test_sine_parity_blocks_reproduce_the_dense_transform(n):
+    basis, eig = pde._dirichlet_sine_basis(n)
+    blocks, blocks_t, eig_split = pde._sine_parity_blocks(n)
+    h = n // 2
+    assert blocks.shape == blocks_t.shape == (2, h, h)
+    assert not (blocks.flags.writeable or blocks_t.flags.writeable or eig_split.flags.writeable)
+    x, y = np.random.default_rng(n).standard_normal((2, n, 3))
+    # forward: fold the mirrored halves, coefficients come out even|odd
+    top, bottom = x[:h], x[h:][::-1]
+    coef = np.concatenate([blocks[0] @ (top + bottom), blocks[1] @ (top - bottom)])
+    want = basis @ x
+    order = np.concatenate([np.arange(0, n, 2), np.arange(1, n, 2)])
+    assert np.allclose(coef, want[order], rtol=0, atol=1e-14 * np.abs(want).max())
+    assert np.array_equal(eig_split, eig[order])
+    # back: S^T of coefficients in even|odd order unfolds the two products
+    even, odd = blocks_t[0] @ y[order][:h], blocks_t[1] @ y[order][h:]
+    back = np.concatenate([even + odd, (even - odd)[::-1]])
+    want = basis.T @ y
+    assert np.allclose(back, want, rtol=0, atol=1e-14 * np.abs(want).max())
+
+
+def _dense_preconditioner(grid, r):
+    (s0, eig0), (s1, eig1) = (pde._dirichlet_sine_basis(n) for n in grid.extents)
+    hx, hy = grid.spacing
+    lam = eig0[:, None] / hx**2 + eig1[None, :] / hy**2
+    return s0.T @ ((s0 @ r @ s1.T) / lam) @ s1
+
+
+@pytest.mark.parametrize("extents", [(2, 2), (32, 32), (16, 64), (64, 4)])
+def test_sine_preconditioner_matches_the_dense_products(extents):
+    grid = Grid(extents)
+    precondition = pde._sine_preconditioner(grid)
+    for seed in range(3):
+        r = np.random.default_rng(seed).standard_normal(extents)
+        want = _dense_preconditioner(grid, r)
+        got = precondition(r)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("extents", [(32, 32), (16, 64)])
+def test_sine_preconditioner_is_symmetric(extents):
+    # PCG needs <x, M^-1 y> = <M^-1 x, y>
+    precondition = pde._sine_preconditioner(Grid(extents))
+    x, y = np.random.default_rng(7).standard_normal((2,) + extents)
+    lhs, rhs = np.sum(x * precondition(y)), np.sum(precondition(x) * y)
+    scale = np.linalg.norm(x) * np.linalg.norm(precondition(y))
+    assert abs(lhs - rhs) <= 1e-14 * scale
+
+
+def test_darcy_transposed_grid_gives_transposed_solution():
+    # each axis has its own spacing, so both grids describe the unit square
+    grid = Grid((32, 16))
+    a = pde.make_darcy_coefficient(pde.GrfSpec(**pde.DARCY_GRF), Grid((32, 32)), seed=2)[0]
+    a = np.ascontiguousarray(a[:, ::2])
+    u1 = pde.solve_darcy(a, 1.0, grid)
+    u2 = pde.solve_darcy(a.T, 1.0, Grid((16, 32)))
+    assert pde.darcy_residual(a, 1.0, u1, grid) < 1e-9
+    assert np.max(np.abs(u1 - u2.T)) <= 1e-9 * np.max(np.abs(u1))
+
+
 def test_darcy_constant_coefficient_one_iteration():
     grid = Grid((32, 32))
     u = pde.solve_darcy(np.full((32, 32), 4.0), 1.0, grid, max_iter=1)

@@ -44,8 +44,10 @@ def test_temperature_sweep_script_writes_sweep(tmp_path):
 def test_bitwise_sweep_compare_counts_bytes_and_groups_worst(tmp_path):
     a = {"n/loss": np.array(0.5), "n/output": np.array([[1.0, 2.0]]),
          "n/grad/w": np.array([1.0, -2.0]), "n/step2/w": np.array([3.0, 4.0]),
-         "n/checkpoint": np.array([0, 7, 9, 255], dtype=np.uint8)}
+         "n/checkpoint": np.array([0, 7, 9, 255], dtype=np.uint8),
+         "data/darcy-s0/targets": np.array([[0.25, 0.5]])}
     b = dict(a)
+    b["data/darcy-s0/targets"] = np.array([[0.25, 0.5 + 2.0**-50]])
     b["n/grad/w"] = np.array([1.0, -2.0 + 2.0**-47])
     b["n/step2/w"] = np.array([3.0 + 2.0**-38, 4.0])
     b["n/checkpoint"] = np.array([255, 7, 9, 0], dtype=np.uint8)
@@ -56,13 +58,14 @@ def test_bitwise_sweep_compare_counts_bytes_and_groups_worst(tmp_path):
     assert done.returncode == 1, done.stderr
     lines = done.stdout.splitlines()
     assert "differs: n/checkpoint 2 of 4 bytes" in lines
-    assert "3 of 5 arrays differ" in lines
+    assert "4 of 6 arrays differ" in lines
     assert "worst forward: none differ" in lines
     assert "worst grad: n/grad/w max abs 7.105e-15 rel 3.553e-15" in lines
     assert "worst step2: n/step2/w max abs 3.638e-12 rel 9.095e-13" in lines
+    assert "worst data: data/darcy-s0/targets max abs 8.882e-16 rel 1.776e-15" in lines
     same = run_script(ROOT / "scripts/bitwise_sweep.py", "--compare",
                       str(tmp_path / "a.npz"), str(tmp_path / "a.npz"))
-    assert same.returncode == 0 and "0 of 5 arrays differ" in same.stdout
+    assert same.returncode == 0 and "0 of 6 arrays differ" in same.stdout
 
 
 def test_criterion09_states_script_reads_both_states():
