@@ -22,8 +22,13 @@ the second (`<network>/step2/<parameter>`) and the bytes of the checkpoint
 records the generators' output, the inputs and targets of
 `make_burgers_dataset(2, nu=0.1, resolution=256, generate_at=1024)` and
 `make_darcy_dataset(2, resolution=64, generate_at=256)` at seeds 0 and 1
-(`data/<generator>-s<seed>/inputs` and `.../targets`). That makes 12752
-arrays: 12464 network values, 280 checkpoints and 8 data arrays.
+(`data/<generator>-s<seed>/inputs` and `.../targets`). It also runs the
+frame API on each network's first layer before the Adam steps: the
+layer's density of the lifted input (`layer.density`), the coefficients
+`able_forward` gives on it for a fixed real field
+(`frame/<network>/forward`) and the field `able_inverse` synthesizes back
+from them (`frame/<network>/roundtrip`). That makes 13312 arrays: 12464
+network values, 560 frame arrays, 280 checkpoints and 8 data arrays.
 
 Run it once per tree, with that tree's package on the path, then compare:
 
@@ -37,8 +42,8 @@ prints how many bytes differ. For each other array whose values differ it
 prints the largest absolute difference and that difference divided by the
 largest magnitude of the array in the first file, and at the end the worst
 relative difference in each group: forward values (loss and output),
-gradients (`grad/`), parameters after two steps (`step2/`) and the
-generators' output (`data/`).
+gradients (`grad/`), parameters after two steps (`step2/`), the
+generators' output (`data/`) and the frame API's arrays (`frame/`).
 """
 
 import argparse
@@ -89,6 +94,7 @@ def variants():
 
 
 def sweep() -> dict:
+    from able import frame
     from able import tensor as T
     from able.dataio import make_burgers_dataset, make_darcy_dataset, save_checkpoint
     from able.operator import ModelConfig, build_network
@@ -108,6 +114,13 @@ def sweep() -> dict:
             params = net.named_parameters()
             for pname, p in params.items():
                 arrays[f"{name}/grad/{pname}"] = p.grad
+            with T.no_grad():
+                density = net.layers[0].density(net.lift_input(T.Tensor(data[0])))
+                field = np.random.default_rng(2000 + i).standard_normal(
+                    (BATCH, kwargs["width"]) + extents)
+                lifted = frame.able_forward(T.Tensor(field), density)
+                arrays[f"frame/{name}/forward"] = lifted.values.data
+                arrays[f"frame/{name}/roundtrip"] = frame.able_inverse(lifted, density).data
             opt = Adam(params, lr=3e-3, weight_decay=1e-4,
                        decay_names=spectral_weight_names(params))
             opt.step()
@@ -126,14 +139,15 @@ def sweep() -> dict:
     return arrays
 
 
-GROUPS = ("forward", "grad", "step2", "data")
+GROUPS = ("forward", "grad", "step2", "data", "frame")
 
 
 def _group(key: str) -> str:
-    """The group of a value array: data for the generators' output, forward
-    for a network's loss and output, else grad or step2."""
-    if key.startswith("data/"):
-        return "data"
+    """The group of a value array: data for the generators' output, frame
+    for the frame API's arrays, forward for a network's loss and output,
+    else grad or step2."""
+    if key.startswith(("data/", "frame/")):
+        return key.split("/")[0]
     part = key.split("/")[1]
     return "forward" if part in ("loss", "output") else part
 

@@ -29,7 +29,7 @@ from .dataio import (Dataset, dataset_read, dataset_write, load_checkpoint,
                      make_burgers_dataset, make_darcy_dataset, write_atomic, write_json)
 from .errors import (AbleError, ContractError, DataFormatError, DomainError,
                      NumericalFailure, UnsupportedSizeError)
-from .operator import ModelConfig, build_network
+from .operator import build_network
 from .pde import GrfSpec
 from .training import evaluate, restore_network, split_dataset, train
 
@@ -51,12 +51,13 @@ def _write_csv(path, header, rows) -> None:
     write_atomic(path, text.getvalue().encode("utf-8"))
 
 
-def _finalize_model(config: RunConfig, dataset: Dataset) -> ModelConfig:
-    """Bind data-determined fields (channels, dimensionality) to the model."""
-    return replace(config.model,
-                   ndim=dataset.grid.dims,
-                   in_channels=dataset.inputs.shape[1],
-                   out_channels=dataset.targets.shape[1])
+def _finalize_model(config: RunConfig, dataset: Dataset) -> RunConfig:
+    """The run configuration with the model's data-determined fields
+    (dimensionality and channels) bound to the dataset."""
+    return replace(config, model=replace(config.model,
+                                         ndim=dataset.grid.dims,
+                                         in_channels=dataset.inputs.shape[1],
+                                         out_channels=dataset.targets.shape[1]))
 
 
 # ---- subcommands ------------------------------------------------------------------
@@ -87,8 +88,8 @@ def cmd_gen(args) -> int:
 def cmd_train(args) -> int:
     config = load_config(args.config, args.set)
     dataset = dataset_read(args.data)
-    model_cfg = _finalize_model(config, dataset)
-    net = build_network(model_cfg, seed=stream_seed(config.seed, "init"))
+    config = _finalize_model(config, dataset)
+    net = build_network(config.model, seed=stream_seed(config.seed, "init"))
     train_set, test_set = split_dataset(dataset, config.data.n_test, seed=config.seed)
     out = Path(args.out)
     write_json(out / "effective-config.json", asdict(config))  # fail fast on a bad --out
@@ -145,6 +146,7 @@ def cmd_verify(args) -> int:
 def cmd_sweep(args) -> int:
     config = load_config(args.config, args.set)
     dataset = dataset_read(args.data)
+    config = _finalize_model(config, dataset)
     train_set, test_set = split_dataset(dataset, config.data.n_test, seed=config.seed)
     probe = train_set.inputs[:4]
     out = Path(args.out)
@@ -157,7 +159,6 @@ def cmd_sweep(args) -> int:
             model_cfg = replace(config.model, slices=value)
         else:
             model_cfg = replace(config.model, temperature=float(value))
-        model_cfg = _finalize_model(replace(config, model=model_cfg), dataset)
         net = build_network(model_cfg, seed=stream_seed(config.seed, "init"))
         metrics = train(net, train_set, test_set, config.train)
         seconds = [r["seconds"] for r in metrics.records if r["epoch"] > 0]

@@ -178,6 +178,9 @@ def config_key_help() -> str:
     notes = {
         "task": "burgers (1-D) or darcy (2-D)",
         "seed": "master seed; data/init/shuffle streams derive from it",
+        "model.ndim": "set from the dataset's grid at train time",
+        "model.in_channels": "set from the dataset's inputs at train time",
+        "model.out_channels": "set from the dataset's targets at train time",
         "model.width": "channel width of the operator layers",
         "model.n_layers": "number of adaptive spectral layers",
         "model.k_max": "retained low modes per axis (needs 2*k_max <= N)",

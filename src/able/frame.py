@@ -1,33 +1,37 @@
 """Learnable per-point densities and the adaptive lifted transform.
 
-A density field assigns each grid point a probability vector over M
-slices. It is stored slice-major, (batch, heads, M, spatial...), with one
-head for a density shared by all channels or one per channel; broadcasting
-over the head axis makes the shared case a per-channel density with one
-channel. `lift` (analysis) scales a signal by the square root of each
-slice, applies the unitary FFT and keeps the retained modes; `synthesize`
-zero-fills the retained modes, applies the inverse FFT per slice,
-reweights by the same square roots and sums over slices. Along an axis of
-extent N the retained modes are the slice blocks [0, k) and [N - k, N),
-so k = N/2 keeps the whole axis. For any density and k synthesis is the
-adjoint of analysis, so each is one tape node whose VJP is the other's
-numpy kernel. Because the slice weights sum to one pointwise the frame is
-tight: on the full spectrum analysis preserves the grid norm and synthesis
-after analysis is the identity, for every admissible density. Their
-kernels are `_analyze`, `_expand` and `_reweight`; lifted data is
-slice-major too, (batch, channels, M, modes...). The frame API passes the
-full spectrum to `lift` and `synthesize`, and the operator layers pass
-their truncation to `spectral`. A square-root density of None stands for a
-single slice of density one and skips the weighting.
+A density is an array that assigns each grid point a probability vector
+over M slices. It is stored slice-major, (batch, heads, M, spatial...),
+with one head for a density shared by all channels or one per channel;
+broadcasting over the head axis makes the shared case a per-channel
+density with one channel. Its grid is its spatial shape, and
+`check_density` refuses an array that is not a density. `lift` (analysis)
+scales a signal by the square root of each slice, applies the unitary FFT
+and keeps the retained modes; `synthesize` zero-fills the retained modes,
+applies the inverse FFT per slice, reweights by the same square roots and
+sums over slices. Along an axis of extent N the retained modes are the
+slice blocks [0, k) and [N - k, N), so k = N/2 keeps the whole axis. For
+any density and k synthesis is the adjoint of analysis, so each is one
+tape node whose VJP is the other's numpy kernel. Because the slice weights
+sum to one pointwise the frame is tight: on the full spectrum analysis
+preserves the grid norm and synthesis after analysis is the identity, for
+every admissible density. Their kernels are `_analyze`, `_expand` and
+`_reweight`; lifted data is slice-major too, (batch, channels, M,
+modes...). The frame API (`able_forward`, `able_inverse`) runs `lift` and
+`synthesize` on the full spectrum, and the tests hold the operator layers'
+node, `spectral`, to their chain. A square-root density of None stands for
+a single slice of density one and skips the weighting.
 
-An operator layer is one tape node after its density nodes, `spectral`:
-lift, mix, synthesize, real part, the pointwise map w^T f + b and the
-activation. Its output is real, so its synthesis, in the forward and in
-the VJP alike, is `_expand_real`: the real part of an expansion as one c2r
-of the Hermitian part, with no complex spectrum zero-filled or kept. Its
-forward analysis stays `lift`'s c2c `_analyze`: acceptance criterion 09
-sets the one-slice layer's forward against a plain Fourier layer and wants
-the ratio in [0.75, 1.25], and with an r2c analysis as well it measured
+An operator layer is one tape node after its density nodes,
+`spectral(f, sp, weights, spec, pointwise, activation)`: lift, mix,
+synthesize, real part, the pointwise map w^T f + b and the activation. It
+reads the grid off the field and the retained modes off the weights, 2k
+per axis. Its output is real, so its synthesis, in the forward and in the
+VJP alike, is `_expand_real`: the real part of an expansion as one c2r of
+the Hermitian part, with no complex spectrum zero-filled or kept. Its
+forward analysis is `lift`'s c2c `_analyze`: acceptance criterion 09 sets
+the one-slice layer's forward against a plain Fourier layer and wants the
+ratio in [0.75, 1.25], and with an r2c analysis as well it measured
 0.65-0.67. The pointwise map is `_affine` into the node's own buffer, to
 which the reweighted synthesis is added, and the activation is one of the
 kernel pairs of `T.ACTIVATION_KERNELS`, which `linear` shares. Its VJP gets a
@@ -55,12 +59,11 @@ node reads: the softmax over slices of energies / T (`_softmax`) and its
 square root, whose derivative is epsilon-regularized so one-hot densities
 (the low-temperature regime) keep finite gradients; a learned
 log-temperature is its parent. `density_from_energies` is the same softmax
-off the tape, a `DensityField` for the frame API and the checks, and the
-frame API (`able_forward`, `able_inverse`) takes its square roots off the
-tape too (`sqrt_density`). `linear`, the per-point map of the lifting and
-projections, is one node on the head's kernels: `_affine` and an optional
-activation forward; the activation's gradient, W g, `_weight_grad` and the
-sum of g in its VJP.
+off the tape, the density array the frame API and the checks read, and
+the frame API takes its square roots off the tape too (`sqrt_density`).
+`linear`, the per-point map of the lifting and projections, is one node on
+the head's kernels: `_affine` and an optional activation forward; the
+activation's gradient, W g, `_weight_grad` and the sum of g in its VJP.
 """
 
 from __future__ import annotations
@@ -110,38 +113,19 @@ class Grid:
         return int(np.prod(self.extents))
 
 
-@dataclass
-class DensityField:
-    """Discrete p(x, m): nonnegative, summing to one over m at every point.
-
-    values has shape (batch, heads, M, spatial...): one head for a density
-    shared by all channels, or one per channel.
-    """
-
-    values: T.Tensor
-    grid: Grid
-
-    @property
-    def slices(self) -> int:
-        return self.values.shape[2]
-
-    def validate(self, tol: float = 1e-10) -> None:
-        v = self.values.data
-        if v.ndim != 3 + self.grid.dims:
-            raise ContractError(
-                f"density rank {v.ndim} does not match grid dims {self.grid.dims}")
-        spatial = v.shape[3:]
-        if spatial != self.grid.extents:
-            raise ContractError(
-                f"density spatial shape {spatial} != grid extents {self.grid.extents}")
-        if not np.all(np.isfinite(v)):
-            raise ContractError("density has non-finite entries")
-        if np.any(v < -tol) or np.any(v > 1.0 + tol):
-            raise ContractError("density entries outside [0, 1]")
-        rows = v.sum(axis=2)
-        if np.max(np.abs(rows - 1.0)) > tol:
-            raise ContractError(
-                f"density rows must sum to 1, worst residual {np.max(np.abs(rows - 1.0)):.3e}")
+def check_density(p: np.ndarray, tol: float = 1e-10) -> Grid:
+    """The grid of a density array p, (batch, heads, M, spatial...), after
+    refusing non-finite entries, entries outside [0, 1] and rows that do
+    not sum to one over the slices."""
+    grid = Grid(p.shape[3:])
+    if not np.all(np.isfinite(p)):
+        raise ContractError("density has non-finite entries")
+    if np.any(p < -tol) or np.any(p > 1.0 + tol):
+        raise ContractError("density entries outside [0, 1]")
+    residual = np.max(np.abs(p.sum(axis=2) - 1.0))
+    if residual > tol:
+        raise ContractError(f"density rows must sum to 1, worst residual {residual:.3e}")
+    return grid
 
 
 @dataclass
@@ -149,12 +133,10 @@ class LiftedCoefficients:
     """Analysis coefficients, slice-major: (batch, channels, M, frequency...)."""
 
     values: T.Tensor
-    grid: Grid
 
 
-def uniform_density(grid: Grid, slices: int, batch: int = 1) -> DensityField:
-    vals = T.Tensor(np.full((batch, 1, slices) + grid.extents, 1.0 / slices))
-    return DensityField(vals, grid)
+def uniform_density(grid: Grid, slices: int, batch: int = 1) -> np.ndarray:
+    return np.full((batch, 1, slices) + grid.extents, 1.0 / slices)
 
 
 # ---- density network --------------------------------------------------------
@@ -372,13 +354,11 @@ def _softmax(x: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=2, keepdims=True)
 
 
-def density_from_energies(energies: np.ndarray, temperature: float,
-                          grid: Optional[Grid] = None) -> DensityField:
+def density_from_energies(energies: np.ndarray, temperature: float) -> np.ndarray:
     """Temperature softmax of an energy array over slices, off the tape."""
     if not temperature > 0:
         raise DomainError(f"temperature must be positive, got {temperature}")
-    p = _softmax(energies / temperature)
-    return DensityField(T.Tensor(p), grid if grid is not None else Grid(p.shape[3:]))
+    return _softmax(energies / temperature)
 
 
 def sqrt_softmax(energies: T.Tensor, temperature: float,
@@ -405,13 +385,12 @@ def sqrt_softmax(energies: T.Tensor, temperature: float,
 
 # ---- forward / inverse transform --------------------------------------------
 
-def sqrt_density(p: DensityField) -> T.Tensor:
+def sqrt_density(p: np.ndarray) -> T.Tensor:
     """sqrt(p), (batch, heads, M, spatial...), to weight lifted data; no tape,
     so the frame API differentiates in the field and coefficients only."""
-    v = p.values.data
-    if np.any(v < 0):
+    if np.any(p < 0):
         raise DomainError("square root of a negative density entry")
-    return T.Tensor(np.sqrt(v))
+    return T.Tensor(np.sqrt(p))
 
 
 def _retained(k, extents) -> tuple:
@@ -541,14 +520,16 @@ def _expand_real(c: np.ndarray, k: tuple, extents: tuple) -> np.ndarray:
     return _fft.irfft_unitary(h, n, 3 + last)
 
 
-def spectral(f: T.Tensor, sp: Optional[T.Tensor], weights: T.Tensor, spec: str, k,
-             extents, pointwise: Optional[tuple] = None,
+def spectral(f: T.Tensor, sp: Optional[T.Tensor], weights: T.Tensor, spec: str,
+             pointwise: Optional[tuple] = None,
              activation: Optional[str] = None) -> T.Tensor:
     """A spectral layer as one tape node, (batch, O, spatial...) for a real f:
     the real part of `synthesize(mix(lift(f, sp, k)), sp, k, extents)`, with
     the mix `tensor._contract(spec, ., weights)`, plus the pointwise path
     `linear(f, w, b)` when `pointwise` is the pair (w, b), all through the
-    `activation` named in `T.ACTIVATION_KERNELS` (None for none).
+    `activation` named in `T.ACTIVATION_KERNELS` (None for none). The
+    extents are f's spatial shape and k is half the weights' mode extents,
+    (I, O, 2k..., M[, M]).
 
     The forward analyzes with `lift`'s c2c kernel, mixes, and synthesizes
     z = Re of the expansion with one c2r per line (`_expand_real`), so its
@@ -564,7 +545,8 @@ def spectral(f: T.Tensor, sp: Optional[T.Tensor], weights: T.Tensor, spec: str, 
     `_expand_real` again; then df = w g + sum_m sp z2, dsp = g z + z2 f,
     dw = sum f g^T (`_weight_grad`) and db = sum g, all real.
     """
-    k = _retained(k, extents)
+    extents = f.shape[2:]
+    k = _retained([n // 2 for n in weights.shape[2:f.ndim]], extents)
     if f.is_complex:
         raise ContractError("the spectral node takes a real field")
     act = T.ACTIVATION_KERNELS[activation]
@@ -611,41 +593,35 @@ def spectral(f: T.Tensor, sp: Optional[T.Tensor], weights: T.Tensor, spec: str, 
     return T._make(out, parents + (() if pointwise is None else tuple(pointwise)), vjp)
 
 
-def _check_compatible(f: T.Tensor, p: DensityField) -> None:
-    d = p.grid.dims
-    if f.ndim != 2 + d:
-        raise ContractError(f"field rank {f.ndim} does not match grid dims {d}")
-    if tuple(f.shape[2:]) != p.grid.extents:
+def _check_compatible(shape: tuple, p: np.ndarray) -> Grid:
+    """The grid of density p, checked against data of shape (batch, channels, ...)."""
+    grid = check_density(p)
+    if shape[0] != p.shape[0]:
+        raise ContractError(f"batch size {shape[0]} differs from the density's {p.shape[0]}")
+    if p.shape[1] not in (1, shape[1]):
         raise ContractError(
-            f"field spatial shape {tuple(f.shape[2:])} != grid extents {p.grid.extents}")
-    if f.shape[0] != p.values.shape[0]:
-        raise ContractError("field and density batch sizes differ")
-    if p.values.shape[1] not in (1, f.shape[1]):
-        raise ContractError(
-            f"density has {p.values.shape[1]} channel heads; the field has {f.shape[1]} channels")
+            f"density has {p.shape[1]} channel heads; the data has {shape[1]} channels")
+    return grid
 
 
-def able_forward(f: T.Tensor, p: DensityField) -> LiftedCoefficients:
+def able_forward(f: T.Tensor, p: np.ndarray) -> LiftedCoefficients:
     """Analysis: FFT of the square-root-density-weighted field, one slice per m."""
-    p.validate()
-    _check_compatible(f, p)
-    return LiftedCoefficients(lift(f, sqrt_density(p), [n // 2 for n in p.grid.extents]),
-                              p.grid)
+    grid = _check_compatible(f.shape, p)
+    if f.shape[2:] != grid.extents:
+        raise ContractError(f"field spatial shape {f.shape[2:]} != density grid {grid.extents}")
+    return LiftedCoefficients(lift(f, sqrt_density(p), [n // 2 for n in grid.extents]))
 
 
-def able_inverse(c, p: DensityField) -> T.Tensor:
+def able_inverse(c: LiftedCoefficients, p: np.ndarray) -> T.Tensor:
     """Synthesis: inverse FFT per slice, reweight by sqrt(p), sum over slices.
 
-    The same formula is applied to any coefficient tensor; on the image of
-    the forward transform it is the exact left inverse.
+    The same formula is applied to any coefficients; on the image of the
+    forward transform it is the exact left inverse.
     """
-    p.validate()
-    values = c.values if isinstance(c, LiftedCoefficients) else c
-    if values.shape[2:3] != (p.slices,):
+    grid = _check_compatible(c.values.shape, p)
+    if c.values.shape[2:3] != p.shape[2:3]:
         raise ContractError("coefficient slice count does not match density")
-    if values.shape[0] != p.values.shape[0]:
-        raise ContractError("coefficient and density batch sizes differ")
-    return synthesize(values, sqrt_density(p), [n // 2 for n in p.grid.extents], p.grid.extents)
+    return synthesize(c.values, sqrt_density(p), [n // 2 for n in grid.extents], grid.extents)
 
 
 # ---- diagnostics --------------------------------------------------------------

@@ -7,15 +7,16 @@ tape node, `frame.spectral`: it lifts the input onto the retained low
 frequencies, mixes them with learnable complex weights (per slice, or
 across slice pairs in the cross variant), synthesizes back, keeps the real
 part, adds the pointwise map W^T f + b and applies the activation. The
-node's synthesis is one c2r per line in the forward and in the VJP; its
-forward analysis is `frame.lift`'s c2c kernel, since acceptance criterion
-09 wants the one-slice forward within 25% of a plain Fourier layer and an
-r2c analysis measured 0.65-0.67 of it. The rest of the VJP works on the
-real half spectrum too. Lifting and projection are `frame.linear`, the
-same per-point map on the same batched-matmul kernels, the first projection
-with the activation inside its node; the coordinate channels are joined to
-the input in numpy, since the input is data. One pipeline serves every
-slice count.
+node reads the grid off the input and the retained modes off the weights,
+so the layer passes neither. Its synthesis is one c2r per line in the
+forward and in the VJP; its forward analysis is `frame.lift`'s c2c
+kernel, since acceptance criterion 09 wants the one-slice forward within
+25% of a plain Fourier layer and an r2c analysis measured 0.65-0.67 of
+it. The rest of the VJP works on the real half spectrum too. Lifting and
+projection are `frame.linear`, the same per-point map on the same
+batched-matmul kernels, the first projection with the activation inside
+its node; the coordinate channels are joined to the input in numpy, since
+the input is data. One pipeline serves every slice count.
 With a single slice the density is identically one and the layer reduces
 to a plain Fourier layer: it passes no square-root density (None), so the
 lifted transform skips the weighting, which softmax over one logit makes
@@ -23,7 +24,8 @@ the identity.
 
 Frequency truncation keeps, per axis, the k_max lowest nonnegative and
 the k_max lowest negative wavenumbers in the natural FFT layout, so
-k_max = N/2 retains the full spectrum.
+k_max = N/2 retains the full spectrum. A layer's density, `density`, is
+the slice-major array the frame API takes.
 
 `materialize_kernel` assembles the equivalent dense kernel
 sum_m sqrt(p(x,m)) r(x-z; m) sqrt(p(z,m)) by inverse-transforming the
@@ -44,9 +46,8 @@ import numpy as np
 from . import fft as _fft
 from . import tensor as T
 from .errors import ContractError
-from .frame import (DensityField, DensityNetConfig, DensityNetwork, Grid,
-                    density_from_energies, linear, spectral, sqrt_softmax,
-                    uniform_density)
+from .frame import (DensityNetConfig, DensityNetwork, Grid, density_from_energies, linear,
+                    spectral, sqrt_softmax, uniform_density)
 
 KERNEL_POINT_LIMIT = 4096
 
@@ -75,8 +76,12 @@ class SpectralMultiplier:
     (`data[...] = ...`), which keeps the layout.
     """
 
-    k_max: int
     weights: T.Tensor
+
+    @property
+    def k_max(self) -> int:
+        """Retained wavenumbers per sign and axis: the weights hold 2 k_max modes per axis."""
+        return self.weights.shape[2] // 2
 
 
 def mix_spec(kind: str, ndim: int) -> str:
@@ -98,7 +103,7 @@ def make_multiplier(kind: str, k_max: int, in_channels: int, out_channels: int,
     lifted = (1, in_channels, slices) + modes
     stored = T._matmul_plan(mix_spec(kind, ndim), lifted, shape)[2]
     w = np.ascontiguousarray(w.transpose(stored)).transpose(np.argsort(stored))
-    return SpectralMultiplier(k_max, T.parameter(w))
+    return SpectralMultiplier(T.parameter(w))
 
 
 class AbleLayer:
@@ -140,27 +145,24 @@ class AbleLayer:
             params.update(self.density_net.named_parameters(f"{prefix}density."))
         return params
 
-    def density(self, f: T.Tensor) -> DensityField:
+    def density(self, f: T.Tensor) -> np.ndarray:
         """Density this layer derives from its input, off the tape; uniform when M == 1."""
-        grid = Grid(f.shape[2:])
         if self.density_net is None:
-            return uniform_density(grid, 1, batch=f.shape[0])
+            return uniform_density(Grid(f.shape[2:]), 1, batch=f.shape[0])
         with T.no_grad():
             e = self.density_net.energies(f).data
-        return density_from_energies(e, self.density_net.temperature, grid)
+        return density_from_energies(e, self.density_net.temperature)
 
     def forward(self, f: T.Tensor) -> T.Tensor:
         if f.ndim != 2 + self.ndim:
             raise ContractError(f"expected (batch, channels, {self.ndim} spatial axes), got {f.shape}")
         if f.shape[1] != self.in_channels:
             raise ContractError(f"channel count {f.shape[1]} != layer width {self.in_channels}")
-        extents = tuple(f.shape[2:])
-        k = [self.multiplier.k_max] * self.ndim
         head = self.density_net
         sp = None if head is None else sqrt_softmax(head.energies(f), head.config.temperature,
                                                     head.log_temperature)
         return spectral(f, sp, self.multiplier.weights, mix_spec(self.kind, self.ndim),
-                        k, extents, (self.pointwise, self.bias), self.activation)
+                        (self.pointwise, self.bias), self.activation)
 
     __call__ = forward
 
@@ -213,7 +215,7 @@ def materialize_kernel(layer: AbleLayer, f: T.Tensor) -> np.ndarray:
     disp = _flat_displacements(extents)
 
     # sqrt(p) per channel head, (batch, 1 or C, M, P); a shared head broadcasts
-    sq = np.sqrt(p.values.data).reshape(p.values.shape[:3] + (points,))
+    sq = np.sqrt(p).reshape(p.shape[:3] + (points,))
     batch = sq.shape[0]
     syn = np.broadcast_to(sq, (batch, cout, m, points))
     ana = np.broadcast_to(sq, (batch, cin, m, points))

@@ -286,6 +286,9 @@ def train(net: AbleNetwork, train_set: Dataset, test_set: Dataset,
     def record_epoch(epoch: int, seconds: float) -> None:
         train_loss, _ = evaluate(net, train_set, config.batch_size)
         test_loss, _ = evaluate(net, test_set, config.batch_size)
+        if not (math.isfinite(train_loss) and math.isfinite(test_loss)):
+            raise NumericalFailure(f"non-finite evaluation at epoch {epoch}: "
+                                   f"train loss {train_loss}, test loss {test_loss}")
         metrics.records.append({
             "epoch": epoch, "train_loss": train_loss, "test_loss": test_loss,
             "lr": scheduled_lr(config, max(epoch - 1, 0)), "seconds": seconds,
@@ -327,8 +330,9 @@ def train(net: AbleNetwork, train_set: Dataset, test_set: Dataset,
 
 def split_dataset(dataset: Dataset, n_test: int, seed: int) -> tuple:
     """Deterministic shuffled train/test split."""
-    if n_test >= dataset.samples:
-        raise ContractError("test split must leave at least one training sample")
+    if not 1 <= n_test < dataset.samples:
+        raise ContractError(f"the test split takes {n_test} of {dataset.samples} samples; "
+                            "it needs at least one and must leave one for training")
     rng = np.random.default_rng(run_config.stream_seed(seed, "data"))
     order = rng.permutation(dataset.samples)
     return dataset.subset(order[n_test:]), dataset.subset(order[:n_test])

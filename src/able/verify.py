@@ -42,7 +42,7 @@ from . import fft as _fft
 from . import tensor as T
 from . import reference
 from .errors import ContractError, DomainError
-from .frame import (DensityField, DensityNetConfig, Grid, able_forward,
+from .frame import (DensityNetConfig, Grid, LiftedCoefficients, able_forward,
                     able_inverse, density_entropy, density_from_energies,
                     uniform_density)
 from .operator import AbleLayer, kernel_diagonals, materialize_kernel
@@ -161,9 +161,9 @@ def isometry_residual(f: np.ndarray, coeff: np.ndarray) -> float:
     return float(abs(np.sum(np.abs(coeff) ** 2) - norm_in) / norm_in)
 
 
-def roundtrip_residual(f: np.ndarray, coeff: np.ndarray, p: DensityField) -> float:
+def roundtrip_residual(f: np.ndarray, coeff: np.ndarray, p: np.ndarray) -> float:
     """Max-norm error of synthesizing f back from its lifted coefficients."""
-    back = able_inverse(T.Tensor(coeff), p).data
+    back = able_inverse(LiftedCoefficients(T.Tensor(coeff)), p).data
     return float(np.max(np.abs(back - f)) / np.max(np.abs(f)))
 
 
@@ -289,11 +289,11 @@ def run_frame_properties(seeds: Sequence[int], extents_list: Sequence[tuple],
                 tag = f"N={'x'.join(map(str, extents))},M={m},seed={seed}"
                 f = T.Tensor(_random_complex((1, 1) + grid.extents, rng))
                 energies = _slice_major(rng.standard_normal((1,) + grid.extents + (m,)) * 2)
-                p = density_from_energies(energies, 0.8, grid)
+                p = density_from_energies(energies, 0.8)
                 if inject == "density-normalization":
-                    p = DensityField(T.Tensor(p.values.data * 0.9), grid)
+                    p = p * 0.9
 
-                norm_res = float(np.max(np.abs(p.values.data.sum(axis=2) - 1.0)))
+                norm_res = float(np.max(np.abs(p.sum(axis=2) - 1.0)))
                 norm_ok = report.add(
                     name=f"density_normalization[{tag}]",
                     claim="density rows sum to one at every grid point",
@@ -334,18 +334,18 @@ def run_frame_properties(seeds: Sequence[int], extents_list: Sequence[tuple],
 def _temperature_checks(report: PropertyReport) -> None:
     rng = np.random.default_rng(77)
     energies = _slice_major(rng.standard_normal((1, 32, 4)) * 2)
-    low = density_from_energies(energies, 1e-6).values.data
+    low = density_from_energies(energies, 1e-6)
     report.add(
         name="low_temperature_one_hot",
         claim="at vanishing temperature every density row is one-hot",
         residual=float(1.0 - low.max(axis=2).min()), tolerance=1e-6)
     spread = np.broadcast_to(np.array([3.0, 1.0, -2.0])[:, None], (1, 1, 3, 32))
-    high = density_from_energies(spread, 1e6).values.data
+    high = density_from_energies(spread, 1e6)
     report.add(
         name="high_temperature_uniform",
         claim="at huge temperature the density is uniform over slices",
         residual=float(np.max(np.abs(high - 1.0 / 3.0))), tolerance=1e-6)
-    entropies = [density_entropy(density_from_energies(energies, t).values.data)
+    entropies = [density_entropy(density_from_energies(energies, t))
                  for t in (0.01, 0.1, 1.0, 10.0, 100.0)]
     worst_drop = max(0.0, max(a - b for a, b in zip(entropies, entropies[1:])))
     report.add(
@@ -608,11 +608,7 @@ def entropy_vs_temperature_at_fixed_weights(net, probe: np.ndarray,
         return [0.0] * len(t_list)
     with T.no_grad():
         energies = layer.density_net.energies(net.lift_input(T.Tensor(probe))).data
-    out = []
-    for t in t_list:
-        p = density_from_energies(energies, t)
-        out.append(density_entropy(p.values.data))
-    return out
+    return [density_entropy(density_from_energies(energies, t)) for t in t_list]
 
 
 # ---- complexity scaling ---------------------------------------------------------------

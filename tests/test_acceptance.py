@@ -38,7 +38,7 @@ def test_criterion_01_parseval_isometry():
                 f = T.Tensor(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
                 e = rng.standard_normal((1,) + grid.extents + (m,)) * 2
                 e = np.moveaxis(e, -1, 1)[:, None]
-                p = density_from_energies(e, 0.8, grid)
+                p = density_from_energies(e, 0.8)
                 coeff = able_forward(f, p).values.data
                 worst_parseval = max(worst_parseval, verify.isometry_residual(f.data, coeff))
                 worst_inverse = max(worst_inverse,
@@ -107,7 +107,7 @@ def test_criterion_05_temperature_limits():
     high_t_res = verify.high_temperature_residual(layer, rng.standard_normal((2, 2, 16)))
 
     energies = np.moveaxis(rng.standard_normal((1, 64, 4)), -1, 1)[:, None]
-    low = density_from_energies(energies, 1e-6).values.data
+    low = density_from_energies(energies, 1e-6)
     min_max_entry = float(low.max(axis=2).min())
 
     ok = high_t_res < 1e-6 and min_max_entry >= 1.0 - 1e-6

@@ -13,6 +13,7 @@ import pytest
 
 from able.cli import main
 from able.config import build_run_config, config_key_help, load_config, stream_seed
+from able.dataio import load_checkpoint
 from able.errors import ContractError
 
 TINY_TRAIN = {
@@ -435,6 +436,15 @@ def test_rate_study_keeps_a_dotted_prefix_verbatim(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["study.v2.csv", "study.v2.json"]
 
 
+def test_bench_writes_its_report(tmp_path, capsys):
+    assert main(["bench", "--m-list", "1,2", "--n-list", "64,128",
+                 "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "bench.json").read_text())
+    assert report["m_list"] == [1, 2] and report["n_list"] == [64, 128]
+    assert len(report["m_times"]) == 2 and len(report["n_times"]) == 2
+    assert "slice-count slope" in capsys.readouterr().out
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["train"])  # missing required args
@@ -447,6 +457,29 @@ def run_cli(*argv):
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     return subprocess.run([sys.executable, "-m", "able.cli", *map(str, argv)],
                           env=env, capture_output=True, text=True, timeout=120)
+
+
+def test_train_diverging_on_its_last_step_is_numerical_failure(trained_run, tmp_path):
+    # one batch of the six training samples: the only step diverges, so no
+    # batch loss is non-finite but the epoch's evaluation is
+    tmp, cfg = trained_run
+    out = tmp_path / "out"
+    done = run_cli("train", "--config", cfg, "--data", tmp / "data.bin", "--out", out,
+                   "--set", "train.batch_size=6", "--set", "train.learning_rate=1e300")
+    assert done.returncode == 4, done.stderr
+    assert "numerical failure" in done.stderr and "Traceback" not in done.stderr
+    assert not (out / "model.ckpt").exists()
+
+
+def test_effective_config_model_is_the_checkpoint_header(trained_run, tmp_path):
+    # the dataset sets ndim and the channel counts, whatever the configuration says
+    tmp, cfg = trained_run
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(cfg), "--data", str(tmp / "data.bin"),
+                 "--out", str(out), "--set", "model.ndim=2", "--set", "model.in_channels=3"]) == 0
+    header, _ = load_checkpoint(out / "model.ckpt")
+    written = json.loads((out / "effective-config.json").read_text())["model"]
+    assert written == header and (written["ndim"], written["in_channels"]) == (1, 1)
 
 
 def test_unknown_activation_is_usage_error_without_traceback(trained_run, tmp_path):
@@ -481,6 +514,7 @@ BAD_INPUTS = {
     "width-not-an-integer": (["train", "--set", "model.width=abc"], 2),
     "epochs-not-an-integer": (["train", "--set", "train.epochs=abc"], 2),
     "act-flags-not-a-list": (["train", "--set", "model.act_flags=5"], 2),
+    "act-flags-wrong-length": (["train", "--set", "model.act_flags=[true,false]"], 2),
     "density-hidden-negative": (["train", "--set", "model.density_hidden=-3"], 2),
     "density-hidden-zero": (["train", "--set", "model.density_hidden=0"], 2),
     "fd4-density-hidden-one": (["train", "--set", "model.density_arch=fd4",

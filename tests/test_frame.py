@@ -32,7 +32,7 @@ def slice_major(a, per_channel=False):
 def random_density(grid, m, batch=1, seed=0, channels=None):
     shape = (batch,) + ((channels,) if channels else ()) + grid.extents + (m,)
     e = rng(seed).standard_normal(shape) * 2.0
-    return frame.density_from_energies(slice_major(e, channels is not None), 1.0, grid)
+    return frame.density_from_energies(slice_major(e, channels is not None), 1.0)
 
 
 # ---- grid / density types -----------------------------------------------------
@@ -54,12 +54,11 @@ def test_grid_properties():
     assert g.dims == 2 and g.points == 128 and g.spacing == (0.125, 0.0625)
 
 
-def test_density_validate_rejects_bad_rows():
-    g = frame.Grid((8,))
+def test_check_density_rejects_bad_rows():
     for fill in (0.45, np.nan):
-        bad = frame.DensityField(T.Tensor(slice_major(np.full((1, 8, 2), fill))), g)
+        bad = slice_major(np.full((1, 8, 2), fill))
         with pytest.raises(ContractError):
-            bad.validate()
+            frame.check_density(bad)
 
 
 def test_density_from_energies_rejects_nonpositive_temperature():
@@ -71,27 +70,27 @@ def test_density_from_energies_rejects_nonpositive_temperature():
 
 def test_equal_energies_give_uniform():
     p = frame.density_from_energies(slice_major(np.zeros((1, 4, 2))), 1.0)
-    assert np.allclose(p.values.data, 0.5, atol=1e-15)
+    assert np.allclose(p, 0.5, atol=1e-15)
 
 
 def test_low_temperature_one_hot():
     e = np.zeros((1, 4, 2))
     e[..., 0] = 1.0
     p = frame.density_from_energies(slice_major(e), 1e-4)
-    assert np.all(np.abs(p.values.data[:, :, 0] - 1.0) < 1e-10)
-    assert np.all(p.values.data[:, :, 1] < 1e-10)
+    assert np.all(np.abs(p[:, :, 0] - 1.0) < 1e-10)
+    assert np.all(p[:, :, 1] < 1e-10)
 
 
 def test_high_temperature_uniform():
     e = np.zeros((1, 4, 3))
     e[..., 0], e[..., 1], e[..., 2] = 3.0, 1.0, -2.0
     p = frame.density_from_energies(slice_major(e), 1e6)
-    assert np.max(np.abs(p.values.data - 1.0 / 3.0)) < 1e-6
+    assert np.max(np.abs(p - 1.0 / 3.0)) < 1e-6
 
 
 def test_entropy_monotone_in_temperature():
     e = rng(5).standard_normal((1, 16, 4)) * 2
-    entropies = [frame.density_entropy(frame.density_from_energies(slice_major(e), t).values.data)
+    entropies = [frame.density_entropy(frame.density_from_energies(slice_major(e), t))
                  for t in (0.01, 0.1, 1.0, 10.0, 100.0)]
     assert all(b >= a - 1e-12 for a, b in zip(entropies, entropies[1:]))
 
@@ -99,7 +98,7 @@ def test_entropy_monotone_in_temperature():
 def test_low_temperature_limit_max_entry():
     e = rng(6).standard_normal((1, 32, 4))
     p = frame.density_from_energies(slice_major(e), 1e-6)
-    assert np.all(p.values.data.max(axis=2) >= 1.0 - 1e-6)
+    assert np.all(p.max(axis=2) >= 1.0 - 1e-6)
 
 
 # ---- stencil features ------------------------------------------------------------
@@ -283,7 +282,7 @@ def test_density_network_initial_density_near_uniform():
     net = frame.DensityNetwork(cfg, in_channels=2, ndim=1, rng=rng(7))
     e = net.energies(T.Tensor(rng(8).standard_normal((2, 2, 32))))
     p = frame.density_from_energies(e.data, cfg.temperature)
-    assert np.max(np.abs(p.values.data - 0.25)) < 0.2
+    assert np.max(np.abs(p - 0.25)) < 0.2
 
 
 # ---- the square-root density node ---------------------------------------------------
@@ -302,7 +301,7 @@ def test_sqrt_softmax_node_matches_density_from_energies_and_central_differences
 
     out, grads = node_grads(node, arrays, g)
     p = frame.density_from_energies(arrays[0], np.exp(arrays[1]) if learned else 0.6)
-    assert np.array_equal(out, np.sqrt(p.values.data))
+    assert np.array_equal(out, np.sqrt(p))
     assert (grads[1] is not None) == learned
     for i in range(1 + learned):
         def loss(a, i=i):
@@ -327,10 +326,9 @@ def test_sqrt_softmax_keeps_a_finite_gradient_at_a_one_hot_density():
 def test_sqrt_density_rejects_a_negative_entry():
     values = slice_major(np.full((1, 8, 2), 0.5))
     values[0, 0, 0, 3], values[0, 0, 1, 3] = -1e-12, 1.0 + 1e-12
-    p = frame.DensityField(T.Tensor(values), frame.Grid((8,)))
-    p.validate()
+    frame.check_density(values)
     with pytest.raises(DomainError):
-        frame.sqrt_density(p)
+        frame.sqrt_density(values)
 
 
 # ---- transform: Parseval / roundtrip ------------------------------------------------
@@ -402,11 +400,10 @@ def test_one_hot_partition_step_roundtrip_exact():
     # indicator densities: sqrt is the indicator itself, so the roundtrip is
     # sum_m 1_m * ifft(fft(1_m * f)) = sum_m 1_m * f = f
     n = 16
-    g = frame.Grid((n,))
     pv = np.zeros((1, n, 2))
     pv[0, : n // 2, 0] = 1.0
     pv[0, n // 2:, 1] = 1.0
-    p = frame.DensityField(T.Tensor(slice_major(pv)), g)
+    p = slice_major(pv)
     f = np.where(np.arange(n) < n // 2, 1.0, -2.0).reshape(1, 1, n)
     back = frame.able_inverse(frame.able_forward(T.Tensor(f), p), p)
     direct = sum(
@@ -419,8 +416,7 @@ def test_one_hot_partition_step_roundtrip_exact():
 
 
 def test_forward_rejects_invalid_density():
-    g = frame.Grid((8,))
-    bad = frame.DensityField(T.Tensor(slice_major(np.full((1, 8, 2), 0.4))), g)
+    bad = slice_major(np.full((1, 8, 2), 0.4))
     with pytest.raises(ContractError):
         frame.able_forward(T.Tensor(np.zeros((1, 1, 8))), bad)
 
@@ -430,6 +426,30 @@ def test_forward_rejects_grid_mismatch():
     p = random_density(g, 2, seed=80)
     with pytest.raises(ContractError):
         frame.able_forward(T.Tensor(np.zeros((1, 1, 16))), p)
+
+
+def _lifted(batch, m, n=8):
+    return frame.LiftedCoefficients(T.Tensor(randc((batch, 3, m, n), seed=81)))
+
+
+FRAME_REFUSALS = {
+    "field-batch-off-density": lambda p: frame.able_forward(T.Tensor(np.zeros((1, 3, 8))), p),
+    "field-rank-off-density": lambda p: frame.able_forward(T.Tensor(np.zeros((2, 3, 8, 8))), p),
+    "heads-neither-one-nor-channels": lambda p: frame.able_forward(
+        T.Tensor(np.zeros((2, 2, 8))), random_density(frame.Grid((8,)), 2, 2, 82, channels=3)),
+    "coefficient-slices-off-density": lambda p: frame.able_inverse(_lifted(2, 3), p),
+    "coefficient-batch-off-density": lambda p: frame.able_inverse(_lifted(1, 2), p),
+    "density-rank": lambda p: frame.check_density(p[:, 0]),
+    "row-outside-unit-interval": lambda p: frame.check_density(
+        slice_major(np.tile([1.5, -0.5], (2, 8, 1)))),
+}
+
+
+@pytest.mark.parametrize("case", list(FRAME_REFUSALS))
+def test_frame_api_refusals(case):
+    p = random_density(frame.Grid((8,)), 2, batch=2, seed=80)
+    with pytest.raises(ContractError):
+        FRAME_REFUSALS[case](p)
 
 
 def test_gradient_flows_through_density_path():
@@ -518,8 +538,8 @@ def test_isometry_property(exp, m, seed):
 def test_density_normalization_property(t, seed):
     e = rng(seed).standard_normal((2, 8, 5)) * 4
     p = frame.density_from_energies(slice_major(e), t)
-    assert np.max(np.abs(p.values.data.sum(axis=2) - 1.0)) < 1e-10
-    p.validate()
+    assert np.max(np.abs(p.sum(axis=2) - 1.0)) < 1e-10
+    frame.check_density(p)
 
 
 # ---- pruned transform: bitwise against the all-axes FFT ----------------------------
@@ -716,7 +736,7 @@ def test_spectral_node_matches_lift_mix_synthesize_chain(extents, k, m, heads, k
         return chain_real_part(frame.synthesize(mixed, st, k, extents))
 
     out, grads = node_grads(
-        lambda ft, st, wt: frame.spectral(ft, st, wt, spec, k, extents), [f, sp, w], g)
+        lambda ft, st, wt: frame.spectral(ft, st, wt, spec), [f, sp, w], g)
     want_out, want_grads = node_grads(chain, [f, sp, w], g)
     assert out.dtype == np.float64
     assert np.max(np.abs(out - want_out)) <= 1e-14 * np.max(np.abs(want_out))
@@ -731,7 +751,7 @@ def test_spectral_node_canonical_weight_layout_and_partial_parents(extents, k):
     f, sp, w, spec = spectral_case(extents, k, 2, "cross", 1, seed=9, stored=False)
     g = rng(6).standard_normal(f.shape)
     got = [T.Tensor(f), T.parameter(sp), T.parameter(w)]
-    T.tape_backward(inner(frame.spectral(*got, spec, k, extents), g))
+    T.tape_backward(inner(frame.spectral(*got, spec), g))
     _, want = node_grads(
         lambda ft, st, wt: chain_real_part(frame.synthesize(
             taped_contraction(spec, frame.lift(ft, st, k), wt), st, k, extents)), [f, sp, w], g)
@@ -743,7 +763,7 @@ def test_spectral_node_canonical_weight_layout_and_partial_parents(extents, k):
 def test_spectral_node_rejects_a_complex_field():
     f, sp, w, spec = spectral_case((16,), (4,), 2, "diagonal", 1, seed=3)
     with pytest.raises(ContractError):
-        frame.spectral(T.Tensor(f + 0j), T.Tensor(sp), T.Tensor(w), spec, (4,), (16,))
+        frame.spectral(T.Tensor(f + 0j), T.Tensor(sp), T.Tensor(w), spec)
 
 
 def test_spectral_node_holds_a_real_synthesis():
@@ -754,10 +774,10 @@ def test_spectral_node_holds_a_real_synthesis():
     f, sp, w, spec = spectral_case(extents, k, 2, "diagonal", 1, seed=21, batch=20,
                                    channels=16)
     leaves = [T.parameter(a) for a in (f, sp, w)]
-    frame.spectral(*leaves, spec, k, extents)          # warm caches outside the trace
+    frame.spectral(*leaves, spec)          # warm caches outside the trace
     tracemalloc.start()
     try:
-        out = frame.spectral(*leaves, spec, k, extents)
+        out = frame.spectral(*leaves, spec)
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
@@ -784,11 +804,11 @@ def test_layer_node_matches_spectral_linear_add_activation_chain(extents, k, m, 
     g = r.standard_normal(f.shape)
 
     def node(ft, st, wt, pwt, bt):
-        return frame.spectral(ft, st, wt, spec, k, extents, (pwt, bt), activation)
+        return frame.spectral(ft, st, wt, spec, (pwt, bt), activation)
 
     def chain(ft, st, wt, pwt, bt):
         return chain_activation(activation, taped_add(
-            frame.spectral(ft, st, wt, spec, k, extents), taped_linear(ft, pwt, bt)))
+            frame.spectral(ft, st, wt, spec), taped_linear(ft, pwt, bt)))
 
     out, grads = node_grads(node, arrays, g)
     want_out, want_grads = node_grads(chain, arrays, g)
@@ -818,7 +838,7 @@ def test_layer_node_reaches_activation_limits_without_overflow_warnings(m, activ
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         out, grads = node_grads(lambda ft, st, wt, pwt, bt: frame.spectral(
-            ft, st, wt, spec, (1,), (2,), (pwt, bt), activation), arrays, np.ones(f.shape))
+            ft, st, wt, spec, (pwt, bt), activation), arrays, np.ones(f.shape))
     slope = np.where(f > 0, 1.0, 0.0) + (0.0 if activation == "relu" else 0.5) * (f == 0)
     assert all(np.all(np.isfinite(x)) for x in [out] + grads)
     assert np.allclose(out, np.maximum(f, 0.0), rtol=1e-12, atol=1e-10)

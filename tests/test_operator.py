@@ -10,7 +10,7 @@ from able import operator as op
 from able import tensor as T
 from able import verify
 from able.errors import ContractError
-from able.frame import DensityField, DensityNetConfig, Grid
+from able.frame import DensityNetConfig, Grid, check_density
 from able.training import gradient_check, relative_l2, restore_network
 
 from oracles import sq_norm
@@ -133,7 +133,7 @@ def test_layer_density_is_c_contiguous(arch, ndim):
     # row-major whatever layout the head's energies have
     layer = make_layer(cin=3, cout=3, ndim=ndim, arch=arch, seed=4)
     x = T.Tensor(rng(5).standard_normal((2, 3) + (16,) * ndim))
-    assert layer.density(x).values.data.flags.c_contiguous
+    assert layer.density(x).flags.c_contiguous
 
 
 # ---- variant matrix -------------------------------------------------------------------
@@ -196,7 +196,7 @@ def test_m2_nonconstant_density_breaks_translation_invariance():
     # drive the density away from uniform with a structured input
     f = (3.0 * np.sin(2 * np.pi * np.arange(16) / 16)).reshape(1, 1, 16)
     p = layer.density(T.Tensor(f))
-    assert np.max(np.abs(p.values.data - 0.5)) > 1e-3, "density stayed uniform"
+    assert np.max(np.abs(p - 0.5)) > 1e-3, "density stayed uniform"
     assert verify.kernel_diagonal_spread(layer, f)[1] > 1e-3
 
 
@@ -207,7 +207,7 @@ def test_one_hot_partition_kernel_vanishes_across_cells():
     pv[0, : n // 2, 0] = 1.0
     pv[0, n // 2:, 1] = 1.0
     # bypass the density net: materialize with an explicit one-hot field
-    field = DensityField(T.Tensor(np.moveaxis(pv, -1, 1)[:, None]), Grid((n,)))
+    field = np.moveaxis(pv, -1, 1)[:, None]
     layer.density = lambda f, _field=field: _field
     f = rng(34).standard_normal((1, 1, n))
     kernel = op.materialize_kernel(layer, T.Tensor(f))[0, 0, 0]
@@ -225,6 +225,11 @@ def small_model(**kw):
                     activation="gelu")
     defaults.update(kw)
     return op.ModelConfig(**defaults)
+
+
+def test_act_flags_switch_each_layers_activation():
+    net = op.build_network(small_model(n_layers=3, act_flags=(False, True, True)), seed=1)
+    assert [layer.activation for layer in net.layers] == [None, "gelu", "gelu"]
 
 
 def test_network_shapes_and_composition():
@@ -317,7 +322,7 @@ def test_learnable_temperature_stays_positive_and_gets_gradient():
     log_t.data[...] = -50.0
     with T.no_grad():
         p = net.layers[0].density(net.lift_input(T.Tensor(f)))
-    p.validate()
+    check_density(p)
 
 
 # ---- flop accounting ---------------------------------------------------------------------

@@ -68,6 +68,17 @@ def test_bitwise_sweep_compare_counts_bytes_and_groups_worst(tmp_path):
     assert same.returncode == 0 and "0 of 6 arrays differ" in same.stdout
 
 
+def test_bitwise_sweep_compare_groups_the_frame_arrays(tmp_path):
+    a = {"frame/n/forward": np.array([1.0 + 1.0j]), "frame/n/roundtrip": np.array([2.0, 4.0])}
+    b = dict(a, **{"frame/n/roundtrip": np.array([2.0, 4.0 + 2.0**-50])})
+    for name, arrays in (("a", a), ("b", b)):
+        np.savez(tmp_path / f"{name}.npz", **arrays)
+    done = run_script(ROOT / "scripts/bitwise_sweep.py", "--compare",
+                      str(tmp_path / "a.npz"), str(tmp_path / "b.npz"))
+    assert done.returncode == 1, done.stderr
+    assert "worst frame: frame/n/roundtrip max abs 8.882e-16 rel 2.220e-16" in done.stdout
+
+
 def test_criterion09_states_script_reads_both_states():
     done = run_script(ROOT / "scripts/criterion09_states.py", "--runs", "1")
     assert done.returncode == 0, done.stderr

@@ -308,6 +308,13 @@ def test_split_dataset_deterministic_and_disjoint():
     assert np.array_equal(np.sort(joined, axis=0), np.sort(ds.inputs, axis=0))
 
 
+@pytest.mark.parametrize("n_test", [0, -1, 10])
+def test_split_dataset_refuses_an_empty_split(n_test):
+    # an empty test set would make every epoch's test loss nan
+    with pytest.raises(ContractError):
+        training.split_dataset(synthetic_dataset(10, seed=8), n_test, seed=0)
+
+
 def test_evaluate_mean_is_order_invariant():
     ds = synthetic_dataset(7, seed=9)
     net = build_network(tiny_model(), seed=3)
