@@ -22,13 +22,16 @@ the second (`<network>/step2/<parameter>`) and the bytes of the checkpoint
 records the generators' output, the inputs and targets of
 `make_burgers_dataset(2, nu=0.1, resolution=256, generate_at=1024)` and
 `make_darcy_dataset(2, resolution=64, generate_at=256)` at seeds 0 and 1
-(`data/<generator>-s<seed>/inputs` and `.../targets`). It also runs the
+(`data/<generator>-s<seed>/inputs` and `.../targets`), and of
+`make_burgers_dataset(5, nu=0.01, seed=3, resolution=256, generate_at=512)`
+(`data/burgers-nu0.01-s3/...`), a batch above two whose solve rejects an
+attempt. It also runs the
 frame API on each network's first layer before the Adam steps: the
 layer's density of the lifted input (`layer.density`), the coefficients
 `able_forward` gives on it for a fixed real field
 (`frame/<network>/forward`) and the field `able_inverse` synthesizes back
-from them (`frame/<network>/roundtrip`). That makes 13312 arrays: 12464
-network values, 560 frame arrays, 280 checkpoints and 8 data arrays.
+from them (`frame/<network>/roundtrip`). That makes 13314 arrays: 12464
+network values, 560 frame arrays, 280 checkpoints and 10 data arrays.
 
 Run it once per tree, with that tree's package on the path, then compare:
 
@@ -136,6 +139,9 @@ def sweep() -> dict:
                 ("darcy", make_darcy_dataset(2, seed=seed, resolution=64, generate_at=256))):
             arrays[f"data/{name}-s{seed}/inputs"] = dataset.inputs
             arrays[f"data/{name}-s{seed}/targets"] = dataset.targets
+    dataset = make_burgers_dataset(5, nu=0.01, seed=3, resolution=256, generate_at=512)
+    arrays["data/burgers-nu0.01-s3/inputs"] = dataset.inputs
+    arrays["data/burgers-nu0.01-s3/targets"] = dataset.targets
     return arrays
 
 
@@ -204,7 +210,7 @@ def main(argv=None) -> int:
     arrays = sweep()
     np.savez(args.out, **arrays)
     print(f"wrote {len(arrays)} arrays of {len(list(variants()))} networks and "
-          f"{2 * len(DATA_SEEDS)} datasets to {args.out}")
+          f"{2 * len(DATA_SEEDS) + 1} datasets to {args.out}")
     return 0
 
 

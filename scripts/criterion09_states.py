@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Acceptance criterion 09's complexity check in two allocator states.
+"""Acceptance criterion 09's complexity check in three allocator states.
 
 Criterion 09 (`tests/test_acceptance.py`) fits the slope of one layer
 forward's time against the slice count M and sets the one-slice forward
@@ -10,10 +10,14 @@ forwards' buffers then come from pages already mapped.
 
 The script runs `verify.complexity_scaling_check` at the criterion's sizes
 (M = 1, 2, 4, 8 at N = 1024, 4096, 16384) `--runs` times, each in a fresh
-child interpreter ("fresh"), and `--runs` times in a fresh child that
-first fills and frees a 16 MiB array ("freed"). It prints each reading and
-then, per state, the range of the slope and of the ratio next to the
-criterion's bands. It reports; it does not gate.
+child interpreter ("fresh"), `--runs` times in a fresh child that first
+fills and frees a 16 MiB array ("freed"), and `--runs` times in a fresh
+child whose environment pins glibc's thresholds ("pinned":
+MALLOC_MMAP_THRESHOLD_=33554432 and MALLOC_TRIM_THRESHOLD_=1073741824, so
+the forwards' buffers come from the heap and freed pages stay mapped, and
+the forwards fault no pages). It prints each reading and then, per state,
+the range of the slope and of the ratio next to the criterion's bands. It
+reports; it does not gate.
 
     PYTHONPATH=src python scripts/criterion09_states.py --runs 3
 """
@@ -29,7 +33,8 @@ N_LIST = (1024, 4096, 16384)
 SLOPE_BAND = (0.8, 1.2)
 RATIO_BAND = (0.75, 1.25)
 FREED_BYTES = 16 << 20
-STATES = ("fresh", "freed")
+STATES = ("fresh", "freed", "pinned")
+PINNED_ENV = {"MALLOC_MMAP_THRESHOLD_": "33554432", "MALLOC_TRIM_THRESHOLD_": "1073741824"}
 
 
 def child(state):
@@ -48,8 +53,10 @@ def child(state):
 
 
 def reading(state):
+    # glibc reads its thresholds when the child starts, so they go in its environment
+    env = dict(os.environ, **PINNED_ENV) if state == "pinned" else None
     done = subprocess.run([sys.executable, os.path.abspath(__file__), "--child", state],
-                          capture_output=True, text=True, check=True)
+                          env=env, capture_output=True, text=True, check=True)
     return json.loads(done.stdout.splitlines()[-1])
 
 
@@ -70,7 +77,7 @@ def main(argv=None):
         parser.error("--runs must be at least 1")
     readings = {state: [] for state in STATES}
     for _ in range(args.runs):
-        for state in STATES:        # alternate, so drift in machine speed hits both
+        for state in STATES:        # alternate, so drift in machine speed hits every state
             r = reading(state)
             readings[state].append(r)
             times = " ".join(f"{t:.0f}" for t in r["m_times_us"])

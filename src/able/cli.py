@@ -120,6 +120,8 @@ def cmd_eval(args) -> int:
         raise ContractError(f"checkpoint produces {mc.out_channels} output channel(s), "
                             f"dataset has {dataset.targets.shape[1]}")
     mean, per_sample = evaluate(net, dataset, batch_size=args.batch_size)
+    if not np.isfinite(mean):
+        raise NumericalFailure(f"mean relative L2 over {dataset.samples} samples is {mean}")
     report = {
         "mean_relative_l2": mean,
         "samples": dataset.samples,

@@ -5,7 +5,10 @@ produce training data, and every solver property the package relies on
 (mean conservation, energy dissipation, residuals, determinism) is tested
 directly against independent identities. The Burgers solver chooses each
 time step from a step-doubling error estimate held to a relative
-tolerance, so the step follows the data rather than a fixed cap. The Darcy
+tolerance, so the step follows the data rather than a fixed cap. Each
+attempt runs its full step and first half step as one RK4 stacked on a
+leading axis, bitwise equal to running them apart (the test suite keeps
+the unstacked loop as its reference). The Darcy
 solver is conjugate gradients preconditioned with the exact sine-transform
 inverse of the constant-coefficient Laplacian, so its iteration count does
 not grow with the grid. Its stencil and preconditioner use each axis's own
@@ -106,7 +109,17 @@ def solve_burgers(u0: np.ndarray, nu: float, grid: Grid, t_final: float = 1.0,
     step is scaled by clip(0.9 (rtol/err)^(1/5), 0.2, 4), and the last step
     is clipped to land on `t_final`. The step sequence follows the whole
     batch, so a sample solved alone agrees with its batched solve only to
-    within the tolerance. Returns (u(t_final), diagnostics), where
+    within the tolerance.
+
+    The full step and the first half step both start from the current
+    state and its nonlinear term, so they run as one RK4 on a leading axis
+    of the two step sizes, with the integrating factors of both computed
+    once per attempt and the half step's reused by the second half step:
+    eight evaluations of the nonlinear term per attempt instead of eleven.
+    Every floating-point operation keeps its operands and order, and the
+    FFT transforms each row on its own, so the result is bitwise that of
+    three separate RK4 steps (`burgers_step_doubling_reference` in the
+    test suite's oracles). Returns (u(t_final), diagnostics), where
     diagnostics carries the energy of every sample after every accepted
     step, the mean drift, and the step statistics.
 
@@ -138,16 +151,22 @@ def solve_burgers(u0: np.ndarray, nu: float, grid: Grid, t_final: float = 1.0,
         return np.sum(weight * (v_hat.real**2 + v_hat.imag**2), axis=1)
 
     def nonlinear(v_hat):
-        v = np.fft.irfft(v_hat, n=n, axis=1)
-        return flux_coef * np.fft.rfft(v * v, axis=1)
+        v = np.fft.irfft(v_hat, n=n, axis=-1)
+        np.multiply(v, v, out=v)
+        w = np.fft.rfft(v, axis=-1)
+        w *= flux_coef
+        return w
 
-    def rk4(v_hat, h, na):
-        e_half = np.exp(lam * h / 2.0)
-        e_full = np.exp(lam * h)
-        nb = nonlinear(e_half * (v_hat + 0.5 * h * na))
-        nc = nonlinear(e_half * v_hat + 0.5 * h * nb)
-        nd = nonlinear(e_full * v_hat + h * e_half * nc)
-        return e_full * v_hat + h / 6.0 * (e_full * na + 2 * e_half * (nb + nc) + nd)
+    def rk4(v_hat, h, na, e_half, e_full):
+        # h, e_half and e_full may carry a leading axis of steps, which
+        # then runs one RK4 per step from the same v_hat and na
+        e_v = e_full * v_hat
+        half_h = 0.5 * h
+        h_e = h * e_half
+        nb = nonlinear(e_half * (v_hat + half_h * na))
+        nc = nonlinear(e_half * v_hat + half_h * nb)
+        nd = nonlinear(e_v + h_e * nc)
+        return e_v + h / 6.0 * (e_full * na + 2 * e_half * (nb + nc) + nd)
 
     v_hat = np.fft.rfft(u, axis=1)
     mean0 = v_hat[:, 0].real.copy() / n
@@ -159,10 +178,12 @@ def solve_burgers(u0: np.ndarray, nu: float, grid: Grid, t_final: float = 1.0,
         while t < t_final:
             last = t + dt >= t_final
             h = t_final - t if last else dt
-            na = nonlinear(v_hat)
-            full = rk4(v_hat, h, na)
-            mid = rk4(v_hat, h / 2.0, na)
-            half = rk4(mid, h / 2.0, nonlinear(mid))
+            # the full step and the first half step as one stacked RK4
+            hs = np.array([h, h / 2.0])[:, None, None]
+            e_half = np.exp(lam * hs / 2.0)
+            e_full = np.exp(lam * hs)
+            full, mid = rk4(v_hat, hs, nonlinear(v_hat), e_half, e_full)
+            half = rk4(mid, h / 2.0, nonlinear(mid), e_half[1], e_full[1])
             half_sq = sq_norm(half)
             ratio = sq_norm(half - full) / np.maximum(half_sq, np.finfo(float).tiny)
             err = float(np.sqrt(np.max(ratio))) / 15.0

@@ -223,9 +223,12 @@ def scheduled_lr(config: TrainConfig, epoch: int) -> float:
 
 def evaluate(net: AbleNetwork, dataset: Dataset, batch_size: int = 50) -> tuple:
     """(mean relative L2, per-sample values); exact mean via fsum, so the
-    result does not depend on sample order or batch grouping."""
+    result does not depend on sample order or batch grouping. A dataset
+    with no samples has no mean and is refused."""
     if batch_size < 1:
         raise ContractError("batch size must be >= 1")
+    if dataset.samples == 0:
+        raise ContractError("cannot evaluate a dataset with no samples")
     per_sample = []
     with T.no_grad():
         for start in range(0, dataset.samples, batch_size):
@@ -233,8 +236,7 @@ def evaluate(net: AbleNetwork, dataset: Dataset, batch_size: int = 50) -> tuple:
             yb = dataset.targets[start:start + batch_size]
             pred = net(T.Tensor(xb)).data
             per_sample.extend(relative_l2_numpy(pred, yb).tolist())
-    mean = math.fsum(per_sample) / len(per_sample) if per_sample else float("nan")
-    return mean, np.array(per_sample)
+    return math.fsum(per_sample) / len(per_sample), np.array(per_sample)
 
 
 # ---- training loop -------------------------------------------------------------------

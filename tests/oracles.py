@@ -5,7 +5,10 @@ central differences) and shares no code with the library paths it checks.
 The exceptions are the taped chains (the `taped_*` functions): the fused
 nodes are checked against chains of small tape nodes, one per step, built
 on the library's tape, contraction and activation kernels, and the test
-losses (`inner`, `sq_norm`) are one node each.
+losses (`inner`, `sq_norm`) are one node each. The Burgers reference
+(`burgers_step_doubling_reference`) is not naive either: it is the
+solver's step-doubling loop with each RK4 step run on its own, which the
+library's stacked attempt must reproduce bit for bit.
 """
 
 import numpy as np
@@ -230,6 +233,72 @@ def silu_reference(x: np.ndarray) -> tuple:
         return g * (s * (1.0 + x * (1.0 - s)))
 
     return out, vjp
+
+
+def burgers_step_doubling_reference(u0: np.ndarray, nu: float, t_final: float,
+                                    rtol: float = 1e-8) -> tuple:
+    """`pde.solve_burgers` with the full step and both half steps of each
+    attempt run as three separate RK4 steps, eleven evaluations of the
+    nonlinear term per attempt. Same dealiasing, integrating factor, error
+    estimate and step controller; no input checks and no refusals.
+    Returns (u(t_final), diagnostics) for 2-D u0 (samples, n)."""
+    n = u0.shape[1]
+    k = np.arange(n // 2 + 1, dtype=np.float64)
+    flux_coef = -0.5j * 2.0 * np.pi * k * (k <= n / 3)
+    lam = -nu * (2 * np.pi * k) ** 2
+    weight = np.full(n // 2 + 1, 2.0)
+    weight[0] = weight[-1] = 1.0
+
+    def sq_norm(v_hat):
+        return np.sum(weight * (v_hat.real**2 + v_hat.imag**2), axis=1)
+
+    def nonlinear(v_hat):
+        v = np.fft.irfft(v_hat, n=n, axis=1)
+        return flux_coef * np.fft.rfft(v * v, axis=1)
+
+    def rk4(v_hat, h, na):
+        e_half = np.exp(lam * h / 2.0)
+        e_full = np.exp(lam * h)
+        nb = nonlinear(e_half * (v_hat + 0.5 * h * na))
+        nc = nonlinear(e_half * v_hat + 0.5 * h * nb)
+        nd = nonlinear(e_full * v_hat + h * e_half * nc)
+        return e_full * v_hat + h / 6.0 * (e_full * na + 2 * e_half * (nb + nc) + nd)
+
+    v_hat = np.fft.rfft(u0, axis=1)
+    mean0 = v_hat[:, 0].real.copy() / n
+    dt = min(t_final, 1.0 / (n * max(float(np.max(np.abs(u0))), 1e-12)))
+    t, rejected, err_max, taken = 0.0, 0, 0.0, []
+    energies = [sq_norm(v_hat) / n**2]
+    while t < t_final:
+        last = t + dt >= t_final
+        h = t_final - t if last else dt
+        na = nonlinear(v_hat)
+        full = rk4(v_hat, h, na)
+        mid = rk4(v_hat, h / 2.0, na)
+        half = rk4(mid, h / 2.0, nonlinear(mid))
+        half_sq = sq_norm(half)
+        ratio = sq_norm(half - full) / np.maximum(half_sq, np.finfo(float).tiny)
+        err = float(np.sqrt(np.max(ratio))) / 15.0
+        if err <= rtol:
+            v_hat = half
+            t = t_final if last else t + h
+            taken.append(h)
+            err_max = max(err_max, err)
+            energies.append(half_sq / n**2)
+        else:
+            rejected += 1
+        dt = h * (4.0 if err == 0 else min(4.0, max(0.2, 0.9 * (rtol / err) ** 0.2)))
+    diagnostics = {
+        "energies": np.stack(energies, axis=1),
+        "mean_drift": np.abs(v_hat[:, 0].real / n - mean0),
+        "rtol": rtol,
+        "steps": len(taken),
+        "rejected": rejected,
+        "dt_min": min(taken, default=0.0),
+        "dt_max": max(taken, default=0.0),
+        "error_estimate_max": err_max,
+    }
+    return np.fft.irfft(v_hat, n=n, axis=1), diagnostics
 
 
 # ---- the fused nodes' reference chains, one small tape node per step ----------

@@ -471,6 +471,34 @@ def test_train_diverging_on_its_last_step_is_numerical_failure(trained_run, tmp_
     assert not (out / "model.ckpt").exists()
 
 
+def test_eval_on_a_dataset_with_no_samples_is_usage_error(trained_run, tmp_path):
+    tmp, cfg = trained_run
+    empty, out = tmp_path / "empty.bin", tmp_path / "rep"
+    assert run_cli("gen", "--config", cfg, "--set", "data.samples=0",
+                   "--out", empty).returncode == 0
+    done = run_cli("eval", "--checkpoint", tmp / "run1/model.ckpt", "--data", empty,
+                   "--out", out)
+    assert done.returncode == 2, done.stderr
+    assert "no samples" in done.stderr and "Traceback" not in done.stderr
+    assert not out.exists()
+
+
+def test_eval_with_a_non_finite_mean_is_numerical_failure(trained_run, tmp_path):
+    # inputs of 1e300 overflow the network's forward, so every sample's
+    # relative L2 is inf
+    from able.dataio import Dataset, dataset_read, dataset_write
+    tmp, _ = trained_run
+    dataset = dataset_read(tmp / "data.bin")
+    huge, out = tmp_path / "huge.bin", tmp_path / "rep"
+    dataset_write(Dataset(dataset.grid, np.full_like(dataset.inputs, 1e300),
+                          dataset.targets, {}), huge)
+    done = run_cli("eval", "--checkpoint", tmp / "run1/model.ckpt", "--data", huge,
+                   "--out", out)
+    assert done.returncode == 4, done.stderr
+    assert "numerical failure" in done.stderr and "Traceback" not in done.stderr
+    assert not out.exists()
+
+
 def test_effective_config_model_is_the_checkpoint_header(trained_run, tmp_path):
     # the dataset sets ndim and the channel counts, whatever the configuration says
     tmp, cfg = trained_run

@@ -7,6 +7,8 @@ from able import dataio, pde
 from able.errors import ContractError, DataFormatError, DomainError, NumericalFailure
 from able.frame import Grid
 
+import oracles
+
 # u(center) for -lap(u) = 1 on the unit square, zero walls, computed once
 # with the same finite-volume discretization at 512x512 (CG rtol 1e-10)
 MEMBRANE_CENTER_512 = 0.07367113183885421
@@ -156,6 +158,33 @@ def test_burgers_batch_independent_within_tolerance():
     for i in range(3):
         alone, _ = pde.solve_burgers(u0[i], nu=0.01, grid=grid, t_final=0.2, rtol=rtol)
         assert _relative_l2(alone, batched[i]) < 10 * rtol
+
+
+@pytest.mark.parametrize("samples, n, nu, t_final, seed", [
+    (1, 256, 0.1, 0.1, 0),       # a 1-D input: the squeezed path
+    (2, 1024, 0.1, 1.0, 0),      # the benchmark's generation shape
+    (5, 512, 0.01, 1.0, 3),      # a batch above 2 with a rejected attempt
+    (2, 512, 0.1, 0.02827, 1),   # a last step clipped to land on t_final
+], ids=["squeezed", "2x1024", "5x512-rejected", "clipped-last"])
+def test_burgers_solve_matches_the_unstacked_reference_bitwise(samples, n, nu, t_final,
+                                                                seed):
+    grid = Grid((n,))
+    u0 = pde.sample_grf(pde.GrfSpec(**pde.BURGERS_GRF), grid, seed=seed, n_samples=samples)
+    u0 = u0[0] if samples == 1 else u0
+    u, diag = pde.solve_burgers(u0, nu=nu, grid=grid, t_final=t_final)
+    want_u, want = oracles.burgers_step_doubling_reference(np.atleast_2d(u0), nu, t_final)
+    assert u.shape == u0.shape
+    assert np.array_equal(np.atleast_2d(u), want_u)
+    assert diag.keys() == want.keys()
+    for key, value in want.items():
+        assert np.array_equal(diag[key], value), key
+    if samples == 5:
+        assert diag["rejected"] > 0
+    if t_final == 0.02827:
+        # the eighth step ends at t = 0.0282661 and the controller proposes
+        # 5.9e-3, so the ninth is clipped to about 4e-6; every other step is
+        # at least 1.2e-3
+        assert diag["steps"] == 9 and diag["dt_min"] < 1e-5
 
 
 def test_burgers_blowup_detected_with_named_step():

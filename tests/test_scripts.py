@@ -79,11 +79,11 @@ def test_bitwise_sweep_compare_groups_the_frame_arrays(tmp_path):
     assert "worst frame: frame/n/roundtrip max abs 8.882e-16 rel 2.220e-16" in done.stdout
 
 
-def test_criterion09_states_script_reads_both_states():
+def test_criterion09_states_script_reads_every_state():
     done = run_script(ROOT / "scripts/criterion09_states.py", "--runs", "1")
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
-    assert [line.split(":")[0] for line in lines[:2]] == ["fresh", "freed"]
-    for state in ("fresh", "freed"):
+    assert [line.split(":")[0] for line in lines[:3]] == ["fresh", "freed", "pinned"]
+    for state in ("fresh", "freed", "pinned"):
         summary = next(line for line in lines if line.startswith(f"{state} (1 runs): slope "))
         assert "ratio" in summary and "band 0.75-1.25" in summary
