@@ -15,7 +15,9 @@ none, each on the two truncated grids with M 1 and 2 and diagonal or
 cross mixing (a shared mlp2 head, fixed temperature).
 For each network it runs one forward and backward pass of the relative L2
 loss on fixed data and records the loss, the output and the gradient of
-every parameter. It then takes two Adam steps on those gradients, with
+every parameter, and the output of the same forward under `no_grad`
+(`<network>/eval`), whose activations run on the same kernels without the
+tape. It then takes two Adam steps on those gradients, with
 weight decay on the spectral weights, and records every parameter after
 the second (`<network>/step2/<parameter>`) and the bytes of the checkpoint
 `save_checkpoint` writes then (`<network>/checkpoint`, uint8). Last it
@@ -30,7 +32,7 @@ frame API on each network's first layer before the Adam steps: the
 layer's density of the lifted input (`layer.density`), the coefficients
 `able_forward` gives on it for a fixed real field
 (`frame/<network>/forward`) and the field `able_inverse` synthesizes back
-from them (`frame/<network>/roundtrip`). That makes 13314 arrays: 12464
+from them (`frame/<network>/roundtrip`). That makes 13594 arrays: 12744
 network values, 560 frame arrays, 280 checkpoints and 10 data arrays.
 
 Run it once per tree, with that tree's package on the path, then compare:
@@ -44,7 +46,7 @@ exits 1 if there is any, else 0. For a checkpoint, an array of bytes, it
 prints how many bytes differ. For each other array whose values differ it
 prints the largest absolute difference and that difference divided by the
 largest magnitude of the array in the first file, and at the end the worst
-relative difference in each group: forward values (loss and output),
+relative difference in each group: forward values (loss, output and eval),
 gradients (`grad/`), parameters after two steps (`step2/`), the
 generators' output (`data/`) and the frame API's arrays (`frame/`).
 """
@@ -118,6 +120,7 @@ def sweep() -> dict:
             for pname, p in params.items():
                 arrays[f"{name}/grad/{pname}"] = p.grad
             with T.no_grad():
+                arrays[f"{name}/eval"] = net(T.Tensor(data[0])).data
                 density = net.layers[0].density(net.lift_input(T.Tensor(data[0])))
                 field = np.random.default_rng(2000 + i).standard_normal(
                     (BATCH, kwargs["width"]) + extents)
@@ -150,12 +153,12 @@ GROUPS = ("forward", "grad", "step2", "data", "frame")
 
 def _group(key: str) -> str:
     """The group of a value array: data for the generators' output, frame
-    for the frame API's arrays, forward for a network's loss and output,
-    else grad or step2."""
+    for the frame API's arrays, forward for a network's loss, output and
+    eval, else grad or step2."""
     if key.startswith(("data/", "frame/")):
         return key.split("/")[0]
     part = key.split("/")[1]
-    return "forward" if part in ("loss", "output") else part
+    return "forward" if part in ("loss", "output", "eval") else part
 
 
 def compare(path_a: str, path_b: str) -> int:

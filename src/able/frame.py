@@ -34,10 +34,11 @@ the one-slice layer's forward against a plain Fourier layer and wants the
 ratio in [0.75, 1.25], and with an r2c analysis as well it measured
 0.65-0.67. The pointwise map is `_affine` into the node's own buffer, to
 which the reweighted synthesis is added, and the activation is one of the
-kernel pairs of `T.ACTIVATION_KERNELS`, which `linear` shares. Its VJP gets a
-real gradient, so past the activation's gradient it runs on the half
-spectrum: `_analyze_real` (r2c along the last axis, the negative block by
-Hermitian symmetry) and `_expand_real`. There is no real-part tape op.
+kernel pairs of `T.ACTIVATION_KERNELS`, which `linear` shares: it
+overwrites that buffer with the node's output. Its VJP gets a real
+gradient, so past the activation's gradient it runs on the half spectrum:
+`_analyze_real` (r2c along the last axis, the negative block by Hermitian
+symmetry) and `_expand_real`. There is no real-part tape op.
 
 In 2-D both prune the FFT to the retained modes: one pass per axis, last
 axis first as numpy's `fftn`/`ifftn` do. Analysis keeps an axis's retained
@@ -49,8 +50,10 @@ transform (at 64 x 64 keeping 16 modes per axis, 80 of 128 line FFTs).
 The density head is one tape node per layer, `DensityNetwork.energies`,
 with a hand-written VJP. It runs channels-first on (batch, channels,
 points), each stage one batched matmul plus its bias with silu between
-(the kernels `T.ACTIVATION_KERNELS` holds), and the last stage's output
-channel h*M + m is slice m of head h, so one reshape makes it slice-major.
+(the kernels `T.ACTIVATION_KERNELS` holds, which overwrite a stage's
+pre-activation, so the node keeps each hidden stage's output and sigmoid),
+and the last stage's output channel h*M + m is slice m of head h, so one
+reshape makes it slice-major.
 The fd4 head's stencil features are never formed: a stencil along x
 commutes with a channel map, so its taps (`_taps`) combine the first-stage
 weights and `_shift_sum` applies them to the H-wide outputs.
@@ -169,8 +172,9 @@ def linear(x: T.Tensor, w: T.Tensor, b: T.Tensor,
     """Per-point linear map on real channels-first data, (batch, I, spatial...)
     with weights (I, O) and bias (O,) -> (batch, O, spatial...), then the
     `activation` of `T.ACTIVATION_KERNELS`. One tape node: `_affine` on the
-    flattened spatial axes and the activation's kernel; its VJP the
-    activation's gradient kernel, W g, `_weight_grad` and the sum of g."""
+    flattened spatial axes into a fresh buffer, which the activation's
+    kernel overwrites with the output; its VJP the activation's gradient
+    kernel on that output, W g, `_weight_grad` and the sum of g."""
     act = T.ACTIVATION_KERNELS[activation]
     batch, spatial = x.shape[0], x.shape[2:]
     x3 = x.data.reshape(batch, x.shape[1], -1)
@@ -181,7 +185,7 @@ def linear(x: T.Tensor, w: T.Tensor, b: T.Tensor,
     def vjp(g):
         g3 = g.reshape(batch, wd.shape[1], -1)
         if act is not None:
-            g3 = act[1](g3, pre, saved)
+            g3 = act[1](g3, out, saved)
         return (np.matmul(wd, g3).reshape(x.shape) if x.requires_grad else None,
                 _weight_grad(x3, g3) if w.requires_grad else None,
                 g3.sum(axis=(0, 2)) if b.requires_grad else None)
@@ -277,10 +281,12 @@ class DensityNetwork:
         The head is one tape node whose parents are f and every weight and
         bias. It runs channels-first on (batch, channels, points): each
         stage is w^T x + b, silu between stages, and output channel h*M + m
-        is slice m of head h. The fd4 first stage combines the blocks
-        [W0_f | W0_d1 | W0_d2] of its weights per stencil tap, maps f once
-        through the 3H-wide result and sums the H-wide tap outputs shifted
-        (`_shift_sum`); the ones feature's row W0[3C] joins the bias.
+        is slice m of head h. The silu overwrites each hidden stage's
+        pre-activation, and the VJP reads (output, sigmoid) per stage. The
+        fd4 first stage combines the blocks [W0_f | W0_d1 | W0_d2] of its
+        weights per stencil tap, maps f once through the 3H-wide result and
+        sums the H-wide tap outputs shifted (`_shift_sum`); the ones
+        feature's row W0[3C] joins the bias.
         """
         if f.ndim != 2 + self.ndim:
             raise ContractError(f"expected (batch, channels, spatial...), got {f.shape}")
@@ -301,27 +307,26 @@ class DensityNetwork:
             pre += (bs[0] + ws[0][3 * c])[:, None]
         else:
             pre = _affine(ws[0], bs[0], x0)
-        hidden = []         # (pre-activation, sigmoid, activation) per hidden stage
+        hidden = []         # (activation, sigmoid) per hidden stage
         for i in range(1, len(ws)):
-            x, s = T._silu(pre)
-            hidden.append((pre, s, x))
-            pre = _affine(ws[i], bs[i], x)
+            hidden.append(T._silu(pre))         # overwrites pre with its activation
+            pre = _affine(ws[i], bs[i], hidden[-1][0])
             if i == 2 and self.config.residual:
-                pre += hidden[0][2]     # first hidden into the third (fd4)
+                pre += hidden[0][0]     # first hidden into the third (fd4)
 
         def vjp(g):
             d = g.reshape(pre.shape)
             dws, dbs = [None] * len(ws), [None] * len(ws)
             skip = None
             for i in range(len(ws) - 1, 0, -1):
-                pre_i, s_i, x_i = hidden[i - 1]
+                x_i, s_i = hidden[i - 1]
                 dws[i], dbs[i] = _weight_grad(x_i, d), d.sum(axis=(0, 2))
                 dx = np.matmul(ws[i], d)
                 if i == 2 and self.config.residual:
                     skip = d
                 elif i == 1 and skip is not None:
                     dx += skip
-                d = T._silu_grad(dx, pre_i, s_i)
+                d = T._silu_grad(dx, x_i, s_i)
             dbs[0] = d.sum(axis=(0, 2))
             if stencil:
                 # the adjoint of _shift_sum: each tap's gradient is d shifted back
@@ -534,15 +539,18 @@ def spectral(f: T.Tensor, sp: Optional[T.Tensor], weights: T.Tensor, spec: str,
     The forward analyzes with `lift`'s c2c kernel, mixes, and synthesizes
     z = Re of the expansion with one c2r per line (`_expand_real`), so its
     values match the chain's to roundoff; z stays real, (batch, O, M,
-    spatial...), for the VJP. The analysis is not r2c because the one-slice
-    forward then ran at 0.65-0.67 of `reference.fno_layer`, outside acceptance
-    criterion 09's ratio band. It writes pre = w^T f + b (`_affine`) into a
-    fresh buffer, adds sum_m sp z and applies the activation's kernel. The
-    VJP applies the activation's gradient kernel first and takes the result
-    g onto the half spectrum: the mix's gradient is `_analyze_real` of g,
-    the lifted gradient is read through the weights' stored layout
-    (`tensor._contract_grad_a`), and z2 = Re of its expansion is
-    `_expand_real` again; then df = w g + sum_m sp z2, dsp = g z + z2 f,
+    spatial...), and the node keeps it for the VJP's dsp when sp is given.
+    The analysis is not r2c because the one-slice forward then ran at
+    0.65-0.67 of `reference.fno_layer`, outside acceptance criterion 09's
+    ratio band. It writes pre = w^T f + b (`_affine`) into a fresh buffer
+    and adds sum_m sp z (with no pointwise map and no density, pre is a
+    view of z's one slice), then applies the activation's kernel, which
+    overwrites pre with the node's output. The VJP applies the
+    activation's gradient kernel to the output and its saved array first
+    and takes the result g onto the half spectrum: the mix's gradient is
+    `_analyze_real` of g, the lifted gradient is read through the weights'
+    stored layout (`tensor._contract_grad_a`), and z2 = Re of its expansion
+    is `_expand_real` again; then df = w g + sum_m sp z2, dsp = g z + z2 f,
     dw = sum f g^T (`_weight_grad`) and db = sum g, all real.
     """
     extents = f.shape[2:]
@@ -563,12 +571,14 @@ def spectral(f: T.Tensor, sp: Optional[T.Tensor], weights: T.Tensor, spec: str,
             (batch, w.shape[1]) + f.shape[2:])
         pre += _reweight(z, spd)
     out, saved = (pre, None) if act is None else act[0](pre)
+    if sp is None:
+        z = None        # only the density's gradient reads the synthesis
     lhs, s_out = spec.split("->")
     s_a, s_b = lhs.split(",")
 
     def vjp(g):
         if act is not None:
-            g = act[1](g, pre, saved)
+            g = act[1](g, out, saved)
         dmixed = _analyze_real(g, spd, k)
         dw = (T._contract(f"{s_a},{s_out}->{s_b}", lifted, dmixed, conj="a")
               if weights.requires_grad else None)

@@ -38,9 +38,13 @@ is kept only in the independent oracles (`reference.fno_layer`,
 Each activation is a pair of numpy kernels, forward and VJP, run as
 in-place ufuncs (`_relu`, `_silu`, `_gelu` and their `_grad`s), which the
 nodes apply inside their own forward and VJP: the density head silu's,
-the spectral node and `frame.linear` any of `ACTIVATION_KERNELS`. gelu is
+the spectral node and `frame.linear` any of `ACTIVATION_KERNELS`. The
+forward overwrites its argument, the pre-activation buffer its node owns,
+with the output, and returns (output, saved): a bool mask for relu, the
+sigmoid s for silu and gelu. The VJP reads the output and s, not the
+pre-activation, so a node keeps its output and one saved array. gelu is
 the tanh form 0.5 x (1 + tanh u), computed in its exact sigmoid form
-x sigmoid(2u) with one exp.
+x sigmoid(2u) with one exp; its VJP takes x back as output / s.
 """
 
 from __future__ import annotations
@@ -208,47 +212,49 @@ def tape_backward(loss: Tensor) -> None:
 # ---- activation kernels ------------------------------------------------------
 
 def _relu(x: np.ndarray) -> tuple:
-    """relu's forward kernel: (out, mask) with mask = [x > 0] as floats, out = x mask."""
-    mask = (x > 0).astype(np.float64)
-    return x * mask, mask
+    """relu's forward kernel, in place: (x, mask) with mask = [x > 0] as
+    bools and x overwritten by x mask."""
+    mask = x > 0
+    return np.multiply(x, mask, out=x), mask
 
 
-def _relu_grad(g: np.ndarray, x: np.ndarray, mask: np.ndarray) -> np.ndarray:
+def _relu_grad(g: np.ndarray, out: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """relu's VJP kernel: g mask."""
     return g * mask
 
 
 def _silu(x: np.ndarray) -> tuple:
-    """silu's forward kernel: (out, s) with s = 1 / (1 + exp(-x)), out = x s,
-    as in-place ufuncs in that order; two input-sized buffers. exp(-x)
-    overflows to inf below about x = -709, which makes s exactly 0, so the
-    overflow is not reported."""
+    """silu's forward kernel, in place: (x, s) with s = 1 / (1 + exp(-x)) and
+    x overwritten by out = x s, as in-place ufuncs in that order; one
+    input-sized buffer. exp(-x) overflows to inf below about x = -709, which
+    makes s exactly 0, so the overflow is not reported."""
     s = np.negative(x)
     with np.errstate(over="ignore"):
         np.exp(s, out=s)
     s += 1.0
     np.divide(1.0, s, out=s)
-    return np.multiply(x, s), s
+    return np.multiply(x, s, out=x), s
 
 
-def _silu_grad(g: np.ndarray, x: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """silu's VJP kernel: g (s (1 + x (1 - s))) for the forward's x and s,
+def _silu_grad(g: np.ndarray, out: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """silu's VJP kernel from the forward's output and s: g (s + out (1 - s)),
     as in-place ufuncs in that order; one input-sized buffer."""
     d = np.subtract(1.0, s)
-    d *= x
-    d += 1.0
-    d *= s
+    d *= out
+    d += s
     return np.multiply(g, d, out=d)
 
 
 _GELU_C = np.sqrt(2.0 / np.pi)
+_SMALLEST_DOUBLE = np.nextafter(0.0, 1.0)
 
 
 def _gelu(x: np.ndarray) -> tuple:
-    """gelu's forward kernel in sigmoid form: (out, s) with
-    s = 1 / (1 + exp(-2c (x + 0.044715 x^3))), out = x s, as in-place ufuncs
-    in that order; two input-sized buffers. exp overflows to inf below about
-    x = -22, which makes s exactly 0, so the overflow is not reported."""
+    """gelu's forward kernel in sigmoid form, in place: (x, s) with
+    s = 1 / (1 + exp(-2c (x + 0.044715 x^3))) and x overwritten by out = x s,
+    as in-place ufuncs in that order; one input-sized buffer. exp overflows
+    to inf below about x = -22, which makes s exactly 0, so the overflow is
+    not reported."""
     s = np.multiply(x, x)
     s *= x
     s *= 0.044715
@@ -258,26 +264,34 @@ def _gelu(x: np.ndarray) -> tuple:
         np.exp(s, out=s)
     s += 1.0
     np.divide(1.0, s, out=s)
-    return np.multiply(x, s), s
+    return np.multiply(x, s, out=x), s
 
 
-def _gelu_grad(g: np.ndarray, x: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """gelu's VJP kernel: g s (1 + 2c (1 + 3 * 0.044715 x^2) x (1 - s)) for
-    the forward's x and s, as in-place ufuncs in that order; two
-    input-sized buffers."""
-    d = np.multiply(x, x)
+def _gelu_grad(g: np.ndarray, out: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """gelu's VJP kernel from the forward's output and s:
+    g (s + out (1 - s) 2c (1 + 3 * 0.044715 x^2)) with x = out / s, as
+    in-place ufuncs in that order; two input-sized buffers. Where s
+    underflowed to 0 so did out, and dividing by the smallest positive
+    double instead makes x 0 there: the derivative is then s = 0, and no
+    division by zero is reported."""
+    d = np.maximum(s, _SMALLEST_DOUBLE)
+    np.divide(out, d, out=d)
+    d *= d
     d *= 3 * 0.044715
     d += 1.0
     d *= 2.0 * _GELU_C
-    d *= x
+    d *= out
     d *= np.subtract(1.0, s)
-    d += 1.0
-    d *= s
+    d += s
     return np.multiply(g, d, out=d)
 
 
 # the kernel pairs of each activation, for the nodes that apply one inside
-# their own forward and VJP (`frame.spectral`, `frame.linear`)
+# their own forward and VJP (`frame.spectral`, `frame.linear`, and silu in
+# `frame.DensityNetwork.energies`). The forward overwrites its argument, a
+# pre-activation buffer its node owns, with the output and returns
+# (output, saved); the VJP takes (g, output, saved), so a node keeps its
+# output and one saved array, not its pre-activation as well.
 ACTIVATION_KERNELS = {"relu": (_relu, _relu_grad), "silu": (_silu, _silu_grad),
                       "gelu": (_gelu, _gelu_grad), "none": None, None: None}
 

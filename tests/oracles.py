@@ -197,17 +197,37 @@ def adam_reference(data: dict, grads: dict, state: dict, lr: float, beta1: float
 GELU_C = np.sqrt(2.0 / np.pi)
 
 
+def _gelu_sigmoid(x: np.ndarray) -> np.ndarray:
+    """sigmoid(2u), u = c (x + 0.044715 x^3), as one whole-array expression."""
+    return 1.0 / (1.0 + np.exp(-2.0 * GELU_C * (x + 0.044715 * (x * x * x))))
+
+
 def gelu_reference(x: np.ndarray) -> tuple:
     """Sigmoid-form gelu x sigmoid(2u), u = c (x + 0.044715 x^3), as
-    whole-array expressions: (output, VJP function)."""
-    s = 1.0 / (1.0 + np.exp(-2.0 * GELU_C * (x + 0.044715 * (x * x * x))))
+    whole-array expressions: (output, VJP function). The VJP reads the
+    output, not x: s + out (1 - s) 2c (1 + 3 * 0.044715 x^2) with x taken
+    back as out / s, and as 0 where s is 0."""
+    s = _gelu_sigmoid(x)
     out = x * s
+
+    def vjp(g):
+        x_back = np.divide(out, s, out=np.zeros_like(out), where=s > 0)
+        slope = (2.0 * GELU_C) * (1.0 + (3 * 0.044715) * (x_back * x_back))
+        return g * (s + slope * out * (1.0 - s))
+
+    return out, vjp
+
+
+def gelu_input_form_vjp(x: np.ndarray):
+    """The sigmoid-form gelu's VJP from its input: g s (1 + 2c (1 + 3 *
+    0.044715 x^2) x (1 - s)), as whole-array expressions."""
+    s = _gelu_sigmoid(x)
 
     def vjp(g):
         slope = (2.0 * GELU_C) * (1.0 + (3 * 0.044715) * (x * x))
         return g * (s * (1.0 + slope * x * (1.0 - s)))
 
-    return out, vjp
+    return vjp
 
 
 def gelu_tanh_reference(x: np.ndarray) -> tuple:
@@ -225,14 +245,25 @@ def gelu_tanh_reference(x: np.ndarray) -> tuple:
 
 
 def silu_reference(x: np.ndarray) -> tuple:
-    """silu x sigmoid(x) as whole-array expressions: (output, VJP function)."""
+    """silu x sigmoid(x) as whole-array expressions: (output, VJP function).
+    The VJP reads the output, not x: g (s + out (1 - s))."""
     s = 1.0 / (1.0 + np.exp(-x))
     out = x * s
 
     def vjp(g):
-        return g * (s * (1.0 + x * (1.0 - s)))
+        return g * (s + out * (1.0 - s))
 
     return out, vjp
+
+
+def silu_input_form_vjp(x: np.ndarray):
+    """silu's VJP from its input: g s (1 + x (1 - s)), as whole-array expressions."""
+    s = 1.0 / (1.0 + np.exp(-x))
+
+    def vjp(g):
+        return g * (s * (1.0 + x * (1.0 - s)))
+
+    return vjp
 
 
 def burgers_step_doubling_reference(u0: np.ndarray, nu: float, t_final: float,
@@ -324,10 +355,11 @@ def taped_concatenate(parts, axis: int):
 
 
 def taped_activation(name: str, a):
-    """The activation `name` of `tensor.ACTIVATION_KERNELS` as its own node."""
+    """The activation `name` of `tensor.ACTIVATION_KERNELS` as its own node,
+    on a copy of a's data, which the kernel overwrites."""
     kernel, grad = T.ACTIVATION_KERNELS[name]
-    out, saved = kernel(a.data)
-    return T._make(out, (a,), lambda g: (grad(g, a.data, saved),))
+    out, saved = kernel(a.data.copy())
+    return T._make(out, (a,), lambda g: (grad(g, out, saved),))
 
 
 def taped_contraction(spec: str, a, b):

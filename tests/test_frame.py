@@ -277,6 +277,31 @@ def test_energies_node_peaks_below_the_chain():
     assert peak(net.energies) < peak(lambda ft: chain_energies(net, ft))
 
 
+def held_after(build):
+    """The node build() returns and the bytes still allocated once it has
+    returned: what the node and its VJP closure keep."""
+    build()                                 # warm caches outside the trace
+    tracemalloc.start()
+    try:
+        node = build()
+        return node, tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("arch", ["fd4", "mlp2"])
+def test_density_head_keeps_each_stages_output_and_one_saved_array(arch):
+    # the burgers-1d training shapes: batch 20, width 16, 256 points; the
+    # silu overwrites each stage's pre-activation, which the node then drops
+    cfg = frame.DensityNetConfig(slices=2, arch=arch, hidden=16)
+    net = frame.DensityNetwork(cfg, in_channels=16, ndim=1, rng=rng(39))
+    f = T.parameter(rng(40).standard_normal((20, 16, 256)))
+    out, held = held_after(lambda: net.energies(f))
+    stages = [16, 8, 16] if arch == "fd4" else [16]
+    stage_bytes = 8 * 20 * 256 * sum(stages)        # float64 (batch, width, points)
+    assert out.requires_grad and held <= 1.1 * (out.data.nbytes + 2 * stage_bytes)
+
+
 def test_density_network_initial_density_near_uniform():
     cfg = frame.DensityNetConfig(slices=4, arch="mlp2", hidden=16)
     net = frame.DensityNetwork(cfg, in_channels=2, ndim=1, rng=rng(7))
@@ -774,16 +799,23 @@ def test_spectral_node_holds_a_real_synthesis():
     f, sp, w, spec = spectral_case(extents, k, 2, "diagonal", 1, seed=21, batch=20,
                                    channels=16)
     leaves = [T.parameter(a) for a in (f, sp, w)]
-    frame.spectral(*leaves, spec)          # warm caches outside the trace
-    tracemalloc.start()
-    try:
-        out = frame.spectral(*leaves, spec)
-        held = tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
+    out, held = held_after(lambda: frame.spectral(*leaves, spec))
     real_z = 8 * 20 * 16 * 2 * 256                   # float64 (batch, O, M, N)
     lifted = 16 * 20 * 16 * 2 * (2 * k[0])           # complex128 (batch, C, M, modes)
     assert out.requires_grad and held <= 1.1 * (out.data.nbytes + real_z + lifted)
+
+
+def test_spectral_node_keeps_its_output_and_one_saved_array():
+    # with no density the node keeps no synthesis either: only the lifted
+    # coefficients besides the activation's output and its sigmoid
+    f, _, w, spec = spectral_case((256,), (12,), 1, "diagonal", 1, seed=37, batch=20,
+                                  channels=16)
+    r = rng(38)
+    f, w, pw, b = (T.parameter(a) for a in (f, w, r.standard_normal((16, 16)),
+                                             r.standard_normal(16)))
+    out, held = held_after(lambda: frame.spectral(f, None, w, spec, (pw, b), "gelu"))
+    lifted = 16 * 20 * 16 * 1 * 24                  # complex128 (batch, C, M, modes)
+    assert out.requires_grad and held <= 1.1 * (2 * out.data.nbytes + lifted)
 
 
 # ---- the layer tail inside the spectral node and the linear node -------------------
@@ -873,3 +905,61 @@ def test_linear_node_skips_parents_without_grad():
     x, w, b = T.Tensor(np.ones((2, 3, 4))), T.parameter(np.ones((3, 2))), T.Tensor(np.ones(2))
     dx, dw, db = frame.linear(x, w, b)._vjp(np.ones((2, 2, 4)))
     assert dx is None and db is None and np.array_equal(dw, np.full((3, 2), 8.0))
+
+
+def test_linear_node_keeps_its_output_and_one_saved_array():
+    # the burgers-1d projection shapes: batch 20, width 16 -> 64, 256 points
+    r = rng(36)
+    x, w, b = (T.parameter(a) for a in (r.standard_normal((20, 16, 256)),
+                                         r.standard_normal((16, 64)), r.standard_normal(64)))
+    out, held = held_after(lambda: frame.linear(x, w, b, "gelu"))
+    assert out.requires_grad and held <= 1.1 * 2 * out.data.nbytes
+
+
+# ---- activations overwrite only their nodes' own buffers ---------------------------
+
+def leaves_stay_unchanged(build, arrays, g):
+    """Run build on leaves made from copies of `arrays`, forward without the
+    tape and then forward and backward on it, and check that every leaf's
+    data still holds the bytes of the array it was made from."""
+    leaves = [None if a is None else T.parameter(a.copy()) for a in arrays]
+    with T.no_grad():
+        build(*leaves)
+    T.tape_backward(inner(build(*leaves), g))
+    for leaf, a in zip(leaves, arrays):
+        assert leaf is None or leaf.data.tobytes() == a.tobytes()
+
+
+@pytest.mark.parametrize("activation", list(T.ACTIVATION_KERNELS), ids=str)
+def test_linear_node_leaves_its_inputs_unchanged(activation):
+    r = rng(30)
+    arrays = [r.standard_normal((2, 3, 8)), r.standard_normal((3, 4)), r.standard_normal(4)]
+    leaves_stay_unchanged(lambda x, w, b: frame.linear(x, w, b, activation), arrays,
+                          r.standard_normal((2, 4, 8)))
+
+
+@pytest.mark.parametrize("activation", list(T.ACTIVATION_KERNELS), ids=str)
+@pytest.mark.parametrize("pointwise", [True, False], ids=["pointwise", "no-pointwise"])
+@pytest.mark.parametrize("m", [1, 2], ids=["M1", "M2"])
+def test_spectral_node_leaves_its_inputs_unchanged(m, pointwise, activation):
+    # at M = 1 with no pointwise map the pre-activation is a view of the
+    # node's own synthesis, which the activation overwrites
+    f, sp, w, spec = spectral_case((16,), (3,), m, "diagonal", 1, seed=31)
+    r = rng(32)
+    tail = [r.standard_normal((3, 3)), r.standard_normal(3)] if pointwise else []
+
+    def build(ft, st, wt, *pw):
+        return frame.spectral(ft, st, wt, spec, tuple(pw) or None, activation)
+
+    leaves_stay_unchanged(build, [f, sp, w] + tail, r.standard_normal(f.shape))
+
+
+@pytest.mark.parametrize("arch", ["fd4", "mlp2"])
+def test_density_head_leaves_its_inputs_unchanged(arch):
+    cfg = frame.DensityNetConfig(slices=2, arch=arch, hidden=8)
+    net = frame.DensityNetwork(cfg, in_channels=3, ndim=1, rng=rng(33))
+    params = net.weights + net.biases
+    before = [p.data.copy() for p in params]
+    f = rng(34).standard_normal((2, 3, 16))
+    leaves_stay_unchanged(net.energies, [f], rng(35).standard_normal((2, 1, 2, 16)))
+    assert all(p.data.tobytes() == a.tobytes() for p, a in zip(params, before))

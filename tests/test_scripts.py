@@ -79,6 +79,17 @@ def test_bitwise_sweep_compare_groups_the_frame_arrays(tmp_path):
     assert "worst frame: frame/n/roundtrip max abs 8.882e-16 rel 2.220e-16" in done.stdout
 
 
+def test_bitwise_sweep_compare_groups_eval_with_the_forward_values(tmp_path):
+    a = {"n/output": np.array([1.0, 2.0]), "n/eval": np.array([1.0, 2.0])}
+    b = dict(a, **{"n/eval": np.array([1.0, 2.0 + 2.0**-50])})
+    for name, arrays in (("a", a), ("b", b)):
+        np.savez(tmp_path / f"{name}.npz", **arrays)
+    done = run_script(ROOT / "scripts/bitwise_sweep.py", "--compare",
+                      str(tmp_path / "a.npz"), str(tmp_path / "b.npz"))
+    assert done.returncode == 1, done.stderr
+    assert "worst forward: n/eval max abs 8.882e-16 rel 4.441e-16" in done.stdout
+
+
 def test_criterion09_states_script_reads_every_state():
     done = run_script(ROOT / "scripts/criterion09_states.py", "--runs", "1")
     assert done.returncode == 0, done.stderr

@@ -22,9 +22,10 @@ from able import tensor as T
 from able.errors import ContractError
 from able.operator import ModelConfig, build_network
 
-from oracles import (assert_grad_matches, central_difference_paired, gelu_reference,
-                     gelu_tanh_reference, inner, silu_reference, sq_norm, taped_activation,
-                     taped_add, taped_reshape, taped_scale)
+from oracles import (assert_grad_matches, central_difference_paired, gelu_input_form_vjp,
+                     gelu_reference, gelu_tanh_reference, inner, silu_input_form_vjp,
+                     silu_reference, sq_norm, taped_activation, taped_add, taped_reshape,
+                     taped_scale)
 
 
 def rng(seed):
@@ -59,28 +60,40 @@ def test_gelu_at_zero():
 
 
 def test_gelu_matches_whole_array_expressions_bitwise():
-    # the sigmoid-form kernels bit for bit, and the tanh form they rewrite to roundoff
+    # the sigmoid-form kernels bit for bit, and the input-form VJP and the
+    # tanh form they rewrite to roundoff; the forward overwrites its argument
     x = 4.0 * rng(70).standard_normal((3, 4, 50))
     for arr in (x, x.transpose(2, 0, 1)):
-        out, s = T._gelu(arr)
+        buf = arr.copy(order="K")
+        out, s = T._gelu(buf)
+        assert out is buf
         want, want_vjp = gelu_reference(arr)
         assert np.array_equal(out, want)
         g = rng(71).standard_normal(arr.shape)
-        got_vjp = T._gelu_grad(g, arr, s)
+        got_vjp = T._gelu_grad(g, out, s)
         assert np.array_equal(got_vjp, want_vjp(g))
+        input_vjp = gelu_input_form_vjp(arr)(g)
+        assert np.max(np.abs(got_vjp - input_vjp)) <= 1e-14 * np.max(np.abs(input_vjp))
         tanh_out, tanh_vjp = gelu_tanh_reference(arr)
         assert np.max(np.abs(out - tanh_out)) <= 1e-14 * np.max(np.abs(tanh_out))
         assert np.max(np.abs(got_vjp - tanh_vjp(g))) <= 1e-14 * np.max(np.abs(tanh_vjp(g)))
 
 
 def test_silu_matches_whole_array_expressions_bitwise():
+    # the kernels bit for bit, and the input-form VJP they rewrite to
+    # roundoff; the forward overwrites its argument
     x = 4.0 * rng(72).standard_normal((3, 4, 50))
     for arr in (x, x.transpose(2, 0, 1)):
-        out, s = T._silu(arr)
+        buf = arr.copy(order="K")
+        out, s = T._silu(buf)
+        assert out is buf
         want, want_vjp = silu_reference(arr)
         assert np.array_equal(out, want)
         g = rng(73).standard_normal(arr.shape)
-        assert np.array_equal(T._silu_grad(g, arr, s), want_vjp(g))
+        got_vjp = T._silu_grad(g, out, s)
+        assert np.array_equal(got_vjp, want_vjp(g))
+        input_vjp = silu_input_form_vjp(arr)(g)
+        assert np.max(np.abs(got_vjp - input_vjp)) <= 1e-14 * np.max(np.abs(input_vjp))
 
 
 EXTREMES = np.array([-1e4, -800.0, -30.0, 0.0, 30.0, 800.0])
@@ -93,8 +106,8 @@ def test_activations_reach_their_limits_without_overflow_warnings(name):
     kernel, grad = T.ACTIVATION_KERNELS[name]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        out, saved = kernel(EXTREMES)
-        slope = grad(np.ones_like(EXTREMES), EXTREMES, saved)
+        out, saved = kernel(EXTREMES.copy())
+        slope = grad(np.ones_like(EXTREMES), out, saved)
     slope_at_zero = 0.0 if name == "relu" else 0.5
     assert np.all(np.isfinite(out)) and np.all(np.isfinite(slope))
     assert np.allclose(out, np.maximum(EXTREMES, 0.0), rtol=1e-12, atol=1e-10)
@@ -268,9 +281,10 @@ def test_grad_accumulates_across_reuse():
 def test_backward_drops_each_vjp_closure_it_runs():
     x = T.parameter(rng(74).standard_normal(8))
     h = taped_activation("silu", x)
-    # the sigmoid s is kept only for the VJP
+    # the sigmoid s is kept only for the VJP, which reads it with the output
     saved = [weakref.ref(c.cell_contents) for c in h._vjp.__closure__
-             if isinstance(c.cell_contents, np.ndarray) and c.cell_contents is not x.data]
+             if isinstance(c.cell_contents, np.ndarray)
+             and c.cell_contents is not x.data and c.cell_contents is not h.data]
     assert len(saved) == 1 and saved[0]() is not None
     loss = sq_norm(h)
     T.tape_backward(loss)
