@@ -201,14 +201,16 @@ def config_key_help() -> str:
         "train.learning_rate": "Adam learning rate",
         "train.schedule": "step, cosine, or none",
         "train.schedule_gamma": "step-schedule decay factor",
-        "train.schedule_every": "epochs between step decays",
+        "train.schedule_every": "epochs between step decays (>= 1)",
+        "train.beta1": "Adam first-moment decay, in [0, 1)",
+        "train.beta2": "Adam second-moment decay, in [0, 1)",
         "train.weight_decay": "decay applied to spectral weights only",
-        "data.samples": "dataset size to generate",
+        "data.samples": "dataset size to generate (>= 0)",
         "data.n_test": "held-out sample count at train time",
-        "data.resolution": "stored resolution (power of two)",
-        "data.generate_at": "solver resolution before subsampling",
+        "data.resolution": "stored resolution (power of two >= 2)",
+        "data.generate_at": "solver resolution, a multiple of data.resolution",
         "data.nu": "burgers viscosity",
-        "data.t_final": "burgers horizon",
+        "data.t_final": "burgers horizon (> 0)",
         "data.forcing": "darcy right-hand side constant",
         "data.tau": "random-field inverse length scale",
         "data.alpha": "random-field smoothness exponent",

@@ -153,15 +153,24 @@ def dataset_read(path) -> Dataset:
 
 # ---- dataset builders ------------------------------------------------------------
 
+def _subsampled_grids(samples: int, resolution: int, generate_at: int, dims: int = 1) -> tuple:
+    """A dataset's stored grid, its generation grid and the stride between
+    them, refusing a negative sample count and a generation resolution that
+    is not a multiple of the stored one."""
+    if samples < 0:
+        raise ContractError(f"sample count must be >= 0, got {samples}")
+    grid, fine = Grid((resolution,) * dims), Grid((generate_at,) * dims)
+    if generate_at % resolution:
+        raise ContractError("generation resolution must be a multiple of the target")
+    return grid, fine, generate_at // resolution
+
+
 def make_burgers_dataset(samples: int, nu: float, seed: int, resolution: int = 256,
                          generate_at: int = 1024, grf: GrfSpec | None = None,
                          t_final: float = 1.0) -> Dataset:
     """Viscous Burgers pairs (u0, u(t_final)) solved fine and subsampled."""
-    if generate_at % resolution:
-        raise ContractError("generation resolution must be a multiple of the target")
+    grid, fine, stride = _subsampled_grids(samples, resolution, generate_at)
     grf = grf if grf is not None else GrfSpec(**BURGERS_GRF)
-    fine = Grid((generate_at,))
-    stride = generate_at // resolution
     meta = {
         "task": "burgers", "nu": nu, "seed": seed, "resolution": resolution,
         "generate_at": generate_at, "t_final": t_final, "samples": samples,
@@ -169,7 +178,7 @@ def make_burgers_dataset(samples: int, nu: float, seed: int, resolution: int = 2
     }
     if samples == 0:
         empty = np.zeros((0, 1, resolution))
-        return Dataset(Grid((resolution,)), empty, empty.copy(), meta)
+        return Dataset(grid, empty, empty.copy(), meta)
     u0 = sample_grf(grf, fine, seed, samples)
     u1, diag = solve_burgers(u0, nu, fine, t_final=t_final)
     energies = diag["energies"]
@@ -186,7 +195,7 @@ def make_burgers_dataset(samples: int, nu: float, seed: int, resolution: int = 2
     }
     inputs = u0[:, None, ::stride]
     targets = u1[:, None, ::stride]
-    return Dataset(Grid((resolution,)), np.ascontiguousarray(inputs),
+    return Dataset(grid, np.ascontiguousarray(inputs),
                    np.ascontiguousarray(targets), meta)
 
 
@@ -194,21 +203,17 @@ def make_darcy_dataset(samples: int, seed: int, resolution: int = 64,
                        generate_at: int = 256, grf: GrfSpec | None = None,
                        forcing: float = 1.0) -> Dataset:
     """Darcy pairs (a, u) with two-phase coefficients, solved fine and subsampled."""
-    if generate_at % resolution:
-        raise ContractError("generation resolution must be a multiple of the target")
+    grid, fine, stride = _subsampled_grids(samples, resolution, generate_at, dims=2)
     grf = grf if grf is not None else GrfSpec(**DARCY_GRF)
-    fine = Grid((generate_at, generate_at))
-    stride = generate_at // resolution
     meta = {
         "task": "darcy", "seed": seed, "resolution": resolution,
         "generate_at": generate_at, "forcing": forcing, "samples": samples,
         "grf": {"dims": grf.dims, "tau": grf.tau, "alpha": grf.alpha, "scale": grf.scale,
                 "threshold_levels": list(grf.threshold_levels or ())},
     }
-    target_grid = Grid((resolution, resolution))
     if samples == 0:
         empty = np.zeros((0, 1, resolution, resolution))
-        return Dataset(target_grid, empty, empty.copy(), meta)
+        return Dataset(grid, empty, empty.copy(), meta)
     coeffs = make_darcy_coefficient(grf, fine, seed, samples)
     inputs = np.empty((samples, 1, resolution, resolution))
     targets = np.empty_like(inputs)
@@ -224,7 +229,7 @@ def make_darcy_dataset(samples: int, seed: int, resolution: int = 64,
         inputs[i, 0] = coeffs[i][::stride, ::stride]
         targets[i, 0] = u[::stride, ::stride]
     meta["solver"] = {"max_residual": max_residual, "min_interior": min_interior}
-    return Dataset(target_grid, inputs, targets, meta)
+    return Dataset(grid, inputs, targets, meta)
 
 
 # ---- model checkpoints --------------------------------------------------------------

@@ -19,12 +19,15 @@ every admissible density. Their kernels are `_analyze`, `_expand` and
 `_reweight`; lifted data is slice-major too, (batch, channels, M,
 modes...). The frame API (`able_forward`, `able_inverse`) runs `lift` and
 `synthesize` on the full spectrum, and the tests hold the operator layers'
-node, `spectral`, to their chain. A square-root density of None stands for
-a single slice of density one and skips the weighting.
+node, `spectral`, to their chain. `lift` and `synthesize` take a
+square-root density; a single slice of density one is an array of ones.
 
 An operator layer is one tape node after its density nodes,
 `spectral(f, sp, weights, spec, pointwise, activation)`: lift, mix,
-synthesize, real part, the pointwise map w^T f + b and the activation. It
+synthesize, real part, the pointwise map w^T f + b of the required pair
+`pointwise` = (w, b) and the activation. A square-root density of None
+stands there for a single slice of density one, and its kernels
+(`_analyze`, `_reweight`, `_analyze_real`) then skip the weighting. It
 reads the grid off the field and the retained modes off the weights, 2k
 per axis. Its output is real, so its synthesis, in the forward and in the
 VJP alike, is `_expand_real`: the real part of an expansion as one c2r of
@@ -82,6 +85,7 @@ from .errors import ContractError, DomainError, UnsupportedSizeError
 from .fft import is_power_of_two
 
 SQRT_GRAD_EPS = 1e-12
+DENSITY_TOL = 1e-10     # `check_density`'s slack on entries and row sums
 
 FIRST_DIFF_STENCIL = (0.5, 0.0, -0.5)
 SECOND_DIFF_STENCIL = (-0.5, 1.0, -0.5)
@@ -116,17 +120,17 @@ class Grid:
         return int(np.prod(self.extents))
 
 
-def check_density(p: np.ndarray, tol: float = 1e-10) -> Grid:
+def check_density(p: np.ndarray) -> Grid:
     """The grid of a density array p, (batch, heads, M, spatial...), after
     refusing non-finite entries, entries outside [0, 1] and rows that do
-    not sum to one over the slices."""
+    not sum to one over the slices, each to within DENSITY_TOL."""
     grid = Grid(p.shape[3:])
     if not np.all(np.isfinite(p)):
         raise ContractError("density has non-finite entries")
-    if np.any(p < -tol) or np.any(p > 1.0 + tol):
+    if np.any(p < -DENSITY_TOL) or np.any(p > 1.0 + DENSITY_TOL):
         raise ContractError("density entries outside [0, 1]")
     residual = np.max(np.abs(p.sum(axis=2) - 1.0))
-    if residual > tol:
+    if residual > DENSITY_TOL:
         raise ContractError(f"density rows must sum to 1, worst residual {residual:.3e}")
     return grid
 
@@ -138,8 +142,9 @@ class LiftedCoefficients:
     values: T.Tensor
 
 
-def uniform_density(grid: Grid, slices: int, batch: int = 1) -> np.ndarray:
-    return np.full((batch, 1, slices) + grid.extents, 1.0 / slices)
+def uniform_density(grid: Grid, batch: int = 1) -> np.ndarray:
+    """The one-slice density, identically one: (batch, 1, 1, spatial...)."""
+    return np.ones((batch, 1, 1) + grid.extents)
 
 
 # ---- density network --------------------------------------------------------
@@ -445,45 +450,41 @@ def _reweight(z: np.ndarray, sp: Optional[np.ndarray]) -> np.ndarray:
     return z[:, :, 0] if sp is None else (z * sp).sum(axis=2)
 
 
-def lift(f: T.Tensor, sp: Optional[T.Tensor], k) -> T.Tensor:
+def lift(f: T.Tensor, sp: T.Tensor, k) -> T.Tensor:
     """(batch, C, spatial...) -> retained modes of the unitary FFT of f * sp.
 
-    The result is (batch, C, M, modes...). `sp` is `sqrt_density(p)`, or
-    None for a single slice of density one. Per spatial axis of extent N,
-    `k` keeps the slice blocks [0, k) and [N - k, N), all of it at k = N/2.
+    The result is (batch, C, M, modes...). `sp` is `sqrt_density(p)`. Per
+    spatial axis of extent N, `k` keeps the slice blocks [0, k) and
+    [N - k, N), all of it at k = N/2.
     """
     k = _retained(k, f.shape[2:])
-    spd = None if sp is None else sp.data
+    spd = sp.data
 
     def vjp(g):
         z = _expand(g, k, f.shape[2:])
         if not f.is_complex:
             z = z.real
-        df = _reweight(z, spd) if f.requires_grad else None
-        if sp is None:
-            return (df,)
-        return df, (np.real(z * np.conj(f.data[:, :, None])) if sp.requires_grad else None)
+        return (_reweight(z, spd) if f.requires_grad else None,
+                np.real(z * np.conj(f.data[:, :, None])) if sp.requires_grad else None)
 
-    return T._make(_analyze(f.data, spd, k), (f,) if sp is None else (f, sp), vjp)
+    return T._make(_analyze(f.data, spd, k), (f, sp), vjp)
 
 
-def synthesize(c: T.Tensor, sp: Optional[T.Tensor], k, extents) -> T.Tensor:
+def synthesize(c: T.Tensor, sp: T.Tensor, k, extents) -> T.Tensor:
     """Zero-fill the retained modes to `extents`, inverse FFT per slice,
     reweight by `sp` and sum over slices: (batch, C, spatial...). `k` is as
     in `lift`."""
     k = _retained(k, extents)
     if tuple(c.shape[3:]) != tuple(2 * kk for kk in k):
         raise ContractError(f"coefficient modes {tuple(c.shape[3:])} do not match k = {k}")
-    spd = None if sp is None else sp.data
+    spd = sp.data
     z = _expand(c.data, k, extents)
 
     def vjp(g):
-        dc = _analyze(g, spd, k) if c.requires_grad else None
-        if sp is None:
-            return (dc,)
-        return dc, (np.real(g[:, :, None] * np.conj(z)) if sp.requires_grad else None)
+        return (_analyze(g, spd, k) if c.requires_grad else None,
+                np.real(g[:, :, None] * np.conj(z)) if sp.requires_grad else None)
 
-    return T._make(_reweight(z, spd), (c,) if sp is None else (c, sp), vjp)
+    return T._make(_reweight(z, spd), (c, sp), vjp)
 
 
 def _analyze_real(g: np.ndarray, sp: Optional[np.ndarray], k: tuple) -> np.ndarray:
@@ -526,15 +527,14 @@ def _expand_real(c: np.ndarray, k: tuple, extents: tuple) -> np.ndarray:
 
 
 def spectral(f: T.Tensor, sp: Optional[T.Tensor], weights: T.Tensor, spec: str,
-             pointwise: Optional[tuple] = None,
-             activation: Optional[str] = None) -> T.Tensor:
+             pointwise: tuple, activation: Optional[str] = None) -> T.Tensor:
     """A spectral layer as one tape node, (batch, O, spatial...) for a real f:
     the real part of `synthesize(mix(lift(f, sp, k)), sp, k, extents)`, with
     the mix `tensor._contract(spec, ., weights)`, plus the pointwise path
-    `linear(f, w, b)` when `pointwise` is the pair (w, b), all through the
-    `activation` named in `T.ACTIVATION_KERNELS` (None for none). The
-    extents are f's spatial shape and k is half the weights' mode extents,
-    (I, O, 2k..., M[, M]).
+    `linear(f, w, b)` of the pair `pointwise` = (w, b), all through the
+    `activation` named in `T.ACTIVATION_KERNELS` (None for none). sp is
+    None for a single slice of density one. The extents are f's spatial
+    shape and k is half the weights' mode extents, (I, O, 2k..., M[, M]).
 
     The forward analyzes with `lift`'s c2c kernel, mixes, and synthesizes
     z = Re of the expansion with one c2r per line (`_expand_real`), so its
@@ -543,8 +543,7 @@ def spectral(f: T.Tensor, sp: Optional[T.Tensor], weights: T.Tensor, spec: str,
     The analysis is not r2c because the one-slice forward then ran at
     0.65-0.67 of `reference.fno_layer`, outside acceptance criterion 09's
     ratio band. It writes pre = w^T f + b (`_affine`) into a fresh buffer
-    and adds sum_m sp z (with no pointwise map and no density, pre is a
-    view of z's one slice), then applies the activation's kernel, which
+    and adds sum_m sp z, then applies the activation's kernel, which
     overwrites pre with the node's output. The VJP applies the
     activation's gradient kernel to the output and its saved array first
     and takes the result g onto the half spectrum: the mix's gradient is
@@ -560,16 +559,13 @@ def spectral(f: T.Tensor, sp: Optional[T.Tensor], weights: T.Tensor, spec: str,
     act = T.ACTIVATION_KERNELS[activation]
     spd = None if sp is None else sp.data
     w = weights.data
+    pw, b = pointwise
     lifted = _analyze(f.data, spd, k)
     z = _expand_real(T._contract(spec, lifted, w), k, extents)
     batch, channels = f.shape[:2]
     f3 = f.data.reshape(batch, channels, -1)
-    if pointwise is None:
-        pre = _reweight(z, spd)
-    else:
-        pre = _affine(pointwise[0].data, pointwise[1].data, f3).reshape(
-            (batch, w.shape[1]) + f.shape[2:])
-        pre += _reweight(z, spd)
+    pre = _affine(pw.data, b.data, f3).reshape((batch, w.shape[1]) + extents)
+    pre += _reweight(z, spd)
     out, saved = (pre, None) if act is None else act[0](pre)
     if sp is None:
         z = None        # only the density's gradient reads the synthesis
@@ -580,7 +576,7 @@ def spectral(f: T.Tensor, sp: Optional[T.Tensor], weights: T.Tensor, spec: str,
         if act is not None:
             g = act[1](g, out, saved)
         dmixed = _analyze_real(g, spd, k)
-        dw = (T._contract(f"{s_a},{s_out}->{s_b}", lifted, dmixed, conj="a")
+        dw = (T._contract(f"{s_a},{s_out}->{s_b}", lifted, dmixed, conj_a=True)
               if weights.requires_grad else None)
         dsp = None
         if f.requires_grad or (sp is not None and sp.requires_grad):
@@ -588,19 +584,17 @@ def spectral(f: T.Tensor, sp: Optional[T.Tensor], weights: T.Tensor, spec: str,
             if sp is not None and sp.requires_grad:
                 dsp = T._unbroadcast(g[:, :, None] * z, sp.shape)
                 dsp += T._unbroadcast(z2 * f.data[:, :, None], sp.shape)
-        df = _reweight(z2, spd) if f.requires_grad else None
-        tail = ()
-        if pointwise is not None:
-            pw, b = pointwise
-            g3 = g.reshape(batch, w.shape[1], -1)
-            if df is not None:
-                df += np.matmul(pw.data, g3).reshape(f.shape)
-            tail = (_weight_grad(f3, g3) if pw.requires_grad else None,
-                    g3.sum(axis=(0, 2)) if b.requires_grad else None)
-        return ((df, dw) if sp is None else (df, dsp, dw)) + tail
+        g3 = g.reshape(batch, w.shape[1], -1)
+        df = None
+        if f.requires_grad:
+            df = _reweight(z2, spd)
+            df += np.matmul(pw.data, g3).reshape(f.shape)
+        tail = (dw, _weight_grad(f3, g3) if pw.requires_grad else None,
+                g3.sum(axis=(0, 2)) if b.requires_grad else None)
+        return (df,) + tail if sp is None else (df, dsp) + tail
 
-    parents = (f, weights) if sp is None else (f, sp, weights)
-    return T._make(out, parents + (() if pointwise is None else tuple(pointwise)), vjp)
+    parents = (f, weights, pw, b) if sp is None else (f, sp, weights, pw, b)
+    return T._make(out, parents, vjp)
 
 
 def _check_compatible(shape: tuple, p: np.ndarray) -> Grid:

@@ -19,7 +19,7 @@ its node; the coordinate channels are joined to the input in numpy, since
 the input is data. One pipeline serves every slice count.
 With a single slice the density is identically one and the layer reduces
 to a plain Fourier layer: it passes no square-root density (None), so the
-lifted transform skips the weighting, which softmax over one logit makes
+spectral node skips the weighting, which softmax over one logit makes
 the identity.
 
 Frequency truncation keeps, per axis, the k_max lowest nonnegative and
@@ -111,9 +111,7 @@ class AbleLayer:
 
     def __init__(self, in_channels: int, out_channels: int, k_max: int, ndim: int,
                  density: DensityNetConfig, kind: str = "diagonal",
-                 activation: Optional[str] = "gelu",
-                 rng: Optional[np.random.Generator] = None):
-        rng = rng if rng is not None else np.random.default_rng(0)
+                 activation: Optional[str] = "gelu", *, rng: np.random.Generator):
         if density.per_channel and in_channels != out_channels:
             raise ContractError("per-channel densities require equal in/out channels")
         self.in_channels = in_channels
@@ -148,7 +146,7 @@ class AbleLayer:
     def density(self, f: T.Tensor) -> np.ndarray:
         """Density this layer derives from its input, off the tape; uniform when M == 1."""
         if self.density_net is None:
-            return uniform_density(Grid(f.shape[2:]), 1, batch=f.shape[0])
+            return uniform_density(Grid(f.shape[2:]), batch=f.shape[0])
         with T.no_grad():
             e = self.density_net.energies(f).data
         return density_from_energies(e, self.density_net.temperature)
@@ -296,8 +294,7 @@ class ModelConfig:
 class AbleNetwork:
     """Lifting -> stacked adaptive spectral layers -> pointwise projection."""
 
-    def __init__(self, config: ModelConfig, rng: Optional[np.random.Generator] = None):
-        rng = rng if rng is not None else np.random.default_rng(0)
+    def __init__(self, config: ModelConfig, rng: np.random.Generator):
         self.config = config
         lift_in = config.in_channels + (config.ndim if config.coord_features else 0)
         self.lift_w = T.parameter(rng.normal(0.0, 1.0 / np.sqrt(lift_in),

@@ -128,6 +128,8 @@ def solve_burgers(u0: np.ndarray, nu: float, grid: Grid, t_final: float = 1.0,
     """
     if nu <= 0:
         raise DomainError("viscosity must be positive")
+    if not t_final > 0:
+        raise DomainError(f"t_final must be positive, got {t_final}")
     if not rtol >= _RTOL_MIN:
         raise DomainError(f"rtol={rtol} must be at least {_RTOL_MIN}: a smaller "
                           "tolerance asks the error estimate to resolve roundoff")
@@ -221,12 +223,10 @@ def solve_burgers(u0: np.ndarray, nu: float, grid: Grid, t_final: float = 1.0,
 
 # ---- 2-D Darcy flow -----------------------------------------------------------
 
-def _darcy_operator(a: np.ndarray, spacing):
-    """Harmonic-mean finite-volume stencil for -div(a grad u), zero Dirichlet.
-
-    `spacing` is the pair (hx, hy) of axis 0 and axis 1, or one h for both.
-    """
-    hx, hy = (spacing, spacing) if np.isscalar(spacing) else spacing
+def _darcy_operator(a: np.ndarray, spacing: tuple):
+    """Harmonic-mean finite-volume stencil for -div(a grad u), zero Dirichlet,
+    with the spacing pair (hx, hy) of axis 0 and axis 1."""
+    hx, hy = spacing
     inv_hx2, inv_hy2 = 1.0 / (hx * hx), 1.0 / (hy * hy)
     tx = 2.0 * a[1:, :] * a[:-1, :] / (a[1:, :] + a[:-1, :]) * inv_hx2
     ty = 2.0 * a[:, 1:] * a[:, :-1] / (a[:, 1:] + a[:, :-1]) * inv_hy2

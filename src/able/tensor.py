@@ -26,14 +26,15 @@ parameter buffers in place between steps, outside the taped region.
 
 `_contract` runs a two-operand einsum as one batched BLAS matmul through a
 transpose/reshape plan cached per (spec, shapes) (`_matmul_plan`), and
-returns a transposed view of the product; `conj` conjugates an operand
-after that layout copy, in place on the copy. `_contract_grad_a` is the
-first-operand gradient as conj(conj(g) @ Wᵀ) on the forward's view of the
-second operand W, so weights stored in the forward's layout are never
-copied. `frame.spectral` calls both for a layer's mode mixing; the
+returns a transposed view of the product; `conj_a` conjugates the first
+operand after that layout copy, in place on the copy. `_contract_grad_a`
+is the first-operand gradient as conj(conj(g) @ Wᵀ) on the forward's view
+of the second operand W, so weights stored in the forward's layout are
+never copied. `frame.spectral` calls both for a layer's mode mixing; the
 per-point maps are plain batched matmuls inside their nodes. `np.einsum`
 is kept only in the independent oracles (`reference.fno_layer`,
-`operator.materialize_kernel`, `verify.dense_kernel_residual`).
+`operator.materialize_kernel`, `verify.dense_kernel_residual` and the test
+suite's taped contraction).
 
 Each activation is a pair of numpy kernels, forward and VJP, run as
 in-place ufuncs (`_relu`, `_silu`, `_gelu` and their `_grad`s), which the
@@ -353,16 +354,14 @@ def _matmul_plan(spec: str, shape_a: tuple, shape_b: tuple) -> tuple:
             tuple(product.index(c) for c in s_out))
 
 
-def _contract(spec: str, a: np.ndarray, b: np.ndarray, conj: Optional[str] = None) -> np.ndarray:
-    """`einsum(spec, a, b)` as one matmul; `conj` names the operand, "a" or
-    "b", to conjugate after its transpose/reshape."""
+def _contract(spec: str, a: np.ndarray, b: np.ndarray, conj_a: bool = False) -> np.ndarray:
+    """`einsum(spec, a, b)` as one matmul, with a conjugated after its
+    transpose/reshape when `conj_a` is set."""
     perm_a, shape_a, perm_b, shape_b, shape_p, perm_out = _matmul_plan(spec, a.shape, b.shape)
     ma = a.transpose(perm_a).reshape(shape_a)
     mb = b.transpose(perm_b).reshape(shape_b)
-    if conj == "a":
+    if conj_a:
         ma = _conj_operand(ma, a)
-    elif conj == "b":
-        mb = _conj_operand(mb, b)
     p = np.matmul(ma, mb)
     return p.reshape(shape_p).transpose(perm_out)
 

@@ -45,6 +45,11 @@ class TrainConfig:
             raise ContractError(f"epochs must be >= 0, got {self.epochs}")
         if self.schedule not in ("step", "cosine", "none"):
             raise ContractError(f"unknown schedule {self.schedule!r}")
+        if self.schedule_every < 1:
+            raise ContractError(f"schedule_every must be >= 1, got {self.schedule_every}")
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ContractError(f"{name} must be in [0, 1), got {getattr(self, name)}")
 
 
 # ---- loss ----------------------------------------------------------------------
@@ -363,8 +368,9 @@ def restore_network(model_config_dict: dict, params: dict) -> AbleNetwork:
 # ---- gradient checking -----------------------------------------------------------------
 
 def gradient_check(net, sample: tuple, n_params: int = 50, h: float = 1e-6,
-                   seed: int = 0, loss_fn=relative_l2) -> dict:
-    """Central-difference check on randomly sampled parameter entries.
+                   seed: int = 0) -> dict:
+    """Central-difference check of the `relative_l2` loss on randomly
+    sampled parameter entries.
 
     Works for any model exposing __call__ and named_parameters(). Density
     parameters are always represented in the sample so the adaptive path is
@@ -375,9 +381,9 @@ def gradient_check(net, sample: tuple, n_params: int = 50, h: float = 1e-6,
 
     def loss_value() -> float:
         with T.no_grad():
-            return loss_fn(net(T.Tensor(x)), T.Tensor(y)).item()
+            return relative_l2(net(T.Tensor(x)), T.Tensor(y)).item()
 
-    loss = loss_fn(net(T.Tensor(x)), T.Tensor(y))
+    loss = relative_l2(net(T.Tensor(x)), T.Tensor(y))
     for p in params.values():
         p.grad = None
     T.tape_backward(loss)

@@ -319,7 +319,7 @@ def run_frame_properties(seeds: Sequence[int], extents_list: Sequence[tuple],
 
                 if m == 1:
                     plain = _fft.fft_unitary(f.data, axes=tuple(range(2, 2 + grid.dims)))
-                    uni = uniform_density(grid, 1)
+                    uni = uniform_density(grid)
                     red = np.max(np.abs(able_forward(f, uni).values.data[:, :, 0] - plain))
                     report.add(
                         name=f"fourier_reduction[{tag}]",
@@ -489,25 +489,18 @@ def sawtooth(n: int) -> np.ndarray:
 
 
 def able_partition_approximation_study(m_list: Sequence[int] = (2, 4, 8, 16, 32, 64),
-                                       n: int = 2**14, target: str = "sawtooth",
-                                       seed: int = 0) -> RateStudyResult:
-    """Zero-mode partition approximant error; expected slope -1 on a sawtooth."""
-    if target == "sawtooth":
-        u = sawtooth(n)
-    elif target == "step":
-        u = np.where(np.arange(n) >= n // 2, 1.0, 0.0)
-    else:
-        raise DomainError(f"unknown study target {target!r}")
+                                       n: int = 2**14, seed: int = 0) -> RateStudyResult:
+    """Zero-mode partition approximant error of a sawtooth; expected slope -1."""
+    u = sawtooth(n)
     errors = []
     for m in m_list:
         labels = equal_variation_partition(u, m)
         errors.append(_grid_l2(u - piecewise_mean(u, labels, m)))
     result = RateStudyResult.fit(m_list, errors, seed, expected_slope=-1.0)
-    if target == "sawtooth":
-        closed_form = [1.0 / (math.sqrt(12.0) * m) for m in m_list]
-        result.extras["closed_form_errors"] = closed_form
-        result.extras["closed_form_max_rel_dev"] = float(max(
-            abs(e - c) / c for e, c in zip(errors, closed_form)))
+    closed_form = [1.0 / (math.sqrt(12.0) * m) for m in m_list]
+    result.extras["closed_form_errors"] = closed_form
+    result.extras["closed_form_max_rel_dev"] = float(max(
+        abs(e - c) / c for e, c in zip(errors, closed_form)))
     return result
 
 

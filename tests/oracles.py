@@ -4,8 +4,8 @@ Everything in here is deliberately naive (O(N^2) sums, explicit loops,
 central differences) and shares no code with the library paths it checks.
 The exceptions are the taped chains (the `taped_*` functions): the fused
 nodes are checked against chains of small tape nodes, one per step, built
-on the library's tape, contraction and activation kernels, and the test
-losses (`inner`, `sq_norm`) are one node each. The Burgers reference
+on the library's tape and activation kernels (the contraction is
+`np.einsum`), and the test losses (`inner`, `sq_norm`) are one node each. The Burgers reference
 (`burgers_step_doubling_reference`) is not naive either: it is the
 solver's step-doubling loop with each RK4 step run on its own, which the
 library's stacked attempt must reproduce bit for bit.
@@ -364,15 +364,15 @@ def taped_activation(name: str, a):
 
 def taped_contraction(spec: str, a, b):
     """A two-operand einsum as one tape node: the forward and both VJP
-    products are `tensor._contract`, the VJP conjugating the other operand."""
+    products are `np.einsum`, the VJP conjugating the other operand."""
     lhs, s_out = spec.split("->")
     s_a, s_b = lhs.split(",")
 
     def vjp(g):
-        return (T._contract(f"{s_out},{s_b}->{s_a}", g, b.data, conj="b"),
-                T._contract(f"{s_a},{s_out}->{s_b}", a.data, g, conj="a"))
+        return (np.einsum(f"{s_out},{s_b}->{s_a}", g, np.conj(b.data)),
+                np.einsum(f"{s_a},{s_out}->{s_b}", np.conj(a.data), g))
 
-    return T._make(T._contract(spec, a.data, b.data), (a, b), vjp)
+    return T._make(np.einsum(spec, a.data, b.data), (a, b), vjp)
 
 
 def taped_linear(x, w, b):

@@ -553,6 +553,13 @@ BAD_INPUTS = {
     "proj-hidden-negative": (["train", "--set", "model.proj_hidden=-1"], 2),
     "n-layers-negative": (["train", "--set", "model.n_layers=-1"], 2),
     "epochs-negative": (["train", "--set", "train.epochs=-1"], 2),
+    "schedule-every-zero": (["train", "--set", "train.schedule_every=0"], 2),
+    "beta1-one": (["train", "--set", "train.beta1=1.0"], 2),
+    "beta2-one": (["train", "--set", "train.beta2=1.0"], 2),
+    "gen-resolution-zero": (["gen", "--set", "data.resolution=0"], 2),
+    "gen-samples-negative": (["gen", "--set", "data.samples=-1"], 2),
+    "gen-darcy-samples-negative": (["gen", "--set", "task=darcy", "--set", "data.samples=-1"], 2),
+    "gen-t-final-negative": (["gen", "--set", "data.t_final=-1"], 2),
     "checkpoint-width-not-an-integer": (["eval", "--checkpoint", "{bad_ckpt}"], 3),
     "learning-rate-nan": (["train", "--set", "train.learning_rate=NaN"], 2),
     "temperature-nan": (["train", "--set", "model.temperature=NaN"], 2),
@@ -568,7 +575,7 @@ BAD_INPUTS = {
 }
 RUN_ARGS = {"train": ["--config", "{cfg}", "--data", "{data}", "--out", "{out}"],
             "sweep": ["--config", "{cfg}", "--data", "{data}", "--out", "{out}"],
-            "eval": ["--data", "{data}"], "bench": []}
+            "eval": ["--data", "{data}"], "bench": [], "gen": ["--out", "{out}"]}
 
 
 @pytest.mark.parametrize("case", list(BAD_INPUTS))
@@ -584,3 +591,5 @@ def test_bad_input_exit_code(trained_run, tmp_path, case):
     except SystemExit as exc:       # argparse rejects a malformed flag value itself
         rc = exc.code
     assert rc == expected
+    if argv[0] == "gen":
+        assert not list(tmp_path.glob("out*"))      # a refused dataset leaves no file

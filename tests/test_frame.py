@@ -366,7 +366,7 @@ def randc(shape, seed):
 def test_m1_uniform_density_reduces_to_plain_fft_bitwise():
     g = frame.Grid((32,))
     f = T.Tensor(randc((2, 3, 32), seed=10))
-    p = frame.uniform_density(g, 1, batch=2)
+    p = frame.uniform_density(g, batch=2)
     lifted = frame.able_forward(f, p)
     plain = fft.fft_unitary(f.data, axes=(2,))
     assert np.max(np.abs(lifted.values.data[:, :, 0] - plain)) <= 1e-14
@@ -493,12 +493,17 @@ def test_gradient_flows_through_density_path():
 NODE_EXTENTS = {1: (8,), 2: (4, 8)}
 
 
+def ones_density(extents):
+    """The square-root density of a single slice of density one."""
+    return np.ones((1, 1, 1) + tuple(extents))
+
+
 def node_case(ndim, heads, truncated, seed):
     """Extents, per-axis retained-mode counts and a square-root density
-    (None, or 1 or 2 heads)."""
+    (one slice of ones for None, else 3 slices on 1 or 2 heads)."""
     extents = NODE_EXTENTS[ndim]
     modes = [min(2, n // 2 - 1) if truncated else n // 2 for n in extents]
-    sp = None if heads is None else rng(seed).random((1, heads, 3) + extents) + 0.1
+    sp = ones_density(extents) if heads is None else rng(seed).random((1, heads, 3) + extents) + 0.1
     return extents, modes, sp
 
 
@@ -508,7 +513,7 @@ def node_case(ndim, heads, truncated, seed):
 @pytest.mark.parametrize("ndim", [1, 2], ids=["1d", "2d"])
 def test_lift_and_synthesize_gradients(ndim, heads, dtype, truncated):
     extents, modes, sp = node_case(ndim, heads, truncated, seed=100)
-    m = 1 if sp is None else sp.shape[2]
+    m = sp.shape[2]
     kept = tuple(2 * k for k in modes)
     f = randc((1, 2) + extents, seed=101)
     c = randc((1, 2, m) + kept, seed=102)
@@ -523,19 +528,17 @@ def test_lift_and_synthesize_gradients(ndim, heads, dtype, truncated):
         return inner(frame.synthesize(x, s, modes, extents), w_syn)
 
     for loss, x0 in ((lift_loss, f), (synthesize_loss, c)):
-        assert_grad_matches(lambda t: loss(t, None if sp is None else T.Tensor(sp)), x0)
-        if sp is not None:
-            assert_grad_matches(lambda t: loss(T.Tensor(x0), t), sp)
+        assert_grad_matches(lambda t: loss(t, T.Tensor(sp)), x0)
+        assert_grad_matches(lambda t: loss(T.Tensor(x0), t), sp)
 
 
 @pytest.mark.parametrize("heads", [None, 1, 2], ids=["sp-none", "shared", "per-channel"])
 @pytest.mark.parametrize("ndim", [1, 2], ids=["1d", "2d"])
 def test_synthesize_is_adjoint_of_lift(ndim, heads):
     extents, modes, sp = node_case(ndim, heads, truncated=True, seed=110)
-    m = 1 if sp is None else sp.shape[2]
     f = randc((1, 2) + extents, seed=111)
-    c = randc((1, 2, m) + tuple(2 * k for k in modes), seed=112)
-    s = None if sp is None else T.Tensor(sp)
+    c = randc((1, 2, sp.shape[2]) + tuple(2 * k for k in modes), seed=112)
+    s = T.Tensor(sp)
     lhs = np.vdot(c, frame.lift(T.Tensor(f), s, modes).data)
     rhs = np.vdot(frame.synthesize(T.Tensor(c), s, modes, extents).data, f)
     assert abs(lhs - rhs) <= 1e-12 * np.linalg.norm(f) * np.linalg.norm(c)
@@ -590,18 +593,17 @@ def test_lift_and_synthesize_bitwise_equal_all_axes_fft(extents, m, dtype, trunc
     axes = tuple(range(3, 3 + len(extents)))
     f = randc((2, 3) + extents, seed=120)
     f = f if dtype is complex else f.real.copy()
-    sp = None if m == 1 else rng(121).random((2, 1, m) + extents) + 0.1
-    s = None if sp is None else T.Tensor(sp)
-    x = f[:, :, None] if sp is None else f[:, :, None] * sp
-    lifted = fft.fft_unitary(x, axes)[mesh]
+    # f * 1.0 and a one-slice sum are exact, so M = 1 stays bitwise the plain FFT
+    sp = ones_density(extents) if m == 1 else rng(121).random((2, 1, m) + extents) + 0.1
+    s = T.Tensor(sp)
+    lifted = fft.fft_unitary(f[:, :, None] * sp, axes)[mesh]
     assert np.array_equal(frame.lift(T.Tensor(f), s, modes).data, lifted)
 
     c = randc(lifted.shape, seed=122)
     c = c if dtype is complex else c.real.copy()
     full = np.zeros(c.shape[:3] + extents, dtype=complex)
     full[mesh] = c
-    z = fft.ifft_unitary(full, axes)
-    want = z[:, :, 0] if sp is None else (z * sp).sum(axis=2)
+    want = (fft.ifft_unitary(full, axes) * sp).sum(axis=2)
     assert np.array_equal(frame.synthesize(T.Tensor(c), s, modes, extents).data, want)
 
 
@@ -619,12 +621,13 @@ def test_2d_transform_runs_later_passes_on_retained_lines_only(monkeypatch):
     extents = (64, 64)
     modes = [8, 8]     # k_max 8 on each axis: 16 of 64 modes
     f = T.Tensor(randc((1, 2) + extents, seed=130))
+    s = T.Tensor(ones_density(extents))
     calls = record_fft_calls(monkeypatch)
-    c = frame.lift(f, None, modes)
+    c = frame.lift(f, s, modes)
     assert calls == [("fft_unitary", (1, 2, 1, 64, 64), (4,)),
                      ("fft_unitary", (1, 2, 1, 64, 16), (3,))]
     calls.clear()
-    frame.synthesize(c, None, modes, extents)
+    frame.synthesize(c, s, modes, extents)
     assert calls == [("ifft_unitary", (1, 2, 1, 16, 64), (4,)),
                      ("ifft_unitary", (1, 2, 1, 64, 64), (3,))]
 
@@ -640,9 +643,9 @@ def test_lift_and_synthesize_bitwise_equal_oracle_index_for_every_k(extents, m, 
     axes = tuple(range(3, 3 + len(extents)))
     f = randc((2, 3) + extents, seed=140)
     f = f if dtype is complex else f.real.copy()
-    sp = None if m == 1 else rng(141).random((2, 1, m) + extents) + 0.1
-    s = None if sp is None else T.Tensor(sp)
-    spectrum = fft.fft_unitary(f[:, :, None] if sp is None else f[:, :, None] * sp, axes)
+    sp = ones_density(extents) if m == 1 else rng(141).random((2, 1, m) + extents) + 0.1
+    s = T.Tensor(sp)
+    spectrum = fft.fft_unitary(f[:, :, None] * sp, axes)
     for k in itertools.product(*[range(1, n // 2 + 1) for n in extents]):
         mesh = oracle_mesh(k, extents)
         assert np.array_equal(frame.lift(T.Tensor(f), s, k).data, spectrum[mesh]), k
@@ -651,8 +654,7 @@ def test_lift_and_synthesize_bitwise_equal_oracle_index_for_every_k(extents, m, 
         c = c if dtype is complex else c.real.copy()
         full = np.zeros(c.shape[:3] + extents, dtype=complex)
         full[mesh] = c
-        z = fft.ifft_unitary(full, axes)
-        want = z[:, :, 0] if sp is None else (z * sp).sum(axis=2)
+        want = (fft.ifft_unitary(full, axes) * sp).sum(axis=2)
         assert np.array_equal(frame.synthesize(T.Tensor(c), s, k, extents).data, want), k
 
 
@@ -667,8 +669,9 @@ def test_synthesize_of_slice_outermost_coefficients_is_bitwise_its_contiguous_co
     spatial = tuple(range(3, 3 + len(k)))
     c = np.transpose(randc((2, 3, 2) + kept, seed=150), (2, 1, 0) + spatial)
     assert c.shape == (2, 3, 2) + kept and not c[:, :, :1].flags.c_contiguous
-    for s in (None, T.Tensor(rng(151).random((2, 1, 2) + extents) + 0.1)):
-        cc = c[:, :, :1] if s is None else c
+    for s in (T.Tensor(ones_density(extents)),
+              T.Tensor(rng(151).random((2, 1, 2) + extents) + 0.1)):
+        cc = c[:, :, :s.shape[2]]
         got = frame.synthesize(T.Tensor(cc), s, k, extents).data
         want = frame.synthesize(T.Tensor(np.ascontiguousarray(cc)), s, k, extents).data
         assert np.array_equal(got, want) and got.strides == want.strides
@@ -679,17 +682,18 @@ def test_synthesize_of_slice_outermost_coefficients_is_bitwise_its_contiguous_co
                          ids=["k0", "2k>N", "1d-two-ks", "2d-one-k", "2d-2k>N", "2d-k0"])
 def test_bad_k_is_contract_error(extents, k):
     f = T.Tensor(randc((1, 2) + extents, seed=160))
+    s = T.Tensor(ones_density(extents))
     with pytest.raises(ContractError):
-        frame.lift(f, None, k)
+        frame.lift(f, s, k)
     c = T.Tensor(randc((1, 2, 1) + tuple(n // 2 for n in extents), seed=161))
     with pytest.raises(ContractError):
-        frame.synthesize(c, None, k, extents)
+        frame.synthesize(c, s, k, extents)
 
 
 def test_synthesize_rejects_coefficients_that_do_not_match_k():
     c = T.Tensor(randc((1, 2, 1, 8), seed=162))
     with pytest.raises(ContractError):
-        frame.synthesize(c, None, [2], (16,))
+        frame.synthesize(c, T.Tensor(ones_density((16,))), [2], (16,))
 
 
 @pytest.mark.parametrize("extents,k", [((256,), (12,)), ((16, 32), (2, 4)), ((8, 32), (4, 4))],
@@ -698,7 +702,8 @@ def test_lift_holds_only_the_kept_modes(extents, k):
     # the tape keeps lift's output alive; a view into the full spectrum would
     # keep the whole spectrum alive with it
     f = T.Tensor(randc((2, 3) + extents, seed=170))
-    for sp in (None, T.Tensor(rng(171).random((2, 1, 2) + extents) + 0.1)):
+    for sp in (T.Tensor(ones_density(extents)),
+               T.Tensor(rng(171).random((2, 1, 2) + extents) + 0.1)):
         c = frame.lift(f, sp, k).data
         owner = c
         while owner.base is not None:
@@ -711,6 +716,24 @@ def test_lift_holds_only_the_kept_modes(extents, k):
 def chain_real_part(c):
     """The real part of a complex tensor as its own node: the reference chain's last step."""
     return T._make(np.ascontiguousarray(c.data.real), (c,), lambda g: (g.astype(np.complex128),))
+
+
+def spectral_chain(spec, k, extents):
+    """The spectral path as a chain, lift -> taped mix -> synthesize -> real
+    part, one node per step, for (field, square-root density, weights); a
+    density of None, the one-slice layer's, is a slice of ones."""
+    def chain(ft, st, wt):
+        s = T.Tensor(ones_density(extents)) if st is None else st
+        mixed = taped_contraction(spec, frame.lift(ft, s, k), wt)
+        return chain_real_part(frame.synthesize(mixed, s, k, extents))
+
+    return chain
+
+
+def pointwise_pair(channels, seed):
+    """A pointwise map (weights, bias) for a layer of `channels` channels."""
+    r = rng(seed)
+    return r.standard_normal((channels, channels)), 0.5 * r.standard_normal(channels)
 
 
 def spectral_case(extents, k, m, kind, heads, seed, stored=True, batch=2, channels=3):
@@ -755,14 +778,15 @@ def test_spectral_node_matches_lift_mix_synthesize_chain(extents, k, m, heads, k
     # half-spectrum synthesis, forward and VJP, has to count it once from each side
     f, sp, w, spec = spectral_case(extents, k, m, kind, heads, seed=sum(extents) + 10 * sum(k) + m)
     g = rng(5).standard_normal((f.shape[0], w.shape[1]) + extents)
+    arrays = [f, sp, w, *pointwise_pair(f.shape[1], seed=4)]
+    spectral_path = spectral_chain(spec, k, extents)
 
-    def chain(ft, st, wt):
-        mixed = taped_contraction(spec, frame.lift(ft, st, k), wt)
-        return chain_real_part(frame.synthesize(mixed, st, k, extents))
+    def chain(ft, st, wt, pwt, bt):
+        return taped_add(spectral_path(ft, st, wt), taped_linear(ft, pwt, bt))
 
     out, grads = node_grads(
-        lambda ft, st, wt: frame.spectral(ft, st, wt, spec), [f, sp, w], g)
-    want_out, want_grads = node_grads(chain, [f, sp, w], g)
+        lambda ft, st, wt, pwt, bt: frame.spectral(ft, st, wt, spec, (pwt, bt)), arrays, g)
+    want_out, want_grads = node_grads(chain, arrays, g)
     assert out.dtype == np.float64
     assert np.max(np.abs(out - want_out)) <= 1e-14 * np.max(np.abs(want_out))
     for got, want in zip(grads, want_grads):
@@ -775,11 +799,10 @@ def test_spectral_node_canonical_weight_layout_and_partial_parents(extents, k):
     # weights not in the mix's stored layout, and a field that needs no gradient
     f, sp, w, spec = spectral_case(extents, k, 2, "cross", 1, seed=9, stored=False)
     g = rng(6).standard_normal(f.shape)
+    pw, b = pointwise_pair(f.shape[1], seed=4)
     got = [T.Tensor(f), T.parameter(sp), T.parameter(w)]
-    T.tape_backward(inner(frame.spectral(*got, spec), g))
-    _, want = node_grads(
-        lambda ft, st, wt: chain_real_part(frame.synthesize(
-            taped_contraction(spec, frame.lift(ft, st, k), wt), st, k, extents)), [f, sp, w], g)
+    T.tape_backward(inner(frame.spectral(*got, spec, (T.Tensor(pw), T.Tensor(b))), g))
+    _, want = node_grads(spectral_chain(spec, k, extents), [f, sp, w], g)
     assert got[0].grad is None
     for leaf, ref in zip(got[1:], want[1:]):
         assert np.max(np.abs(leaf.grad - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -787,8 +810,10 @@ def test_spectral_node_canonical_weight_layout_and_partial_parents(extents, k):
 
 def test_spectral_node_rejects_a_complex_field():
     f, sp, w, spec = spectral_case((16,), (4,), 2, "diagonal", 1, seed=3)
+    pw, b = pointwise_pair(f.shape[1], seed=4)
     with pytest.raises(ContractError):
-        frame.spectral(T.Tensor(f + 0j), T.Tensor(sp), T.Tensor(w), spec)
+        frame.spectral(T.Tensor(f + 0j), T.Tensor(sp), T.Tensor(w), spec,
+                       (T.Tensor(pw), T.Tensor(b)))
 
 
 def test_spectral_node_holds_a_real_synthesis():
@@ -798,8 +823,8 @@ def test_spectral_node_holds_a_real_synthesis():
     extents, k = (256,), (12,)
     f, sp, w, spec = spectral_case(extents, k, 2, "diagonal", 1, seed=21, batch=20,
                                    channels=16)
-    leaves = [T.parameter(a) for a in (f, sp, w)]
-    out, held = held_after(lambda: frame.spectral(*leaves, spec))
+    leaves = [T.parameter(a) for a in (f, sp, w, *pointwise_pair(16, seed=22))]
+    out, held = held_after(lambda: frame.spectral(*leaves[:3], spec, tuple(leaves[3:])))
     real_z = 8 * 20 * 16 * 2 * 256                   # float64 (batch, O, M, N)
     lifted = 16 * 20 * 16 * 2 * (2 * k[0])           # complex128 (batch, C, M, modes)
     assert out.requires_grad and held <= 1.1 * (out.data.nbytes + real_z + lifted)
@@ -838,9 +863,11 @@ def test_layer_node_matches_spectral_linear_add_activation_chain(extents, k, m, 
     def node(ft, st, wt, pwt, bt):
         return frame.spectral(ft, st, wt, spec, (pwt, bt), activation)
 
+    spectral_path = spectral_chain(spec, k, extents)
+
     def chain(ft, st, wt, pwt, bt):
         return chain_activation(activation, taped_add(
-            frame.spectral(ft, st, wt, spec), taped_linear(ft, pwt, bt)))
+            spectral_path(ft, st, wt), taped_linear(ft, pwt, bt)))
 
     out, grads = node_grads(node, arrays, g)
     want_out, want_grads = node_grads(chain, arrays, g)
@@ -939,17 +966,14 @@ def test_linear_node_leaves_its_inputs_unchanged(activation):
 
 
 @pytest.mark.parametrize("activation", list(T.ACTIVATION_KERNELS), ids=str)
-@pytest.mark.parametrize("pointwise", [True, False], ids=["pointwise", "no-pointwise"])
 @pytest.mark.parametrize("m", [1, 2], ids=["M1", "M2"])
-def test_spectral_node_leaves_its_inputs_unchanged(m, pointwise, activation):
-    # at M = 1 with no pointwise map the pre-activation is a view of the
-    # node's own synthesis, which the activation overwrites
+def test_spectral_node_leaves_its_inputs_unchanged(m, activation):
     f, sp, w, spec = spectral_case((16,), (3,), m, "diagonal", 1, seed=31)
     r = rng(32)
-    tail = [r.standard_normal((3, 3)), r.standard_normal(3)] if pointwise else []
+    tail = [r.standard_normal((3, 3)), r.standard_normal(3)]
 
-    def build(ft, st, wt, *pw):
-        return frame.spectral(ft, st, wt, spec, tuple(pw) or None, activation)
+    def build(ft, st, wt, pwt, bt):
+        return frame.spectral(ft, st, wt, spec, (pwt, bt), activation)
 
     leaves_stay_unchanged(build, [f, sp, w] + tail, r.standard_normal(f.shape))
 

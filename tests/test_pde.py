@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from able import dataio, pde
-from able.errors import ContractError, DataFormatError, DomainError, NumericalFailure
+from able.errors import (ContractError, DataFormatError, DomainError, NumericalFailure,
+                         UnsupportedSizeError)
 from able.frame import Grid
 
 import oracles
@@ -222,6 +223,13 @@ def test_burgers_rejects_nonpositive_viscosity():
         pde.solve_burgers(np.zeros(64), nu=0.0, grid=Grid((64,)))
 
 
+@pytest.mark.parametrize("t_final", [0.0, -1.0])
+def test_burgers_rejects_nonpositive_horizon(t_final):
+    # no step is taken, so the solution would be the initial data itself
+    with pytest.raises(DomainError, match="t_final"):
+        pde.solve_burgers(np.zeros(64), nu=0.1, grid=Grid((64,)), t_final=t_final)
+
+
 # ---- darcy ----------------------------------------------------------------------
 
 def test_darcy_zero_forcing_zero_solution():
@@ -272,7 +280,7 @@ def test_sine_basis_orthonormal_and_diagonalises_laplacian(n):
     basis, eig = pde._dirichlet_sine_basis(n)
     assert np.allclose(basis @ basis.T, np.eye(n), atol=1e-14)
     h = 1.0 / n
-    matvec = pde._darcy_operator(np.ones((n, n)), h)
+    matvec = pde._darcy_operator(np.ones((n, n)), (h, h))
     # dense operator, one column per unit vector
     dense = np.stack([matvec(e.reshape(n, n)).ravel() for e in np.eye(n * n)], axis=1)
     s2 = np.kron(basis, basis)
@@ -450,3 +458,20 @@ def test_make_darcy_dataset_small_and_deterministic():
     assert np.array_equal(a.targets, b.targets)
     assert a.inputs.shape == (2, 1, 32, 32)
     assert np.all(a.targets > 0)
+
+
+DATASET_BUILDERS = {
+    "burgers": lambda samples, resolution: dataio.make_burgers_dataset(
+        samples, nu=0.1, seed=0, resolution=resolution, generate_at=32),
+    "darcy": lambda samples, resolution: dataio.make_darcy_dataset(
+        samples, seed=0, resolution=resolution, generate_at=32),
+}
+
+
+@pytest.mark.parametrize("samples,resolution,error", [(-1, 16, ContractError),
+                                                      (2, 0, UnsupportedSizeError)],
+                         ids=["negative-samples", "resolution-zero"])
+@pytest.mark.parametrize("task", list(DATASET_BUILDERS))
+def test_dataset_builders_refuse_bad_sizes(task, samples, resolution, error):
+    with pytest.raises(error):
+        DATASET_BUILDERS[task](samples, resolution)

@@ -37,6 +37,11 @@ def randc(shape, seed):
     return r.standard_normal(shape) + 1j * r.standard_normal(shape)
 
 
+def ones_density(*extents):
+    """The square-root density of a single slice of density one."""
+    return T.Tensor(np.ones((1, 1, 1) + extents))
+
+
 # ---- frozen trivial values -------------------------------------------------
 
 def test_quadratic_gradient_exact():
@@ -51,7 +56,7 @@ def test_fft_norm_gradient_is_2x():
     # grad is exactly 2x
     x = rng(1).standard_normal((1, 1, 16))
 
-    got = assert_grad_matches(lambda t: sq_norm(frame.lift(t, None, [8])), x)
+    got = assert_grad_matches(lambda t: sq_norm(frame.lift(t, ones_density(16), [8])), x)
     assert np.max(np.abs(got - 2.0 * x)) < 1e-12
 
 
@@ -141,10 +146,11 @@ def test_real_op_gradients(name, loss):
 
 
 COMPLEX_OPS = [
-    ("lift", lambda t: inner(frame.lift(taped_reshape(t, (4, 1, 8)), None, [4]),
+    ("lift", lambda t: inner(frame.lift(taped_reshape(t, (4, 1, 8)), ones_density(8), [4]),
                              randc((4, 1, 1, 8), 7))),
     ("synthesize", lambda t: inner(frame.synthesize(
-        taped_reshape(t, (1, 1, 1, 4, 8)), None, [2, 4], (4, 8)), randc((1, 1, 4, 8), 8))),
+        taped_reshape(t, (1, 1, 1, 4, 8)), ones_density(4, 8), [2, 4], (4, 8)),
+        randc((1, 1, 4, 8), 8))),
 ]
 
 
@@ -162,7 +168,7 @@ def assert_contract_grads_match(spec, a, b, rtol=1e-5):
     lhs, s_out = spec.split("->")
     s_a, s_b = lhs.split(",")
     got = (T._contract_grad_a(spec, g, a.shape, b),
-           T._contract(f"{s_a},{s_out}->{s_b}", a, g, conj="a"))
+           T._contract(f"{s_a},{s_out}->{s_b}", a, g, conj_a=True))
     want = (central_difference_paired(lambda x: np.sum(np.abs(T._contract(spec, x, b)) ** 2), a),
             central_difference_paired(lambda y: np.sum(np.abs(T._contract(spec, a, y)) ** 2), b))
     for ga, fd in zip(got, want):
@@ -204,28 +210,29 @@ def test_contract_operator_contractions(spec, shape_a, shape_b, complex_operands
     assert_contract_grads_match(spec, a, b)
 
 
-# (spec, shape_a, shape_b, whether the second operand's matmul layout is a view)
+# (spec, shape_a, shape_b, whether the first operand's matmul layout in the
+# second operand's gradient is a view)
 VJP_LAYOUTS = [("bi,io->bo", (5, 3), (3, 4), True),
-               ("bimx,ioxm->bomx", (2, 3, 2, 6), (3, 4, 6, 2), False)]
+               ("bimx,ioxm->bomx", (2, 3, 2, 6), (3, 4, 6, 2), True),
+               ("bix,io->box", (2, 3, 8), (3, 4), False)]
 
 
 @pytest.mark.parametrize("spec,shape_a,shape_b,view", VJP_LAYOUTS, ids=[c[0] for c in VJP_LAYOUTS])
 def test_contract_conjugates_copies_not_operands(spec, shape_a, shape_b, view):
     a, b = randc(shape_a, seed=61), randc(shape_b, seed=62)
-    a0, b0 = a.copy(), b.copy()
     g = randc(T._contract(spec, a, b).shape, seed=63)
+    a0, b0, g0 = a.copy(), b.copy(), g.copy()
     lhs, s_out = spec.split("->")
     s_a, s_b = lhs.split(",")
     spec_ga, spec_gb = f"{s_out},{s_b}->{s_a}", f"{s_a},{s_out}->{s_b}"
-    plan = T._matmul_plan(spec_ga, g.shape, b.shape)
-    assert np.may_share_memory(b.transpose(plan[2]).reshape(plan[3]), b) == view
-    ga = T._contract(spec_ga, g, b, conj="b")
-    gb = T._contract(spec_gb, a, g, conj="a")
-    ga_stored = T._contract_grad_a(spec, g, a.shape, b)
-    assert np.array_equal(a, a0) and np.array_equal(b, b0)
-    assert np.array_equal(ga, T._contract(spec_ga, g, np.conj(b)))
+    plan = T._matmul_plan(spec_gb, a.shape, g.shape)
+    assert np.may_share_memory(a.transpose(plan[0]).reshape(plan[1]), a) == view
+    gb = T._contract(spec_gb, a, g, conj_a=True)
+    ga = T._contract_grad_a(spec, g, a.shape, b)
+    assert np.array_equal(a, a0) and np.array_equal(b, b0) and np.array_equal(g, g0)
     assert np.array_equal(gb, T._contract(spec_gb, np.conj(a), g))
-    assert np.max(np.abs(ga_stored - ga)) <= 1e-14 * np.max(np.abs(ga))
+    want = T._contract(spec_ga, g, np.conj(b))
+    assert np.max(np.abs(ga - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def test_contract_rejects_index_in_one_operand_only():
@@ -252,8 +259,8 @@ def test_take_put_modes_adjoint_gradient():
     k = [2]
 
     def loss(t):
-        kept = frame.lift(t, None, k)
-        return sq_norm(frame.synthesize(kept, None, k, (8,)))
+        kept = frame.lift(t, ones_density(8), k)
+        return sq_norm(frame.synthesize(kept, ones_density(8), k, (8,)))
 
     assert_grad_matches(loss, randc((2, 1, 8), seed=31))
 
@@ -262,10 +269,10 @@ def test_take_modes_2d_in_place_block():
     x = randc((2, 3, 8, 8), seed=41)
     spectrum = fft.fft_unitary(x, (2, 3))
     k = [2, 1]      # modes {0, 1, 6, 7} on axis 0 and {0, 7} on axis 1
-    kept = frame.lift(T.Tensor(x), None, k)
+    kept = frame.lift(T.Tensor(x), ones_density(8, 8), k)
     assert kept.shape == (2, 3, 1, 4, 2)
     assert np.array_equal(kept.data[:, :, 0, 2, 1], spectrum[:, :, 6, 7])
-    back = frame.synthesize(kept, None, k, (8, 8))
+    back = frame.synthesize(kept, ones_density(8, 8), k, (8, 8))
     assert back.shape == x.shape
     back_spectrum = fft.fft_unitary(back.data, (2, 3))
     assert np.max(np.abs(back_spectrum[:, :, 6, 7] - spectrum[:, :, 6, 7])) < 1e-12
@@ -304,7 +311,7 @@ def test_no_grad_suppresses_tape():
 
 
 def test_real_leaf_through_complex_path_gets_real_grad():
-    g = assert_grad_matches(lambda t: sq_norm(frame.lift(t, None, [4])),
+    g = assert_grad_matches(lambda t: sq_norm(frame.lift(t, ones_density(8), [4])),
                             rng(12).standard_normal((1, 1, 8)))
     assert g.dtype == np.float64
 
