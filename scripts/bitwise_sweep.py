@@ -19,21 +19,25 @@ every parameter, and the output of the same forward under `no_grad`
 (`<network>/eval`), whose activations run on the same kernels without the
 tape. It then takes two Adam steps on those gradients, with
 weight decay on the spectral weights, and records every parameter after
-the second (`<network>/step2/<parameter>`) and the bytes of the checkpoint
-`save_checkpoint` writes then (`<network>/checkpoint`, uint8). Last it
+the second (`<network>/step2/<parameter>`), the bytes of the checkpoint
+`save_checkpoint` writes then (`<network>/checkpoint`, uint8) and every
+tensor `load_checkpoint` reads back from it
+(`<network>/checkpoint-read/<parameter>`). Last it
 records the generators' output, the inputs and targets of
 `make_burgers_dataset(2, nu=0.1, resolution=256, generate_at=1024)` and
 `make_darcy_dataset(2, resolution=64, generate_at=256)` at seeds 0 and 1
 (`data/<generator>-s<seed>/inputs` and `.../targets`), and of
 `make_burgers_dataset(5, nu=0.01, seed=3, resolution=256, generate_at=512)`
 (`data/burgers-nu0.01-s3/...`), a batch above two whose solve rejects an
-attempt. It also runs the
+attempt, and each set's arrays after `dataset_write` and `dataset_read`
+(`.../read-inputs` and `.../read-targets`). It also runs the
 frame API on each network's first layer before the Adam steps: the
 layer's density of the lifted input (`layer.density`), the coefficients
 `able_forward` gives on it for a fixed real field
 (`frame/<network>/forward`) and the field `able_inverse` synthesizes back
-from them (`frame/<network>/roundtrip`). That makes 13594 arrays: 12744
-network values, 560 frame arrays, 280 checkpoints and 10 data arrays.
+from them (`frame/<network>/roundtrip`). That makes 19556 arrays: 12744
+network values, 5942 checkpoint read-backs, 560 frame arrays, 280
+checkpoints and 20 data arrays.
 
 Run it once per tree, with that tree's package on the path, then compare:
 
@@ -47,8 +51,9 @@ prints how many bytes differ. For each other array whose values differ it
 prints the largest absolute difference and that difference divided by the
 largest magnitude of the array in the first file, and at the end the worst
 relative difference in each group: forward values (loss, output and eval),
-gradients (`grad/`), parameters after two steps (`step2/`), the
-generators' output (`data/`) and the frame API's arrays (`frame/`).
+gradients (`grad/`), parameters after two steps (`step2/`), the tensors
+read back from the checkpoints (`checkpoint-read/`), the generators' output
+and its read-back (`data/`) and the frame API's arrays (`frame/`).
 """
 
 import argparse
@@ -101,7 +106,8 @@ def variants():
 def sweep() -> dict:
     from able import frame
     from able import tensor as T
-    from able.dataio import make_burgers_dataset, make_darcy_dataset, save_checkpoint
+    from able.dataio import (dataset_read, dataset_write, load_checkpoint,
+                             make_burgers_dataset, make_darcy_dataset, save_checkpoint)
     from able.operator import ModelConfig, build_network
     from able.training import Adam, relative_l2, spectral_weight_names
 
@@ -135,26 +141,31 @@ def sweep() -> dict:
                 arrays[f"{name}/step2/{pname}"] = p.data
             save_checkpoint(checkpoint, net.config, params)
             arrays[f"{name}/checkpoint"] = np.frombuffer(checkpoint.read_bytes(), dtype=np.uint8)
-    for seed in DATA_SEEDS:
-        for name, dataset in (
-                ("burgers", make_burgers_dataset(2, nu=0.1, seed=seed, resolution=256,
-                                                 generate_at=1024)),
-                ("darcy", make_darcy_dataset(2, seed=seed, resolution=64, generate_at=256))):
-            arrays[f"data/{name}-s{seed}/inputs"] = dataset.inputs
-            arrays[f"data/{name}-s{seed}/targets"] = dataset.targets
-    dataset = make_burgers_dataset(5, nu=0.01, seed=3, resolution=256, generate_at=512)
-    arrays["data/burgers-nu0.01-s3/inputs"] = dataset.inputs
-    arrays["data/burgers-nu0.01-s3/targets"] = dataset.targets
+            for pname, arr in load_checkpoint(checkpoint)[1].items():
+                arrays[f"{name}/checkpoint-read/{pname}"] = arr
+        datasets = {f"{name}-s{seed}": dataset for seed in DATA_SEEDS for name, dataset in (
+            ("burgers", make_burgers_dataset(2, nu=0.1, seed=seed, resolution=256,
+                                             generate_at=1024)),
+            ("darcy", make_darcy_dataset(2, seed=seed, resolution=64, generate_at=256)))}
+        datasets["burgers-nu0.01-s3"] = make_burgers_dataset(5, nu=0.01, seed=3, resolution=256,
+                                                             generate_at=512)
+        for name, dataset in datasets.items():
+            dataset_write(dataset, Path(scratch) / "data.bin")
+            back = dataset_read(Path(scratch) / "data.bin")
+            for part, arr, read in (("inputs", dataset.inputs, back.inputs),
+                                    ("targets", dataset.targets, back.targets)):
+                arrays[f"data/{name}/{part}"] = arr
+                arrays[f"data/{name}/read-{part}"] = read
     return arrays
 
 
-GROUPS = ("forward", "grad", "step2", "data", "frame")
+GROUPS = ("forward", "grad", "step2", "checkpoint-read", "data", "frame")
 
 
 def _group(key: str) -> str:
-    """The group of a value array: data for the generators' output, frame
-    for the frame API's arrays, forward for a network's loss, output and
-    eval, else grad or step2."""
+    """The group of a value array: data for the generators' output and its
+    read-back, frame for the frame API's arrays, forward for a network's
+    loss, output and eval, else grad, step2 or checkpoint-read."""
     if key.startswith(("data/", "frame/")):
         return key.split("/")[0]
     part = key.split("/")[1]

@@ -48,7 +48,7 @@ def _write_csv(path, header, rows) -> None:
     writer = csv.writer(text)
     writer.writerow(header)
     writer.writerows(rows)
-    write_atomic(path, text.getvalue().encode("utf-8"))
+    write_atomic(path, [text.getvalue().encode("utf-8")])
 
 
 def _finalize_model(config: RunConfig, dataset: Dataset) -> RunConfig:
@@ -96,7 +96,7 @@ def cmd_train(args) -> int:
     metrics = train(net, train_set, test_set, config.train,
                     checkpoint_path=out / "model.ckpt")
     lines = "".join(json.dumps(record, sort_keys=True) + "\n" for record in metrics.records)
-    write_atomic(out / "metrics.jsonl", lines.encode("utf-8"))
+    write_atomic(out / "metrics.jsonl", [lines.encode("utf-8")])
     summary = metrics.summary()
     _write_csv(out / "summary.csv", sorted(summary), [[summary[k] for k in sorted(summary)]])
     print(f"trained {config.task}: best test {metrics.best_test:.6f} "
@@ -141,7 +141,7 @@ def cmd_verify(args) -> int:
     if args.out:
         out = Path(args.out)
         write_json(out / "report.json", report.to_dict())
-        write_atomic(out / "report.txt", (report.render_text() + "\n").encode("utf-8"))
+        write_atomic(out / "report.txt", [(report.render_text() + "\n").encode("utf-8")])
     return 0 if report.passed else 1
 
 

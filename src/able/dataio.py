@@ -17,13 +17,22 @@ File layout (little-endian throughout):
 Every file the package writes goes through `write_atomic` (a temp file in
 the target's directory, then a rename), so an output is whole or absent. No
 fsync: this guards against a process that dies part-way, not power loss.
+
+Both formats stream between the file and the arrays. A save writes each
+array as it is reached, holding at most one tensor's C-order copy; a load
+reads each array in place, holding the payload and no whole-file buffer.
+The readers check every size a header declares, in Python integers,
+against the bytes the file has left before allocating, so a malformed file
+is a DataFormatError and never a larger allocation than the file.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
+import stat
 import struct
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -54,7 +63,8 @@ class Dataset:
             if arr.shape[2:] != self.grid.extents:
                 raise ContractError(f"{name} spatial shape {arr.shape[2:]} != grid "
                                     f"extents {self.grid.extents}")
-            if arr.size and not np.all(np.isfinite(arr)):
+            # min and max propagate NaN: no mask the size of the array
+            if arr.size and not np.isfinite((arr.min(), arr.max())).all():
                 raise ContractError(f"{name} contain non-finite values")
 
     @property
@@ -65,8 +75,9 @@ class Dataset:
         return Dataset(self.grid, self.inputs[indices], self.targets[indices], dict(self.meta))
 
 
-def write_atomic(path, *chunks) -> None:
-    """Write the bytes-like `chunks` in order to `path`, whole or not at all.
+def write_atomic(path, chunks) -> None:
+    """Write the bytes-like items of the iterable `chunks` (a generator is
+    drawn one item at a time) in order to `path`, whole or not at all.
 
     The temp file is opened as `open()` does, so its mode follows the umask.
     On any exception it is removed and the target is left as it was.
@@ -87,7 +98,51 @@ def write_atomic(path, *chunks) -> None:
 
 def write_json(path, obj) -> None:
     """`obj` as indented, key-sorted JSON with a trailing newline."""
-    write_atomic(path, (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode("utf-8"))
+    write_atomic(path, [(json.dumps(obj, indent=2, sort_keys=True) + "\n").encode("utf-8")])
+
+
+class _Reader:
+    """Struct fields and arrays read in order from an open regular file.
+
+    `left` counts the bytes not yet read. A read never asks for more than
+    that, and `array` checks its size against it before allocating, so no
+    header can make a reader allocate more than the file holds.
+    """
+
+    def __init__(self, fh):
+        st = os.fstat(fh.fileno())
+        if not stat.S_ISREG(st.st_mode):
+            raise OSError(f"{fh.name} is not a regular file")
+        self._fh, self.size, self.left = fh, st.st_size, st.st_size
+
+    def read(self, n: int) -> bytes:
+        """The next `n` bytes, or all that are left if fewer."""
+        data = self._fh.read(min(n, self.left))
+        self.left -= len(data)
+        return data
+
+    def magic(self, expected: bytes, kind: str) -> None:
+        """Refuse a file that does not start with `expected`."""
+        got = self.read(len(expected))
+        if len(got) < len(expected) or got[:6] != expected[:6]:
+            raise DataFormatError(f"bad magic {got!r}; not a {kind} file")
+        if got != expected:
+            raise DataFormatError(f"unsupported {kind} version {got[6:8]!r}")
+
+    def unpack(self, fmt: str) -> tuple:
+        return struct.unpack(fmt, self.read(struct.calcsize(fmt)))
+
+    def array(self, dtype: np.dtype, shape: tuple, refusal: str) -> np.ndarray:
+        """The next C-order array of `shape` stored as `dtype`, in native byte
+        order; DataFormatError(`refusal`) if the file holds too few bytes."""
+        nbytes = math.prod(shape) * dtype.itemsize
+        if nbytes > self.left:
+            raise DataFormatError(refusal)
+        arr = np.empty(shape, dtype)
+        if self._fh.readinto(arr) != nbytes:    # the file shrank while being read
+            raise DataFormatError(refusal)
+        self.left -= nbytes
+        return arr.astype(dtype.newbyteorder("="), copy=False)
 
 
 def dataset_write(dataset: Dataset, path) -> None:
@@ -96,51 +151,36 @@ def dataset_write(dataset: Dataset, path) -> None:
     header = struct.pack(
         f"<I{d}IQIIIQ", d, *dataset.grid.extents, dataset.samples,
         dataset.inputs.shape[1], dataset.targets.shape[1], 0, len(meta_bytes))
-    write_atomic(path, MAGIC, header,
-                 np.ascontiguousarray(dataset.inputs, dtype="<f8"),
-                 np.ascontiguousarray(dataset.targets, dtype="<f8"), meta_bytes)
+    payloads = (np.ascontiguousarray(a, dtype="<f8") for a in (dataset.inputs, dataset.targets))
+    write_atomic(path, itertools.chain([MAGIC + header], payloads, [meta_bytes]))
 
 
 def dataset_read(path) -> Dataset:
-    blob = Path(path).read_bytes()
-    if len(blob) < len(MAGIC):
-        raise DataFormatError("file too short for a dataset header")
-    if blob[:6] != MAGIC[:6]:
-        raise DataFormatError(f"bad magic {blob[:8]!r}; not a dataset file")
-    if blob[:8] != MAGIC:
-        raise DataFormatError(f"unsupported dataset version {blob[6:8]!r}")
-    off = len(MAGIC)
+    with open(path, "rb") as fh:
+        r = _Reader(fh)
+        if r.size < len(MAGIC):
+            raise DataFormatError("file too short for a dataset header")
+        r.magic(MAGIC, "dataset")
+        try:
+            (d,) = r.unpack("<I")
+            extents = r.unpack(f"<{d}I")
+            s, c_in, c_out, dtag, meta_len = r.unpack("<QIIIQ")
+            grid = Grid(extents)
+        except (struct.error, ContractError, UnsupportedSizeError) as exc:
+            raise DataFormatError(f"corrupt dataset header: {exc}") from exc
+        if dtag not in _DTYPE_TAGS:
+            raise DataFormatError(f"unknown dtype tag {dtag}")
+        dtype = _DTYPE_TAGS[dtag]
+        payload = s * (c_in + c_out) * math.prod(extents) * dtype.itemsize
+        expected = r.size - r.left + payload + meta_len
+        if r.size != expected:
+            raise DataFormatError(
+                f"truncated or padded dataset: {r.size} bytes, expected {expected}")
+        inputs, targets = (r.array(dtype, (s, c, *extents), "truncated dataset payload")
+                           for c in (c_in, c_out))
+        meta_bytes = r.read(meta_len)
     try:
-        (d,) = struct.unpack_from("<I", blob, off)
-        off += 4
-        extents = struct.unpack_from(f"<{d}I", blob, off)
-        off += 4 * d
-        s, c_in, c_out, dtag, meta_len = struct.unpack_from("<QIIIQ", blob, off)
-        off += 8 + 4 + 4 + 4 + 8
-    except struct.error as exc:
-        raise DataFormatError(f"corrupt dataset header: {exc}") from exc
-    try:
-        grid = Grid(extents)
-    except (ContractError, UnsupportedSizeError) as exc:
-        raise DataFormatError(f"corrupt dataset header: {exc}") from exc
-    if dtag not in _DTYPE_TAGS:
-        raise DataFormatError(f"unknown dtype tag {dtag}")
-    dtype = _DTYPE_TAGS[dtag]
-    points = int(np.prod(extents))
-    n_in = s * c_in * points
-    n_out = s * c_out * points
-    expected = off + (n_in + n_out) * dtype.itemsize + meta_len
-    if len(blob) != expected:
-        raise DataFormatError(
-            f"truncated or padded dataset: {len(blob)} bytes, expected {expected}")
-    inputs = np.frombuffer(blob, dtype=dtype, count=n_in, offset=off).reshape(
-        (s, c_in) + tuple(extents)).astype(np.float64)
-    off += n_in * dtype.itemsize
-    targets = np.frombuffer(blob, dtype=dtype, count=n_out, offset=off).reshape(
-        (s, c_out) + tuple(extents)).astype(np.float64)
-    off += n_out * dtype.itemsize
-    try:
-        meta = json.loads(blob[off:].decode("utf-8")) if meta_len else {}
+        meta = json.loads(meta_bytes.decode("utf-8")) if meta_len else {}
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DataFormatError(f"corrupt metadata block: {exc}") from exc
     if not isinstance(meta, dict):
@@ -244,58 +284,50 @@ _CKPT_TAGS = {np.dtype(np.float64): 0, np.dtype(np.complex128): 1}
 
 
 def save_checkpoint(path, model_config, params: dict) -> None:
-    """Write architecture hyperparameters plus named parameter tensors or arrays."""
+    """Write architecture hyperparameters plus named parameter tensors or arrays.
+
+    Each tensor is written as it is reached, so at most one tensor's C-order
+    copy is held at a time.
+    """
     header = json.dumps({"model": asdict(model_config)}, sort_keys=True).encode("utf-8")
-    chunks = [CKPT_MAGIC, struct.pack("<I", len(header)), header, struct.pack("<I", len(params))]
-    for name, value in params.items():
-        arr = value.data if isinstance(value, Tensor) else np.asarray(value)
-        tag = _CKPT_TAGS[np.dtype(arr.dtype)]
-        raw = name.encode("utf-8")
-        chunks += [struct.pack("<H", len(raw)), raw,
-                   struct.pack(f"<BB{arr.ndim}I", tag, arr.ndim, *arr.shape),
-                   np.ascontiguousarray(arr, dtype=_CKPT_DTYPES[tag])]
-    write_atomic(path, *chunks)
+
+    def chunks():
+        yield CKPT_MAGIC + struct.pack("<I", len(header)) + header + struct.pack("<I", len(params))
+        for name, value in params.items():
+            arr = value.data if isinstance(value, Tensor) else np.asarray(value)
+            tag = _CKPT_TAGS[np.dtype(arr.dtype)]
+            raw = name.encode("utf-8")
+            yield (struct.pack("<H", len(raw)) + raw
+                   + struct.pack(f"<BB{arr.ndim}I", tag, arr.ndim, *arr.shape))
+            yield np.ascontiguousarray(arr, dtype=_CKPT_DTYPES[tag])
+
+    write_atomic(path, chunks())
 
 
 def load_checkpoint(path):
     """Read back (model config dict, {name: array}); refuses foreign files."""
-    blob = Path(path).read_bytes()
-    if len(blob) < len(CKPT_MAGIC) or blob[:6] != CKPT_MAGIC[:6]:
-        raise DataFormatError(f"bad magic {blob[:8]!r}; not a checkpoint file")
-    if blob[:8] != CKPT_MAGIC:
-        raise DataFormatError(f"unsupported checkpoint version {blob[6:8]!r}")
-    off = len(CKPT_MAGIC)
-    try:
-        (hlen,) = struct.unpack_from("<I", blob, off)
-        off += 4
-        header = json.loads(blob[off:off + hlen].decode("utf-8"))
-        off += hlen
-        if not isinstance(header, dict) or not isinstance(header.get("model"), dict):
-            raise DataFormatError("checkpoint header must be a JSON object with a 'model' object")
-        (count,) = struct.unpack_from("<I", blob, off)
-        off += 4
-        params = {}
-        for _ in range(count):
-            (nlen,) = struct.unpack_from("<H", blob, off)
-            off += 2
-            name = blob[off:off + nlen].decode("utf-8")
-            off += nlen
-            tag, rank = struct.unpack_from("<BB", blob, off)
-            off += 2
-            shape = struct.unpack_from(f"<{rank}I", blob, off)
-            off += 4 * rank
-            if tag not in _CKPT_DTYPES:
-                raise DataFormatError(f"unknown dtype tag {tag} for tensor {name!r}")
-            dtype = _CKPT_DTYPES[tag]
-            nbytes = int(np.prod(shape)) * dtype.itemsize if rank else dtype.itemsize
-            if off + nbytes > len(blob):
-                raise DataFormatError(f"truncated checkpoint at tensor {name!r}")
-            arr = np.frombuffer(blob, dtype=dtype, count=max(int(np.prod(shape)), 1),
-                                offset=off).reshape(shape)
-            params[name] = arr.astype(np.complex128 if tag == 1 else np.float64)
-            off += nbytes
-    except (struct.error, json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise DataFormatError(f"corrupt checkpoint: {exc}") from exc
-    if off != len(blob):
-        raise DataFormatError("trailing bytes after checkpoint payload")
+    with open(path, "rb") as fh:
+        r = _Reader(fh)
+        r.magic(CKPT_MAGIC, "checkpoint")
+        try:
+            (hlen,) = r.unpack("<I")
+            header = json.loads(r.read(hlen).decode("utf-8"))
+            if not isinstance(header, dict) or not isinstance(header.get("model"), dict):
+                raise DataFormatError(
+                    "checkpoint header must be a JSON object with a 'model' object")
+            (count,) = r.unpack("<I")
+            params = {}
+            for _ in range(count):
+                (nlen,) = r.unpack("<H")
+                name = r.read(nlen).decode("utf-8")
+                tag, rank = r.unpack("<BB")
+                shape = r.unpack(f"<{rank}I")
+                if tag not in _CKPT_DTYPES:
+                    raise DataFormatError(f"unknown dtype tag {tag} for tensor {name!r}")
+                params[name] = r.array(_CKPT_DTYPES[tag], shape,
+                                       f"truncated checkpoint at tensor {name!r}")
+        except (struct.error, json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise DataFormatError(f"corrupt checkpoint: {exc}") from exc
+        if r.left:
+            raise DataFormatError("trailing bytes after checkpoint payload")
     return header["model"], params

@@ -459,6 +459,19 @@ def run_cli(*argv):
                           env=env, capture_output=True, text=True, timeout=120)
 
 
+def test_eval_checkpoint_declaring_more_than_it_holds_is_file_error(tmp_path):
+    # one tensor of 65535**4 float64 elements, more bytes than an int64
+    # counts, followed by a payload of eight bytes
+    header = b'{"model": {}}'
+    bad = tmp_path / "overflow.ckpt"
+    bad.write_bytes(b"ABLECKP1" + struct.pack("<I", len(header)) + header
+                    + struct.pack("<IH1sBB4I", 1, 1, b"w", 0, 4, *(65535,) * 4) + bytes(8))
+    done = run_cli("eval", "--checkpoint", bad, "--data", tmp_path / "data.bin")
+    assert done.returncode == 3, done.stderr
+    assert "truncated checkpoint at tensor 'w'" in done.stderr
+    assert "Traceback" not in done.stderr
+
+
 def test_train_diverging_on_its_last_step_is_numerical_failure(trained_run, tmp_path):
     # one batch of the six training samples: the only step diverges, so no
     # batch loss is non-finite but the epoch's evaluation is

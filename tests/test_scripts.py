@@ -79,6 +79,21 @@ def test_bitwise_sweep_compare_groups_the_frame_arrays(tmp_path):
     assert "worst frame: frame/n/roundtrip max abs 8.882e-16 rel 2.220e-16" in done.stdout
 
 
+def test_bitwise_sweep_compare_groups_the_read_backs(tmp_path):
+    a = {"n/checkpoint-read/w": np.array([1.0, 2.0]), "data/burgers-s0/read-inputs": np.ones(2)}
+    b = {"n/checkpoint-read/w": np.array([1.0, 2.0 + 2.0**-50]),
+         "data/burgers-s0/read-inputs": np.array([1.0, 1.0 + 2.0**-52])}
+    for name, arrays in (("a", a), ("b", b)):
+        np.savez(tmp_path / f"{name}.npz", **arrays)
+    done = run_script(ROOT / "scripts/bitwise_sweep.py", "--compare",
+                      str(tmp_path / "a.npz"), str(tmp_path / "b.npz"))
+    assert done.returncode == 1, done.stderr
+    assert "worst checkpoint-read: n/checkpoint-read/w max abs 8.882e-16 rel 4.441e-16" in (
+        done.stdout)
+    assert "worst data: data/burgers-s0/read-inputs max abs 2.220e-16 rel 2.220e-16" in (
+        done.stdout)
+
+
 def test_bitwise_sweep_compare_groups_eval_with_the_forward_values(tmp_path):
     a = {"n/output": np.array([1.0, 2.0]), "n/eval": np.array([1.0, 2.0])}
     b = dict(a, **{"n/eval": np.array([1.0, 2.0 + 2.0**-50])})
