@@ -178,12 +178,12 @@ def config_key_help() -> str:
     notes = {
         "task": "burgers (1-D) or darcy (2-D)",
         "seed": "master seed; data/init/shuffle streams derive from it",
-        "model.ndim": "set from the dataset's grid at train time",
-        "model.in_channels": "set from the dataset's inputs at train time",
-        "model.out_channels": "set from the dataset's targets at train time",
+        "model.ndim": "1 or 2; set from the dataset's grid at train time",
+        "model.in_channels": "set from the dataset's inputs at train time (>= 1)",
+        "model.out_channels": "set from the dataset's targets at train time (>= 1)",
         "model.width": "channel width of the operator layers",
         "model.n_layers": "number of adaptive spectral layers",
-        "model.k_max": "retained low modes per axis (needs 2*k_max <= N)",
+        "model.k_max": "retained low modes per axis (>= 1, needs 2*k_max <= N)",
         "model.slices": "adaptive basis size M; 1 recovers the plain Fourier layer",
         "model.kind": "diagonal per-slice mixing, or cross for slice-pair mixing",
         "model.temperature": "softmax temperature of the density head",
@@ -204,6 +204,7 @@ def config_key_help() -> str:
         "train.schedule_every": "epochs between step decays (>= 1)",
         "train.beta1": "Adam first-moment decay, in [0, 1)",
         "train.beta2": "Adam second-moment decay, in [0, 1)",
+        "train.eps": "Adam denominator offset (> 0)",
         "train.weight_decay": "decay applied to spectral weights only",
         "data.samples": "dataset size to generate (>= 0)",
         "data.n_test": "held-out sample count at train time",

@@ -15,12 +15,14 @@ any density and k synthesis is the adjoint of analysis, so each is one
 tape node whose VJP is the other's numpy kernel. Because the slice weights
 sum to one pointwise the frame is tight: on the full spectrum analysis
 preserves the grid norm and synthesis after analysis is the identity, for
-every admissible density. Their kernels are `_analyze`, `_expand` and
-`_reweight`; lifted data is slice-major too, (batch, channels, M,
-modes...). The frame API (`able_forward`, `able_inverse`) runs `lift` and
-`synthesize` on the full spectrum, and the tests hold the operator layers'
-node, `spectral`, to their chain. `lift` and `synthesize` take a
-square-root density; a single slice of density one is an array of ones.
+every admissible density. Their kernels are `_analyze`, `_reweight` and
+the one synthesis kernel, the layer's c2r `_expand_real`, run by parts on
+complex c: expand(c) = Re expand(c) + i Re expand(-i c). Lifted data is
+slice-major too, (batch, channels, M, modes...). The frame API
+(`able_forward`, `able_inverse`) runs `lift` and `synthesize` on the full
+spectrum, and the tests hold the operator layers' node, `spectral`, to
+their chain. `lift` and `synthesize` take a square-root density; a single
+slice of density one is an array of ones.
 
 An operator layer is one tape node after its density nodes,
 `spectral(f, sp, weights, spec, pointwise, activation)`: lift, mix,
@@ -30,8 +32,7 @@ stands there for a single slice of density one, and its kernels
 (`_analyze`, `_reweight`, `_analyze_real`) then skip the weighting. It
 reads the grid off the field and the retained modes off the weights, 2k
 per axis. Its output is real, so its synthesis, in the forward and in the
-VJP alike, is `_expand_real`: the real part of an expansion as one c2r of
-the Hermitian part, with no complex spectrum zero-filled or kept. Its
+VJP alike, is one `_expand_real`, with no complex spectrum kept. Its
 forward analysis is `lift`'s c2c `_analyze`: acceptance criterion 09 sets
 the one-slice layer's forward against a plain Fourier layer and wants the
 ratio in [0.75, 1.25], and with an r2c analysis as well it measured
@@ -43,12 +44,12 @@ gradient, so past the activation's gradient it runs on the half spectrum:
 `_analyze_real` (r2c along the last axis, the negative block by Hermitian
 symmetry) and `_expand_real`. There is no real-part tape op.
 
-In 2-D both prune the FFT to the retained modes: one pass per axis, last
-axis first as numpy's `fftn`/`ifftn` do. Analysis keeps an axis's retained
-modes right after its pass and synthesis zero-fills an axis just before
-its pass, so no pass transforms a line whose output is discarded or whose
-input is all zero, and the results are bitwise those of the all-axes
-transform (at 64 x 64 keeping 16 modes per axis, 80 of 128 line FFTs).
+In 2-D both prune the FFT to the retained modes, one pass per axis, so
+no pass transforms a line whose output is discarded or whose input is all
+zero. Analysis runs the last axis first, as `fftn` does, and keeps an
+axis's retained modes right after its pass, bitwise the all-axes transform
+(at 64 x 64 keeping 16 modes per axis, 80 of 128 line FFTs). Synthesis
+zero-fills the first axis on the retained columns, then runs a c2r per row.
 
 The density head is one tape node per layer, `DensityNetwork.energies`,
 with a hand-written VJP. It runs channels-first on (batch, channels,
@@ -435,16 +436,6 @@ def _zero_filled(z: np.ndarray, a: int, k: int, n: int) -> np.ndarray:
     return full
 
 
-def _expand(c: np.ndarray, k: tuple, extents: tuple) -> np.ndarray:
-    """Zero-fill the retained modes into the full spectrum; inverse FFT per
-    slice, pruned per axis. `synthesize` and `lift`'s VJP, whose input may
-    be complex, run it; the real-valued layer runs `_expand_real`."""
-    z = c
-    for a in reversed(range(len(k))):
-        z = _fft.ifft_unitary(_zero_filled(z, a, k[a], extents[a]), (3 + a,))
-    return z
-
-
 def _reweight(z: np.ndarray, sp: Optional[np.ndarray]) -> np.ndarray:
     """Sum of sp * z over slices; an unweighted single slice is just dropped."""
     return z[:, :, 0] if sp is None else (z * sp).sum(axis=2)
@@ -454,16 +445,16 @@ def lift(f: T.Tensor, sp: T.Tensor, k) -> T.Tensor:
     """(batch, C, spatial...) -> retained modes of the unitary FFT of f * sp.
 
     The result is (batch, C, M, modes...). `sp` is `sqrt_density(p)`. Per
-    spatial axis of extent N, `k` keeps the slice blocks [0, k) and
-    [N - k, N), all of it at k = N/2.
+    spatial axis of extent N, `k` keeps the slice blocks [0, k) and [N - k, N),
+    all of it at k = N/2. A real f's gradient is real: one `_expand_real`.
     """
     k = _retained(k, f.shape[2:])
     spd = sp.data
 
     def vjp(g):
-        z = _expand(g, k, f.shape[2:])
-        if not f.is_complex:
-            z = z.real
+        z = _expand_real(g, k, f.shape[2:])
+        if f.is_complex:
+            z = z + 1j * _expand_real(-1j * g, k, f.shape[2:])
         return (_reweight(z, spd) if f.requires_grad else None,
                 np.real(z * np.conj(f.data[:, :, None])) if sp.requires_grad else None)
 
@@ -473,12 +464,13 @@ def lift(f: T.Tensor, sp: T.Tensor, k) -> T.Tensor:
 def synthesize(c: T.Tensor, sp: T.Tensor, k, extents) -> T.Tensor:
     """Zero-fill the retained modes to `extents`, inverse FFT per slice,
     reweight by `sp` and sum over slices: (batch, C, spatial...). `k` is as
-    in `lift`."""
+    in `lift`. Its real part is the layer's synthesis of c, bitwise."""
     k = _retained(k, extents)
     if tuple(c.shape[3:]) != tuple(2 * kk for kk in k):
         raise ContractError(f"coefficient modes {tuple(c.shape[3:])} do not match k = {k}")
     spd = sp.data
-    z = _expand(c.data, k, extents)
+    # Im first: its copy -i c is gone before Re's pass, as at the c2c peak
+    z = 1j * _expand_real(-1j * c.data, k, extents) + _expand_real(c.data, k, extents)
 
     def vjp(g):
         return (_analyze(g, spd, k) if c.requires_grad else None,
@@ -509,9 +501,10 @@ def _analyze_real(g: np.ndarray, sp: Optional[np.ndarray], k: tuple) -> np.ndarr
 
 
 def _expand_real(c: np.ndarray, k: tuple, extents: tuple) -> np.ndarray:
-    """Re(_expand(c)): the other axis first, then c2r along the last axis on
-    the Hermitian part H[j] = (C[j] + conj(C[N - j])) / 2, j in [0, N/2]. At
-    k = N/2 the Nyquist bin N/2 is the first of the negative block."""
+    """Re of the inverse FFT per slice of c zero-filled to `extents`: the
+    other axis first, on the retained columns, then c2r along the last axis
+    on the Hermitian part H[j] = (C[j] + conj(C[N - j])) / 2, j in [0, N/2].
+    At k = N/2 the Nyquist bin N/2 is the first of the negative block."""
     z = c
     last, kl, n = len(k) - 1, k[-1], extents[-1]
     for a in range(last):

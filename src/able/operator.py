@@ -266,7 +266,9 @@ class ModelConfig:
     proj_hidden: int = 64
 
     def __post_init__(self):
-        for name in ("width", "n_layers", "proj_hidden"):
+        if self.ndim not in (1, 2):
+            raise ContractError(f"ndim must be 1 or 2, got {self.ndim}")
+        for name in ("in_channels", "out_channels", "width", "n_layers", "k_max", "proj_hidden"):
             if getattr(self, name) < 1:
                 raise ContractError(f"{name} must be >= 1, got {getattr(self, name)}")
         self.density_config()       # the density head's own checks

@@ -50,6 +50,8 @@ class TrainConfig:
         for name in ("beta1", "beta2"):
             if not 0.0 <= getattr(self, name) < 1.0:
                 raise ContractError(f"{name} must be in [0, 1), got {getattr(self, name)}")
+        if not self.eps > 0:
+            raise ContractError(f"eps must be > 0, got {self.eps}")
 
 
 # ---- loss ----------------------------------------------------------------------

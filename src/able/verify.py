@@ -648,7 +648,8 @@ def complexity_scaling_check(m_list: Sequence[int] = (1, 2, 4, 8),
     _require_distinct("m_list", m_list)
     _require_distinct("n_list", n_list)
     timing_n = n_list[0]
-    f_by_n = {n: np.random.default_rng(seed).standard_normal((1, channels, n))
+    # Grid refuses an extent that is not a power of two >= 2 before any data
+    f_by_n = {n: np.random.default_rng(seed).standard_normal((1, channels) + Grid((n,)).extents)
               for n in n_list}
 
     subjects = []

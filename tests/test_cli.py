@@ -236,9 +236,12 @@ def test_eval_unknown_model_key_is_file_error(trained_run, tmp_path, capsys):
 
 @pytest.mark.parametrize("changes", [{"density_arch": "foo"}, {"kind": "foo"},
                                      {"temperature": -1.0}, {"temperature": float("nan")},
-                                     {"slices": 0}, {"ndim": 2, "density_arch": "fd4"}],
+                                     {"slices": 0}, {"ndim": 2, "density_arch": "fd4"},
+                                     {"k_max": -1}, {"k_max": 0}, {"in_channels": -2},
+                                     {"out_channels": -1}, {"ndim": 3}],
                          ids=["density-arch", "kind", "temperature", "temperature-nan",
-                              "slices", "2-D-fd4"])
+                              "slices", "2-D-fd4", "k-max-negative", "k-max-zero",
+                              "in-channels-negative", "out-channels-negative", "ndim-three"])
 def test_eval_header_that_fails_the_build_is_file_error(trained_run, tmp_path, capsys, changes):
     tmp, _ = trained_run
     bad = _checkpoint_with_model(tmp / "run1/model.ckpt", tmp_path / "unbuildable.ckpt",
@@ -569,6 +572,13 @@ BAD_INPUTS = {
     "schedule-every-zero": (["train", "--set", "train.schedule_every=0"], 2),
     "beta1-one": (["train", "--set", "train.beta1=1.0"], 2),
     "beta2-one": (["train", "--set", "train.beta2=1.0"], 2),
+    "eps-zero": (["train", "--set", "train.eps=0"], 2),
+    "eps-negative": (["train", "--set", "train.eps=-1"], 2),
+    "k-max-zero": (["train", "--set", "model.k_max=0"], 2),
+    "k-max-negative": (["train", "--set", "model.k_max=-1"], 2),
+    "in-channels-zero": (["train", "--set", "model.in_channels=0"], 2),
+    "out-channels-negative": (["train", "--set", "model.out_channels=-1"], 2),
+    "ndim-three": (["train", "--set", "model.ndim=3"], 2),
     "gen-resolution-zero": (["gen", "--set", "data.resolution=0"], 2),
     "gen-samples-negative": (["gen", "--set", "data.samples=-1"], 2),
     "gen-darcy-samples-negative": (["gen", "--set", "task=darcy", "--set", "data.samples=-1"], 2),
@@ -583,6 +593,7 @@ BAD_INPUTS = {
     "sweep-values-nan": (["sweep", "--axis", "T", "--values", "NaN"], 2),
     "bench-m-list-not-integers": (["bench", "--m-list", "a"], 2),
     "bench-n-list-not-powers-of-two": (["bench", "--n-list", "1000,2000"], 2),
+    "bench-n-list-negative": (["bench", "--n-list=-4,1024"], 2),
     "bench-single-value-lists": (["bench", "--m-list", "1", "--n-list", "1024"], 2),
     "bench-repeated-values": (["bench", "--m-list", "2,2", "--n-list", "1024,1024"], 2),
 }

@@ -603,16 +603,26 @@ def test_lift_and_synthesize_bitwise_equal_all_axes_fft(extents, m, dtype, trunc
     c = c if dtype is complex else c.real.copy()
     full = np.zeros(c.shape[:3] + extents, dtype=complex)
     full[mesh] = c
-    want = (fft.ifft_unitary(full, axes) * sp).sum(axis=2)
-    assert np.array_equal(frame.synthesize(T.Tensor(c), s, modes, extents).data, want)
+    assert_synthesis_matches(c, s, modes, extents, (fft.ifft_unitary(full, axes) * sp).sum(axis=2))
+
+
+def assert_synthesis_matches(c, s, k, extents, want):
+    """`synthesize` against the all-axes inverse FFT to 1e-15 of its largest
+    magnitude (it expands by parts on the c2r kernel, so it agrees to
+    roundoff, not bitwise), and its real part bitwise the layer's synthesis."""
+    got = frame.synthesize(T.Tensor(c), s, k, extents).data
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want)), k
+    layer = frame._reweight(frame._expand_real(c, tuple(k), tuple(extents)), s.data)
+    assert np.array_equal(got.real, layer), k
 
 
 def record_fft_calls(monkeypatch):
+    """Record (name, input shape, axis arguments...) of every unitary transform."""
     calls = []
-    for name in ("fft_unitary", "ifft_unitary"):
-        def spy(a, axes, _inner=getattr(fft, name), _name=name):
-            calls.append((_name, np.shape(a), tuple(axes)))
-            return _inner(a, axes)
+    for name in ("fft_unitary", "ifft_unitary", "rfft_unitary", "irfft_unitary"):
+        def spy(a, *args, _inner=getattr(fft, name), _name=name):
+            calls.append((_name, np.shape(a)) + args)
+            return _inner(a, *args)
         monkeypatch.setattr(fft, name, spy)
     return calls
 
@@ -628,8 +638,11 @@ def test_2d_transform_runs_later_passes_on_retained_lines_only(monkeypatch):
                      ("fft_unitary", (1, 2, 1, 64, 16), (3,))]
     calls.clear()
     frame.synthesize(c, s, modes, extents)
-    assert calls == [("ifft_unitary", (1, 2, 1, 16, 64), (4,)),
-                     ("ifft_unitary", (1, 2, 1, 64, 64), (3,))]
+    # the real and the imaginary part: the other axis zero-filled, then one
+    # c2r along the last axis on its 8 + 1 Hermitian bins, padded to 33
+    by_part = [("ifft_unitary", (1, 2, 1, 64, 16), (3,)),
+               ("irfft_unitary", (1, 2, 1, 64, 33), 64, 4)]
+    assert calls == by_part + by_part
 
 
 # ---- retained modes as per-axis slice blocks ----------------------------------------
@@ -654,8 +667,7 @@ def test_lift_and_synthesize_bitwise_equal_oracle_index_for_every_k(extents, m, 
         c = c if dtype is complex else c.real.copy()
         full = np.zeros(c.shape[:3] + extents, dtype=complex)
         full[mesh] = c
-        want = (fft.ifft_unitary(full, axes) * sp).sum(axis=2)
-        assert np.array_equal(frame.synthesize(T.Tensor(c), s, k, extents).data, want), k
+        assert_synthesis_matches(c, s, k, extents, (fft.ifft_unitary(full, axes) * sp).sum(axis=2))
 
 
 @pytest.mark.parametrize("extents,k", [((16,), (2,)), ((16,), (8,)), ((8, 32), (2, 4)),
@@ -792,6 +804,25 @@ def test_spectral_node_matches_lift_mix_synthesize_chain(extents, k, m, heads, k
     for got, want in zip(grads, want_grads):
         assert got.shape == want.shape and got.dtype == want.dtype
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_spectral_node_runs_the_pruned_passes(monkeypatch):
+    # k_max 8 at 64 x 64, M = 2: the c2c analysis keeps 16 columns after its
+    # first pass, the c2r synthesis zero-fills those 16 before its first, and
+    # the VJP's r2c analysis keeps bins [0, 8] of the last axis
+    f, sp, w, spec = spectral_case((64, 64), (8, 8), 2, "diagonal", 1, seed=133,
+                                   batch=1, channels=2)
+    leaves = [T.parameter(a) for a in (f, sp, w, *pointwise_pair(2, seed=134))]
+    calls = record_fft_calls(monkeypatch)
+    out = frame.spectral(leaves[0], leaves[1], leaves[2], spec, tuple(leaves[3:]))
+    synthesis = [("ifft_unitary", (1, 2, 2, 64, 16), (3,)),
+                 ("irfft_unitary", (1, 2, 2, 64, 33), 64, 4)]
+    assert calls == [("fft_unitary", (1, 2, 2, 64, 64), (4,)),
+                     ("fft_unitary", (1, 2, 2, 64, 16), (3,))] + synthesis
+    calls.clear()
+    T.tape_backward(inner(out, rng(135).standard_normal(out.shape)))
+    assert calls == [("rfft_unitary", (1, 2, 2, 64, 64), 4),
+                     ("fft_unitary", (1, 2, 2, 64, 9), (3,))] + synthesis
 
 
 @pytest.mark.parametrize("extents,k", [((16,), (8,)), ((16, 32), (3, 16))], ids=str)
