@@ -24,12 +24,12 @@ from pathlib import Path
 import numpy as np
 
 from . import verify as verify_mod
-from .config import RunConfig, config_key_help, is_number, load_config, stream_seed
+from .config import config_key_help, is_number, load_config, stream_seed
 from .dataio import (Dataset, dataset_read, dataset_write, load_checkpoint,
                      make_burgers_dataset, make_darcy_dataset, write_atomic, write_json)
 from .errors import (AbleError, ContractError, DataFormatError, DomainError,
                      NumericalFailure, UnsupportedSizeError)
-from .operator import build_network
+from .operator import ModelConfig, build_network
 from .pde import GrfSpec
 from .training import evaluate, restore_network, split_dataset, train
 
@@ -51,13 +51,17 @@ def _write_csv(path, header, rows) -> None:
     write_atomic(path, [text.getvalue().encode("utf-8")])
 
 
-def _finalize_model(config: RunConfig, dataset: Dataset) -> RunConfig:
-    """The run configuration with the model's data-determined fields
-    (dimensionality and channels) bound to the dataset."""
-    return replace(config, model=replace(config.model,
-                                         ndim=dataset.grid.dims,
-                                         in_channels=dataset.inputs.shape[1],
-                                         out_channels=dataset.targets.shape[1]))
+def _check_model_fits(model: ModelConfig, dataset: Dataset) -> None:
+    """Refuse a model whose grid rank or channel counts differ from the
+    dataset's, or whose retained modes do not fit its grid (2 k_max <= N)."""
+    for name, value in (("ndim", dataset.grid.dims), ("in_channels", dataset.inputs.shape[1]),
+                        ("out_channels", dataset.targets.shape[1])):
+        if getattr(model, name) != value:
+            raise ContractError(f"model {name} is {getattr(model, name)} "
+                                f"but the dataset's is {value}")
+    if 2 * model.k_max > min(dataset.grid.extents):
+        raise ContractError(f"model k_max {model.k_max} needs 2*k_max <= every extent "
+                            f"of the dataset's grid {dataset.grid.extents}")
 
 
 # ---- subcommands ------------------------------------------------------------------
@@ -88,7 +92,7 @@ def cmd_gen(args) -> int:
 def cmd_train(args) -> int:
     config = load_config(args.config, args.set)
     dataset = dataset_read(args.data)
-    config = _finalize_model(config, dataset)
+    _check_model_fits(config.model, dataset)
     net = build_network(config.model, seed=stream_seed(config.seed, "init"))
     train_set, test_set = split_dataset(dataset, config.data.n_test, seed=config.seed)
     out = Path(args.out)
@@ -109,16 +113,7 @@ def cmd_eval(args) -> int:
     cfg_dict, params = load_checkpoint(args.checkpoint)
     net = restore_network(cfg_dict, params)
     dataset = dataset_read(args.data)
-    mc = net.config
-    if dataset.grid.dims != mc.ndim:
-        raise ContractError(f"checkpoint is {mc.ndim}-D but dataset grid is "
-                            f"{dataset.grid.dims}-D")
-    if dataset.inputs.shape[1] != mc.in_channels:
-        raise ContractError(f"checkpoint expects {mc.in_channels} input channel(s), "
-                            f"dataset has {dataset.inputs.shape[1]}")
-    if dataset.targets.shape[1] != mc.out_channels:
-        raise ContractError(f"checkpoint produces {mc.out_channels} output channel(s), "
-                            f"dataset has {dataset.targets.shape[1]}")
+    _check_model_fits(net.config, dataset)
     mean, per_sample = evaluate(net, dataset, batch_size=args.batch_size)
     if not np.isfinite(mean):
         raise NumericalFailure(f"mean relative L2 over {dataset.samples} samples is {mean}")
@@ -148,19 +143,21 @@ def cmd_verify(args) -> int:
 def cmd_sweep(args) -> int:
     config = load_config(args.config, args.set)
     dataset = dataset_read(args.data)
-    config = _finalize_model(config, dataset)
+    _check_model_fits(config.model, dataset)
     train_set, test_set = split_dataset(dataset, config.data.n_test, seed=config.seed)
     probe = train_set.inputs[:4]
-    out = Path(args.out)
-    write_json(out / "effective-config.json", asdict(config))  # fail fast on a bad --out
-    rows = []
+    models = []         # one per value, each checked before anything is written
     for value in args.values:
         if args.axis == "M":
             if not isinstance(value, int):
                 raise ContractError(f"slice counts are integers, got {value!r}")
-            model_cfg = replace(config.model, slices=value)
+            models.append(replace(config.model, slices=value))
         else:
-            model_cfg = replace(config.model, temperature=float(value))
+            models.append(replace(config.model, temperature=float(value)))
+    out = Path(args.out)
+    write_json(out / "effective-config.json", asdict(config))  # fail fast on a bad --out
+    rows = []
+    for value, model_cfg in zip(args.values, models):
         net = build_network(model_cfg, seed=stream_seed(config.seed, "init"))
         metrics = train(net, train_set, test_set, config.train)
         seconds = [r["seconds"] for r in metrics.records if r["epoch"] > 0]

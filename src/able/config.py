@@ -49,21 +49,16 @@ class RunConfig:
     train: TrainConfig = field(default_factory=TrainConfig)
     data: DataConfig = field(default_factory=DataConfig)
 
-    def __post_init__(self):
-        if self.task not in TASKS:
-            raise ContractError(f"unknown task {self.task!r}; expected one of {TASKS}")
 
-
+# where a task departs from the ModelConfig and DataConfig defaults, which are burgers'
 TASK_MODEL_DEFAULTS = {
-    "burgers": dict(ndim=1, width=24, n_layers=4, k_max=16, slices=2,
-                    density_arch="fd4", density_hidden=16, proj_hidden=64),
-    "darcy": dict(ndim=2, width=16, n_layers=4, k_max=8, slices=2,
+    "burgers": {},
+    "darcy": dict(ndim=2, width=16, n_layers=4, k_max=8,
                   density_arch="mlp2", density_hidden=24, proj_hidden=64),
 }
 
 TASK_DATA_DEFAULTS = {
-    "burgers": dict(samples=250, n_test=50, resolution=256, generate_at=1024,
-                    tau=5.0, alpha=2.0, scale=25.0),
+    "burgers": {},
     "darcy": dict(samples=60, n_test=10, resolution=64, generate_at=256,
                   tau=3.0, alpha=2.0, scale=1.0),
 }
@@ -178,12 +173,12 @@ def config_key_help() -> str:
     notes = {
         "task": "burgers (1-D) or darcy (2-D)",
         "seed": "master seed; data/init/shuffle streams derive from it",
-        "model.ndim": "1 or 2; set from the dataset's grid at train time",
-        "model.in_channels": "set from the dataset's inputs at train time (>= 1)",
-        "model.out_channels": "set from the dataset's targets at train time (>= 1)",
+        "model.ndim": "1 or 2; must match the dataset's grid",
+        "model.in_channels": "must match the dataset's input channels (>= 1)",
+        "model.out_channels": "must match the dataset's target channels (>= 1)",
         "model.width": "channel width of the operator layers",
         "model.n_layers": "number of adaptive spectral layers",
-        "model.k_max": "retained low modes per axis (>= 1, needs 2*k_max <= N)",
+        "model.k_max": "retained low modes per axis (>= 1, 2*k_max <= the dataset's N)",
         "model.slices": "adaptive basis size M; 1 recovers the plain Fourier layer",
         "model.kind": "diagonal per-slice mixing, or cross for slice-pair mixing",
         "model.temperature": "softmax temperature of the density head",

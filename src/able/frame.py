@@ -51,8 +51,10 @@ axis's retained modes right after its pass, bitwise the all-axes transform
 (at 64 x 64 keeping 16 modes per axis, 80 of 128 line FFTs). Synthesis
 zero-fills the first axis on the retained columns, then runs a c2r per row.
 
-The density head is one tape node per layer, `DensityNetwork.energies`,
-with a hand-written VJP. It runs channels-first on (batch, channels,
+The density head, `DensityNetwork`, is built from the model's
+`operator.ModelConfig`, which holds and checks its settings; its energies
+are one tape node per layer, `DensityNetwork.energies`, with a
+hand-written VJP. It runs channels-first on (batch, channels,
 points), each stage one batched matmul plus its bias with silu between
 (the kernels `T.ACTIVATION_KERNELS` holds, which overwrite a stage's
 pre-activation, so the node keeps each hidden stage's output and sigmoid),
@@ -76,7 +78,7 @@ activation's gradient, W g, `_weight_grad` and the sum of g in its VJP.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
@@ -84,6 +86,9 @@ from . import fft as _fft
 from . import tensor as T
 from .errors import ContractError, DomainError, UnsupportedSizeError
 from .fft import is_power_of_two
+
+if TYPE_CHECKING:
+    from .operator import ModelConfig
 
 SQRT_GRAD_EPS = 1e-12
 DENSITY_TOL = 1e-10     # `check_density`'s slack on entries and row sums
@@ -150,29 +155,6 @@ def uniform_density(grid: Grid, batch: int = 1) -> np.ndarray:
 
 # ---- density network --------------------------------------------------------
 
-@dataclass
-class DensityNetConfig:
-    slices: int = 2
-    arch: str = "mlp2"          # "mlp2" pointwise, or "fd4" on stencil features (1-D)
-    hidden: int = 24
-    per_channel: bool = False
-    temperature: float = 0.8
-    learn_temperature: bool = False
-    residual: bool = True       # fd4 only: identity skip, first hidden into third
-
-    def __post_init__(self):
-        if self.arch not in ("mlp2", "fd4"):
-            raise ContractError(f"unknown density arch {self.arch!r}")
-        least = 2 if self.arch == "fd4" else 1     # fd4's middle stage is hidden // 2 wide
-        if self.hidden < least:
-            raise ContractError(
-                f"the {self.arch} density head needs hidden >= {least}, got {self.hidden}")
-        if not self.temperature > 0:
-            raise DomainError(f"temperature must be positive, got {self.temperature}")
-        if self.slices < 1:
-            raise ContractError("slice count must be >= 1")
-
-
 def linear(x: T.Tensor, w: T.Tensor, b: T.Tensor,
            activation: Optional[str] = None) -> T.Tensor:
     """Per-point linear map on real channels-first data, (batch, I, spatial...)
@@ -233,22 +215,23 @@ def _weight_grad(x: np.ndarray, d: np.ndarray) -> np.ndarray:
 
 
 class DensityNetwork:
-    """Softmax-MLP density head: per-point features -> M energies -> p(x, m)."""
+    """Softmax-MLP density head: per-point features -> M energies -> p(x, m).
 
-    def __init__(self, config: DensityNetConfig, in_channels: int, ndim: int,
-                 rng: np.random.Generator):
-        if config.arch == "fd4" and ndim != 1:
-            raise ContractError("stencil features are 1-D only")
+    It is built from the model's `operator.ModelConfig`, which has checked
+    every field it reads: `width` is its input width, and `ndim`, `slices`,
+    `density_arch`, `density_hidden`, `per_channel`, `temperature`,
+    `learn_temperature` and `residual` shape the head.
+    """
+
+    def __init__(self, config: ModelConfig, rng: np.random.Generator):
         self.config = config
-        self.in_channels = in_channels
-        self.ndim = ndim
-        self.heads = in_channels if config.per_channel else 1
+        c, h = config.width, config.density_hidden
+        self.heads = c if config.per_channel else 1
         m_out = config.slices * self.heads
-        if config.arch == "fd4":
-            h = config.hidden
-            widths = [3 * in_channels + 1, h, h // 2, h, m_out]
+        if config.density_arch == "fd4":
+            widths = [3 * c + 1, h, h // 2, h, m_out]
         else:
-            widths = [in_channels, config.hidden, m_out]
+            widths = [c, h, m_out]
         self.weights = []
         self.biases = []
         for i, (fan_in, fan_out) in enumerate(zip(widths[:-1], widths[1:])):
@@ -294,16 +277,16 @@ class DensityNetwork:
         sums the H-wide tap outputs shifted (`_shift_sum`); the ones
         feature's row W0[3C] joins the bias.
         """
-        if f.ndim != 2 + self.ndim:
+        if f.ndim != 2 + self.config.ndim:
             raise ContractError(f"expected (batch, channels, spatial...), got {f.shape}")
-        if f.shape[1] != self.in_channels:
+        if f.shape[1] != self.config.width:
             raise ContractError(
-                f"channel count {f.shape[1]} does not match network width {self.in_channels}")
+                f"channel count {f.shape[1]} does not match network width {self.config.width}")
         ws = [w.data for w in self.weights]
         bs = [b.data for b in self.biases]
         batch, c = f.shape[:2]
         x0 = f.data.reshape(batch, c, -1)
-        stencil = self.config.arch == "fd4"
+        stencil = self.config.density_arch == "fd4"
         if stencil:
             h = ws[0].shape[1]
             w_taps = (_taps(ws[0][:3 * c].reshape(3, c, h), _FD4_KERNELS)

@@ -1,5 +1,9 @@
 """Spectral operator layers on the adaptive frame, and their dense oracle.
 
+`ModelConfig` is the one place the model's settings are held and checked.
+Each layer, `AbleLayer`, maps the network's width to itself and is built
+from the network's config, as is its density head.
+
 A layer computes a per-point square-root density from its input in two
 tape nodes (the density head, `frame.DensityNetwork.energies`, and its
 softmax and square root, `frame.sqrt_softmax`) and runs the rest as one
@@ -45,9 +49,9 @@ import numpy as np
 
 from . import fft as _fft
 from . import tensor as T
-from .errors import ContractError
-from .frame import (DensityNetConfig, DensityNetwork, Grid, density_from_energies, linear,
-                    spectral, sqrt_softmax, uniform_density)
+from .errors import ContractError, DomainError
+from .frame import (DensityNetwork, Grid, density_from_energies, linear, spectral,
+                    sqrt_softmax, uniform_density)
 
 KERNEL_POINT_LIMIT = 4096
 
@@ -107,31 +111,20 @@ def make_multiplier(kind: str, k_max: int, in_channels: int, out_channels: int,
 
 
 class AbleLayer:
-    """One adaptive spectral layer: density -> lift -> mix -> synthesize -> +W -> activation."""
+    """One adaptive spectral layer, width to width: density -> lift -> mix ->
+    synthesize -> +W -> activation. `config` is the network's `ModelConfig`
+    and `activation` this layer's, or None."""
 
-    def __init__(self, in_channels: int, out_channels: int, k_max: int, ndim: int,
-                 density: DensityNetConfig, kind: str = "diagonal",
-                 activation: Optional[str] = "gelu", *, rng: np.random.Generator):
-        if density.per_channel and in_channels != out_channels:
-            raise ContractError("per-channel densities require equal in/out channels")
-        self.in_channels = in_channels
-        self.out_channels = out_channels
-        self.ndim = ndim
-        self.kind = kind
+    def __init__(self, config: ModelConfig, activation: Optional[str], *,
+                 rng: np.random.Generator):
+        self.config = config
         self.activation = activation
-        self.density_cfg = density
-        self.multiplier = make_multiplier(kind, k_max, in_channels, out_channels,
-                                          density.slices, ndim, rng)
-        self.density_net = (
-            DensityNetwork(density, in_channels, ndim, rng) if density.slices > 1 else None
-        )
-        self.pointwise = T.parameter(rng.normal(0.0, 1.0 / np.sqrt(in_channels),
-                                                size=(in_channels, out_channels)))
-        self.bias = T.parameter(np.zeros(out_channels))
-
-    @property
-    def slices(self) -> int:
-        return self.density_cfg.slices
+        c = config.width
+        self.multiplier = make_multiplier(config.kind, config.k_max, c, c, config.slices,
+                                          config.ndim, rng)
+        self.density_net = DensityNetwork(config, rng) if config.slices > 1 else None
+        self.pointwise = T.parameter(rng.normal(0.0, 1.0 / np.sqrt(c), size=(c, c)))
+        self.bias = T.parameter(np.zeros(c))
 
     def named_parameters(self, prefix: str = "") -> dict:
         params = {
@@ -152,14 +145,16 @@ class AbleLayer:
         return density_from_energies(e, self.density_net.temperature)
 
     def forward(self, f: T.Tensor) -> T.Tensor:
-        if f.ndim != 2 + self.ndim:
-            raise ContractError(f"expected (batch, channels, {self.ndim} spatial axes), got {f.shape}")
-        if f.shape[1] != self.in_channels:
-            raise ContractError(f"channel count {f.shape[1]} != layer width {self.in_channels}")
+        cfg = self.config
+        if f.ndim != 2 + cfg.ndim:
+            raise ContractError(
+                f"expected (batch, channels, {cfg.ndim} spatial axes), got {f.shape}")
+        if f.shape[1] != cfg.width:
+            raise ContractError(f"channel count {f.shape[1]} != layer width {cfg.width}")
         head = self.density_net
-        sp = None if head is None else sqrt_softmax(head.energies(f), head.config.temperature,
+        sp = None if head is None else sqrt_softmax(head.energies(f), cfg.temperature,
                                                     head.log_temperature)
-        return spectral(f, sp, self.multiplier.weights, mix_spec(self.kind, self.ndim),
+        return spectral(f, sp, self.multiplier.weights, mix_spec(cfg.kind, cfg.ndim),
                         (self.pointwise, self.bias), self.activation)
 
     __call__ = forward
@@ -200,33 +195,32 @@ def materialize_kernel(layer: AbleLayer, f: T.Tensor) -> np.ndarray:
     if points > KERNEL_POINT_LIMIT:
         raise ContractError(
             f"dense kernel refused: {points} grid points exceeds limit {KERNEL_POINT_LIMIT}")
-    axes = tuple(range(2, 2 + layer.ndim))
+    cfg = layer.config
+    axes = tuple(range(2, 2 + cfg.ndim))
     with T.no_grad():
         p = layer.density(f)
     padded = _pad_multiplier(layer.multiplier.weights.data, layer.multiplier.k_max,
-                             extents, layer.ndim)
+                             extents, cfg.ndim)
     r = _fft.ifft_unitary(padded, axes=axes) / np.sqrt(points)
-    cin, cout = layer.in_channels, layer.out_channels
-    m = layer.slices
-    tail = (m, m) if layer.kind == "cross" else (m,)
-    r_flat = r.reshape((cin, cout, points) + tail)
+    c, m = cfg.width, cfg.slices
+    tail = (m, m) if cfg.kind == "cross" else (m,)
+    r_flat = r.reshape((c, c, points) + tail)
     disp = _flat_displacements(extents)
 
     # sqrt(p) per channel head, (batch, 1 or C, M, P); a shared head broadcasts
     sq = np.sqrt(p).reshape(p.shape[:3] + (points,))
     batch = sq.shape[0]
-    syn = np.broadcast_to(sq, (batch, cout, m, points))
-    ana = np.broadcast_to(sq, (batch, cin, m, points))
-    if layer.kind == "cross":
+    sq = np.broadcast_to(sq, (batch, c, m, points))
+    if cfg.kind == "cross":
         terms = [(mi, mj, r_flat[..., mi, mj]) for mi in range(m) for mj in range(m)]
     else:
         terms = [(mi, mi, r_flat[..., mi]) for mi in range(m)]
 
-    kernel = np.zeros((batch, cout, cin, points, points), dtype=np.complex128)
+    kernel = np.zeros((batch, c, c, points, points), dtype=np.complex128)
     for b in range(batch):
         for mi, mj, r_m in terms:
-            kernel[b] += np.einsum("cx,icxz,iz->cixz", syn[b, :, mi], r_m[:, :, disp],
-                                   ana[b, :, mj])
+            kernel[b] += np.einsum("cx,icxz,iz->cixz", sq[b, :, mi], r_m[:, :, disp],
+                                   sq[b, :, mj])
     return kernel
 
 
@@ -268,22 +262,25 @@ class ModelConfig:
     def __post_init__(self):
         if self.ndim not in (1, 2):
             raise ContractError(f"ndim must be 1 or 2, got {self.ndim}")
-        for name in ("in_channels", "out_channels", "width", "n_layers", "k_max", "proj_hidden"):
+        for name in ("in_channels", "out_channels", "width", "n_layers", "k_max", "slices",
+                     "proj_hidden"):
             if getattr(self, name) < 1:
                 raise ContractError(f"{name} must be >= 1, got {getattr(self, name)}")
-        self.density_config()       # the density head's own checks
+        if self.density_arch not in ("mlp2", "fd4"):
+            raise ContractError(f"unknown density arch {self.density_arch!r}")
+        least = 2 if self.density_arch == "fd4" else 1     # fd4's middle stage is hidden // 2 wide
+        if self.density_hidden < least:
+            raise ContractError(f"the {self.density_arch} density head needs "
+                                f"density_hidden >= {least}, got {self.density_hidden}")
+        if self.density_arch == "fd4" and self.ndim != 1 and self.slices > 1:
+            raise ContractError("the fd4 density head's stencil features are 1-D only")
+        if not self.temperature > 0:
+            raise DomainError(f"temperature must be positive, got {self.temperature}")
         if self.activation not in T.ACTIVATION_KERNELS:
             raise ContractError(f"unknown activation {self.activation!r}; "
                                 "expected gelu, silu, relu or none")
         if self.act_flags is not None:
             self.act_flags = tuple(self.act_flags)
-
-    def density_config(self) -> DensityNetConfig:
-        return DensityNetConfig(
-            slices=self.slices, arch=self.density_arch, hidden=self.density_hidden,
-            per_channel=self.per_channel, temperature=self.temperature,
-            learn_temperature=self.learn_temperature, residual=self.residual,
-        )
 
     def layer_activations(self) -> tuple:
         if self.act_flags is not None:
@@ -302,14 +299,8 @@ class AbleNetwork:
         self.lift_w = T.parameter(rng.normal(0.0, 1.0 / np.sqrt(lift_in),
                                              size=(lift_in, config.width)))
         self.lift_b = T.parameter(np.zeros(config.width))
-        dcfg = config.density_config()
-        flags = config.layer_activations()
-        self.layers = [
-            AbleLayer(config.width, config.width, config.k_max, config.ndim,
-                      density=dcfg, kind=config.kind,
-                      activation=config.activation if flags[i] else None, rng=rng)
-            for i in range(config.n_layers)
-        ]
+        self.layers = [AbleLayer(config, config.activation if on else None, rng=rng)
+                       for on in config.layer_activations()]
         self.proj1_w = T.parameter(rng.normal(0.0, 1.0 / np.sqrt(config.width),
                                               size=(config.width, config.proj_hidden)))
         self.proj1_b = T.parameter(np.zeros(config.proj_hidden))
@@ -395,16 +386,16 @@ def count_flops(net: AbleNetwork, grid: Grid) -> dict:
     """
     cfg = net.config
     points = grid.points
+    c, m = cfg.width, cfg.slices
+    kept = [len(mode_indices(cfg.k_max, n)) for n in grid.extents]
+    modes_total = float(np.prod(kept))
+    heads = m * m if cfg.kind == "cross" else m
     fft_term = mixing_term = pointwise_term = density_term = 0.0
     for layer in net.layers:
-        m = layer.slices
-        kept = [len(mode_indices(layer.multiplier.k_max, n)) for n in grid.extents]
-        fft_term += m * (layer.in_channels * _transform_flops(grid.extents, kept, True)
-                         + layer.out_channels * _transform_flops(grid.extents, kept, False))
-        modes_total = float(np.prod(kept))
-        heads = m * m if layer.kind == "cross" else m
-        mixing_term += heads * modes_total * layer.in_channels * layer.out_channels * 8.0
-        pointwise_term += points * layer.in_channels * layer.out_channels * 2.0
+        fft_term += m * (c * _transform_flops(grid.extents, kept, True)
+                         + c * _transform_flops(grid.extents, kept, False))
+        mixing_term += heads * modes_total * c * c * 8.0
+        pointwise_term += points * c * c * 2.0
         if layer.density_net is not None:
             for w in layer.density_net.weights:
                 density_term += points * 2.0 * w.shape[0] * w.shape[1]

@@ -42,10 +42,9 @@ from . import fft as _fft
 from . import tensor as T
 from . import reference
 from .errors import ContractError, DomainError
-from .frame import (DensityNetConfig, Grid, LiftedCoefficients, able_forward,
-                    able_inverse, density_entropy, density_from_energies,
-                    uniform_density)
-from .operator import AbleLayer, kernel_diagonals, materialize_kernel
+from .frame import (Grid, LiftedCoefficients, able_forward, able_inverse, density_entropy,
+                    density_from_energies, uniform_density)
+from .operator import AbleLayer, ModelConfig, kernel_diagonals, materialize_kernel
 
 
 # ---- report structures ---------------------------------------------------------
@@ -180,7 +179,7 @@ def _rel_max(got: np.ndarray, want: np.ndarray) -> float:
 def fno_residual(layer: AbleLayer, f: np.ndarray) -> float:
     """Max abs gap between a single-slice layer and the plain Fourier layer."""
     w = layer.multiplier.weights.data
-    want = _fno_branch(layer, f, w[(Ellipsis,) + (0,) * (w.ndim - 2 - layer.ndim)])
+    want = _fno_branch(layer, f, w[(Ellipsis,) + (0,) * (w.ndim - 2 - layer.config.ndim)])
     return float(np.max(np.abs(layer(T.Tensor(f)).data - want)))
 
 
@@ -189,26 +188,27 @@ def dense_kernel_residual(layer: AbleLayer, f: np.ndarray) -> float:
     flat = f.reshape(f.shape[:2] + (-1,)).astype(np.complex128)
     dense = np.einsum("boixz,biz->box", materialize_kernel(layer, T.Tensor(f)), flat)
     dense = dense.real.reshape((f.shape[0], -1) + f.shape[2:])
-    sp = "xy"[:layer.ndim]
+    sp = "xy"[:layer.config.ndim]
     local = np.einsum(f"bi{sp},io->bo{sp}", f, layer.pointwise.data)
-    want = dense + local + layer.bias.data.reshape((1, -1) + (1,) * layer.ndim)
+    want = dense + local + layer.bias.data.reshape((1, -1) + (1,) * layer.config.ndim)
     return _rel_max(layer(T.Tensor(f)).data, want)
 
 
 def identity_residual(layer: AbleLayer, f: np.ndarray) -> float:
     """Max abs gap between f and a diagonal layer's spectral path with the
     identity multiplier on the full spectrum, for any density (resolution of
-    identity). Needs k_max = N/2 and equal in and out channels; sets the
-    spectral weights to the identity and zeroes the pointwise path in place."""
+    identity). Needs k_max = N/2; sets the spectral weights to the identity
+    and zeroes the pointwise path in place."""
     w = spectral_only(layer).multiplier.weights.data
-    w[...] = np.eye(layer.in_channels).reshape(w.shape[:2] + (1,) * (w.ndim - 2))
+    w[...] = np.eye(layer.config.width).reshape(w.shape[:2] + (1,) * (w.ndim - 2))
     return float(np.max(np.abs(layer(T.Tensor(f)).data - f)))
 
 
 def high_temperature_residual(layer: AbleLayer, f: np.ndarray) -> float:
     """Relative gap between a huge-temperature diagonal layer and its mean Fourier branch."""
     w = layer.multiplier.weights.data
-    want = sum(_fno_branch(layer, f, w[..., mi]) for mi in range(layer.slices)) / layer.slices
+    m = layer.config.slices
+    want = sum(_fno_branch(layer, f, w[..., mi]) for mi in range(m)) / m
     return _rel_max(layer(T.Tensor(f)).data, want)
 
 
@@ -223,7 +223,7 @@ def constant_density_residual(layer: AbleLayer, f: np.ndarray, p: Sequence[float
     head.weights[-1].data[...] = 0.0
     head.biases[-1].data[...] = np.tile(head.temperature * np.log(p), head.heads)
     w = layer.multiplier.weights.data
-    reduced = (w @ np.sqrt(p)) @ np.sqrt(p) if layer.kind == "cross" else w @ p
+    reduced = (w @ np.sqrt(p)) @ np.sqrt(p) if layer.config.kind == "cross" else w @ p
     return _rel_max(layer(T.Tensor(f)).data, _fno_branch(layer, f, reduced))
 
 
@@ -357,9 +357,9 @@ def _temperature_checks(report: PropertyReport) -> None:
 def make_layer(kind: str, m: int, seed: int, temperature: float = 0.8,
                channels: int = 2, k_max: int = 3) -> AbleLayer:
     """A 1-D layer with an mlp2 density head and no activation, drawn from seed."""
-    cfg = DensityNetConfig(slices=m, arch="mlp2", hidden=8, temperature=temperature)
-    return AbleLayer(channels, channels, k_max, 1, density=cfg, kind=kind,
-                     activation=None, rng=np.random.default_rng(seed))
+    config = ModelConfig(width=channels, k_max=k_max, slices=m, kind=kind,
+                         temperature=temperature, density_arch="mlp2", density_hidden=8)
+    return AbleLayer(config, None, rng=np.random.default_rng(seed))
 
 
 def _layer_checks(report: PropertyReport) -> None:

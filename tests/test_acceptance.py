@@ -13,7 +13,7 @@ from able import verify
 from able import tensor as T
 from able.config import stream_seed
 from able.dataio import (dataset_write, make_burgers_dataset, make_darcy_dataset)
-from able.frame import DensityNetConfig, Grid, able_forward, density_from_energies
+from able.frame import Grid, able_forward, density_from_energies
 from able.operator import AbleLayer, ModelConfig, build_network
 from able.training import TrainConfig, gradient_check, split_dataset, train
 
@@ -56,8 +56,9 @@ def test_criterion_02_fourier_reduction():
     for ndim, n in ((1, 32), (2, 16)):
         for draw in range(10):
             rng = np.random.default_rng(100 * ndim + draw)
-            cfg = DensityNetConfig(slices=1, arch="mlp2", hidden=8)
-            layer = AbleLayer(2, 2, 3, ndim, density=cfg, activation=None, rng=rng)
+            cfg = ModelConfig(ndim=ndim, width=2, k_max=3, slices=1, density_arch="mlp2",
+                              density_hidden=8)
+            layer = AbleLayer(cfg, None, rng=rng)
             f = rng.standard_normal((2, 2) + (n,) * ndim)
             worst = max(worst, verify.fno_residual(layer, f))
     _report(2, worst < 1e-12, time.perf_counter() - t0, 5,
@@ -73,9 +74,9 @@ def test_criterion_03_dense_kernel_equivalence():
         for m in (1, 2, 3):
             for ndim, extents in cases:
                 rng = np.random.default_rng(zlib.crc32(repr((kind, m, extents)).encode()))
-                cfg = DensityNetConfig(slices=m, arch="mlp2", hidden=8, temperature=0.8)
-                layer = AbleLayer(2, 2, 2, ndim, density=cfg, kind=kind,
-                                  activation=None, rng=rng)
+                cfg = ModelConfig(ndim=ndim, width=2, k_max=2, slices=m, kind=kind,
+                                  temperature=0.8, density_arch="mlp2", density_hidden=8)
+                layer = AbleLayer(cfg, None, rng=rng)
                 f = rng.standard_normal((1, 2) + extents)
                 worst = max(worst, verify.dense_kernel_residual(layer, f))
     _report(3, worst < 1e-8, time.perf_counter() - t0, 30,

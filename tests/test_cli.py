@@ -516,14 +516,15 @@ def test_eval_with_a_non_finite_mean_is_numerical_failure(trained_run, tmp_path)
 
 
 def test_effective_config_model_is_the_checkpoint_header(trained_run, tmp_path):
-    # the dataset sets ndim and the channel counts, whatever the configuration says
     tmp, cfg = trained_run
+    header, _ = load_checkpoint(tmp / "run1/model.ckpt")
+    written = json.loads((tmp / "run1/effective-config.json").read_text())["model"]
+    assert written == header
+    # a model that does not fit the dataset is refused, not bound to it
     out = tmp_path / "out"
     assert main(["train", "--config", str(cfg), "--data", str(tmp / "data.bin"),
-                 "--out", str(out), "--set", "model.ndim=2", "--set", "model.in_channels=3"]) == 0
-    header, _ = load_checkpoint(out / "model.ckpt")
-    written = json.loads((out / "effective-config.json").read_text())["model"]
-    assert written == header and (written["ndim"], written["in_channels"]) == (1, 1)
+                 "--out", str(out), "--set", "model.ndim=2", "--set", "model.in_channels=3"]) == 2
+    assert not out.exists()
 
 
 def test_unknown_activation_is_usage_error_without_traceback(trained_run, tmp_path):
@@ -579,6 +580,15 @@ BAD_INPUTS = {
     "in-channels-zero": (["train", "--set", "model.in_channels=0"], 2),
     "out-channels-negative": (["train", "--set", "model.out_channels=-1"], 2),
     "ndim-three": (["train", "--set", "model.ndim=3"], 2),
+    # the dataset has one input channel and 32 points
+    "in-channels-mismatch": (["train", "--set", "model.in_channels=3"], 2),
+    "k-max-beyond-grid": (["train", "--set", "model.k_max=17"], 2),
+    "sweep-out-channels-mismatch": (["sweep", "--axis", "M", "--values", "1",
+                                     "--set", "model.out_channels=2"], 2),
+    "sweep-k-max-beyond-grid": (["sweep", "--axis", "M", "--values", "1",
+                                 "--set", "model.k_max=17"], 2),
+    "sweep-slices-zero": (["sweep", "--axis", "M", "--values", "1,0"], 2),
+    "sweep-temperature-zero": (["sweep", "--axis", "T", "--values", "0.5,0"], 2),
     "gen-resolution-zero": (["gen", "--set", "data.resolution=0"], 2),
     "gen-samples-negative": (["gen", "--set", "data.samples=-1"], 2),
     "gen-darcy-samples-negative": (["gen", "--set", "task=darcy", "--set", "data.samples=-1"], 2),
@@ -615,5 +625,4 @@ def test_bad_input_exit_code(trained_run, tmp_path, case):
     except SystemExit as exc:       # argparse rejects a malformed flag value itself
         rc = exc.code
     assert rc == expected
-    if argv[0] == "gen":
-        assert not list(tmp_path.glob("out*"))      # a refused dataset leaves no file
+    assert not list(tmp_path.glob("out*"))      # a refused run leaves no output

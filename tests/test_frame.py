@@ -131,9 +131,13 @@ def test_random_stencil_matches_oracle():
 
 # ---- density network --------------------------------------------------------------
 
+def density_head(seed, width, **settings):
+    """The density head of a model of this width and these `ModelConfig` settings."""
+    return frame.DensityNetwork(op.ModelConfig(width=width, **settings), rng(seed))
+
+
 def test_zero_network_zero_energies():
-    cfg = frame.DensityNetConfig(slices=3, arch="mlp2", hidden=8)
-    net = frame.DensityNetwork(cfg, in_channels=2, ndim=1, rng=rng(0))
+    net = density_head(0, 2, slices=3, density_arch="mlp2", density_hidden=8)
     for w in net.weights:
         w.data[...] = 0.0
     e = net.energies(T.Tensor(np.zeros((2, 2, 8))))
@@ -141,8 +145,7 @@ def test_zero_network_zero_energies():
 
 
 def test_fd4_network_shapes_and_channel_check():
-    cfg = frame.DensityNetConfig(slices=2, arch="fd4", hidden=16)
-    net = frame.DensityNetwork(cfg, in_channels=3, ndim=1, rng=rng(1))
+    net = density_head(1, 3, slices=2, density_arch="fd4", density_hidden=16)
     out = net.energies(T.Tensor(rng(2).standard_normal((4, 3, 16))))
     assert out.shape == (4, 1, 2, 16)
     with pytest.raises(ContractError):
@@ -150,14 +153,14 @@ def test_fd4_network_shapes_and_channel_check():
 
 
 def test_fd4_rejected_in_2d():
-    cfg = frame.DensityNetConfig(slices=2, arch="fd4")
     with pytest.raises(ContractError):
-        frame.DensityNetwork(cfg, in_channels=1, ndim=2, rng=rng(0))
+        op.ModelConfig(ndim=2, density_arch="fd4", slices=2)
+    op.ModelConfig(ndim=2, density_arch="fd4", slices=1)      # M = 1 builds no head
 
 
 def test_per_channel_network_output_layout():
-    cfg = frame.DensityNetConfig(slices=4, arch="mlp2", hidden=8, per_channel=True)
-    net = frame.DensityNetwork(cfg, in_channels=3, ndim=2, rng=rng(3))
+    net = density_head(3, 3, ndim=2, slices=4, density_arch="mlp2", density_hidden=8,
+                       per_channel=True)
     out = net.energies(T.Tensor(rng(4).standard_normal((2, 3, 8, 8))))
     assert out.shape == (2, 3, 4, 8, 8)
 
@@ -177,9 +180,8 @@ DENSITY_HEADS = [
 
 @pytest.mark.parametrize("arch,per_channel,residual,shape", DENSITY_HEADS)
 def test_energies_match_per_point_oracle(arch, per_channel, residual, shape):
-    cfg = frame.DensityNetConfig(slices=3, arch=arch, hidden=8, per_channel=per_channel,
-                                 residual=residual)
-    net = frame.DensityNetwork(cfg, in_channels=shape[1], ndim=len(shape) - 2, rng=rng(5))
+    net = density_head(5, shape[1], ndim=len(shape) - 2, slices=3, density_arch=arch,
+                       density_hidden=8, per_channel=per_channel, residual=residual)
     f = rng(6).standard_normal(shape)
     got = net.energies(T.Tensor(f)).data
     want = density_energies_direct(f, [w.data for w in net.weights],
@@ -206,7 +208,7 @@ def chain_energies(net, f):
     """The head as a chain of tape ops: stencil features and a ones channel
     concatenated, then one taped linear map per stage, slice-major at the end."""
     x = f
-    if net.config.arch == "fd4":
+    if net.config.density_arch == "fd4":
         ones = T.Tensor(np.ones(f.shape[:1] + (1,) + f.shape[2:]))
         x = taped_concatenate([f, chain_stencil(f, frame.FIRST_DIFF_STENCIL),
                                chain_stencil(f, frame.SECOND_DIFF_STENCIL), ones], axis=1)
@@ -235,9 +237,8 @@ def head_grads(net, build, f, g):
                          DENSITY_HEADS + [("fd4", True, False, (2, 3, 16))])
 def test_energies_node_gradients_match_chain_and_central_differences(arch, per_channel,
                                                                      residual, shape):
-    cfg = frame.DensityNetConfig(slices=3, arch=arch, hidden=8, per_channel=per_channel,
-                                 residual=residual)
-    net = frame.DensityNetwork(cfg, in_channels=shape[1], ndim=len(shape) - 2, rng=rng(15))
+    net = density_head(15, shape[1], ndim=len(shape) - 2, slices=3, density_arch=arch,
+                       density_hidden=8, per_channel=per_channel, residual=residual)
     r = rng(16)
     for b in net.biases:
         b.data[...] = 0.1 * r.standard_normal(b.shape)
@@ -260,8 +261,7 @@ def test_energies_node_gradients_match_chain_and_central_differences(arch, per_c
 
 def test_energies_node_peaks_below_the_chain():
     # the burgers-1d training shapes: batch 20, width 16, 256 points, fd4, M=2
-    cfg = frame.DensityNetConfig(slices=2, arch="fd4", hidden=16)
-    net = frame.DensityNetwork(cfg, in_channels=16, ndim=1, rng=rng(17))
+    net = density_head(17, 16, slices=2, density_arch="fd4", density_hidden=16)
     f = rng(18).standard_normal((20, 16, 256))
     g = rng(19).standard_normal((20, 1, 2, 256))
 
@@ -293,8 +293,7 @@ def held_after(build):
 def test_density_head_keeps_each_stages_output_and_one_saved_array(arch):
     # the burgers-1d training shapes: batch 20, width 16, 256 points; the
     # silu overwrites each stage's pre-activation, which the node then drops
-    cfg = frame.DensityNetConfig(slices=2, arch=arch, hidden=16)
-    net = frame.DensityNetwork(cfg, in_channels=16, ndim=1, rng=rng(39))
+    net = density_head(39, 16, slices=2, density_arch=arch, density_hidden=16)
     f = T.parameter(rng(40).standard_normal((20, 16, 256)))
     out, held = held_after(lambda: net.energies(f))
     stages = [16, 8, 16] if arch == "fd4" else [16]
@@ -303,10 +302,9 @@ def test_density_head_keeps_each_stages_output_and_one_saved_array(arch):
 
 
 def test_density_network_initial_density_near_uniform():
-    cfg = frame.DensityNetConfig(slices=4, arch="mlp2", hidden=16)
-    net = frame.DensityNetwork(cfg, in_channels=2, ndim=1, rng=rng(7))
+    net = density_head(7, 2, slices=4, density_arch="mlp2", density_hidden=16)
     e = net.energies(T.Tensor(rng(8).standard_normal((2, 2, 32))))
-    p = frame.density_from_energies(e.data, cfg.temperature)
+    p = frame.density_from_energies(e.data, net.temperature)
     assert np.max(np.abs(p - 0.25)) < 0.2
 
 
@@ -478,10 +476,9 @@ def test_frame_api_refusals(case):
 
 
 def test_gradient_flows_through_density_path():
-    cfg = frame.DensityNetConfig(slices=2, arch="mlp2", hidden=8)
-    net = frame.DensityNetwork(cfg, in_channels=1, ndim=1, rng=rng(90))
+    net = density_head(90, 1, slices=2, density_arch="mlp2", density_hidden=8)
     f = T.Tensor(rng(91).standard_normal((1, 1, 16)))
-    sp = frame.sqrt_softmax(net.energies(f), cfg.temperature)
+    sp = frame.sqrt_softmax(net.energies(f), net.temperature)
     T.tape_backward(inner(frame.lift(f, sp, [8]), randc((1, 1, 2, 16), seed=92)))
     grads = [w.grad for w in net.weights]
     assert all(g is not None for g in grads)
@@ -1011,8 +1008,7 @@ def test_spectral_node_leaves_its_inputs_unchanged(m, activation):
 
 @pytest.mark.parametrize("arch", ["fd4", "mlp2"])
 def test_density_head_leaves_its_inputs_unchanged(arch):
-    cfg = frame.DensityNetConfig(slices=2, arch=arch, hidden=8)
-    net = frame.DensityNetwork(cfg, in_channels=3, ndim=1, rng=rng(33))
+    net = density_head(33, 3, slices=2, density_arch=arch, density_hidden=8)
     params = net.weights + net.biases
     before = [p.data.copy() for p in params]
     f = rng(34).standard_normal((2, 3, 16))

@@ -10,7 +10,7 @@ from able import operator as op
 from able import tensor as T
 from able import verify
 from able.errors import ContractError
-from able.frame import DensityNetConfig, Grid, check_density
+from able.frame import Grid, check_density
 from able.training import gradient_check, relative_l2, restore_network
 
 from oracles import sq_norm
@@ -20,13 +20,13 @@ def rng(seed):
     return np.random.default_rng(seed)
 
 
-def make_layer(cin=2, cout=2, k_max=4, ndim=1, slices=2, kind="diagonal",
+def make_layer(width=2, k_max=4, ndim=1, slices=2, kind="diagonal",
                temperature=0.8, arch="mlp2", activation=None, per_channel=False,
                seed=0):
-    cfg = DensityNetConfig(slices=slices, arch=arch, hidden=8,
-                           temperature=temperature, per_channel=per_channel)
-    return op.AbleLayer(cin, cout, k_max, ndim, density=cfg, kind=kind,
-                        activation=activation, rng=rng(seed))
+    cfg = op.ModelConfig(ndim=ndim, width=width, k_max=k_max, slices=slices, kind=kind,
+                         temperature=temperature, density_arch=arch, density_hidden=8,
+                         per_channel=per_channel)
+    return op.AbleLayer(cfg, activation, rng=rng(seed))
 
 
 # ---- mode truncation ---------------------------------------------------------
@@ -52,7 +52,7 @@ def test_layer_rejects_kmax_exceeding_grid():
 @pytest.mark.parametrize("ndim,n", [(1, 16), (2, 8)])
 def test_m1_layer_matches_reference_fno(ndim, n):
     for draw in range(10):
-        layer = make_layer(cin=2, cout=3, k_max=3, ndim=ndim, slices=1, seed=draw)
+        layer = make_layer(k_max=3, ndim=ndim, slices=1, seed=draw)
         f = rng(100 + draw).standard_normal((2, 2) + (n,) * ndim)
         assert verify.fno_residual(layer, f) < 1e-12
 
@@ -60,13 +60,13 @@ def test_m1_layer_matches_reference_fno(ndim, n):
 def test_resolution_of_identity():
     # identity multiplier on the full spectrum + any density acts as identity
     n, m, c = 16, 3, 2
-    layer = make_layer(cin=c, cout=c, k_max=n // 2, slices=m, seed=3)
+    layer = make_layer(width=c, k_max=n // 2, slices=m, seed=3)
     assert verify.identity_residual(layer, rng(4).standard_normal((2, c, n))) < 1e-10
 
 
 @pytest.mark.parametrize("kind", ["diagonal", "cross"])
 def test_zero_spectral_weights_identity_pointwise(kind):
-    layer = make_layer(cin=2, cout=2, k_max=4, ndim=1, slices=2, kind=kind, seed=5)
+    layer = make_layer(k_max=4, ndim=1, slices=2, kind=kind, seed=5)
     layer.multiplier.weights.data[...] = 0.0
     layer.pointwise.data[...] = np.eye(2)
     layer.bias.data[...] = 0.0
@@ -80,26 +80,25 @@ def test_zero_spectral_weights_identity_pointwise(kind):
 @pytest.mark.parametrize("m", [1, 2, 3])
 @pytest.mark.parametrize("n", [8, 16])
 def test_layer_matches_dense_oracle_1d(kind, m, n):
-    layer = make_layer(cin=2, cout=2, k_max=2, ndim=1, slices=m, kind=kind,
-                       seed=10 * m + n)
+    layer = make_layer(k_max=2, ndim=1, slices=m, kind=kind, seed=10 * m + n)
     assert verify.dense_kernel_residual(layer, rng(7 * m + n).standard_normal((2, 2, n))) < 1e-8
 
 
 @pytest.mark.parametrize("kind", ["diagonal", "cross"])
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_layer_matches_dense_oracle_2d(kind, m):
-    layer = make_layer(cin=2, cout=2, k_max=2, ndim=2, slices=m, kind=kind, seed=m)
+    layer = make_layer(k_max=2, ndim=2, slices=m, kind=kind, seed=m)
     assert verify.dense_kernel_residual(layer, rng(40 + m).standard_normal((1, 2, 8, 8))) < 1e-8
 
 
 def test_per_channel_layer_matches_dense_oracle():
-    layer = make_layer(cin=2, cout=2, k_max=2, ndim=1, slices=2, per_channel=True, seed=77)
+    layer = make_layer(k_max=2, ndim=1, slices=2, per_channel=True, seed=77)
     assert verify.dense_kernel_residual(layer, rng(78).standard_normal((1, 2, 16))) < 1e-8
 
 
 def test_cross_with_diagonal_blocks_equals_diagonal():
-    diag = make_layer(cin=2, cout=2, k_max=3, ndim=1, slices=2, kind="diagonal", seed=20)
-    cross = make_layer(cin=2, cout=2, k_max=3, ndim=1, slices=2, kind="cross", seed=20)
+    diag = make_layer(k_max=3, ndim=1, slices=2, kind="diagonal", seed=20)
+    cross = make_layer(k_max=3, ndim=1, slices=2, kind="cross", seed=20)
     cross.multiplier.weights.data[...] = 0.0
     for m in range(2):
         cross.multiplier.weights.data[..., m, m] = diag.multiplier.weights.data[..., m]
@@ -121,17 +120,11 @@ def test_kernel_refuses_oversized_grid():
         op.materialize_kernel(layer, big)
 
 
-def test_per_channel_requires_matching_widths():
-    cfg = DensityNetConfig(slices=2, arch="mlp2", hidden=8, per_channel=True)
-    with pytest.raises(ContractError):
-        op.AbleLayer(2, 3, 2, 1, density=cfg, rng=rng(0))
-
-
 @pytest.mark.parametrize("arch,ndim", [("fd4", 1), ("mlp2", 1), ("mlp2", 2)])
 def test_layer_density_is_c_contiguous(arch, ndim):
     # lift and synthesize run slower on a strided density, so it must arrive
     # row-major whatever layout the head's energies have
-    layer = make_layer(cin=3, cout=3, ndim=ndim, arch=arch, seed=4)
+    layer = make_layer(width=3, ndim=ndim, arch=arch, seed=4)
     x = T.Tensor(rng(5).standard_normal((2, 3) + (16,) * ndim))
     assert layer.density(x).flags.c_contiguous
 
@@ -191,7 +184,7 @@ def test_variant_matrix(head, kind, per_channel, learn_t):
 # ---- translation invariance ---------------------------------------------------------
 
 def test_m2_nonconstant_density_breaks_translation_invariance():
-    layer = verify.spectral_only(make_layer(cin=1, cout=1, k_max=3, ndim=1, slices=2,
+    layer = verify.spectral_only(make_layer(width=1, k_max=3, ndim=1, slices=2,
                                             temperature=0.3, seed=32))
     # drive the density away from uniform with a structured input
     f = (3.0 * np.sin(2 * np.pi * np.arange(16) / 16)).reshape(1, 1, 16)
@@ -202,7 +195,7 @@ def test_m2_nonconstant_density_breaks_translation_invariance():
 
 def test_one_hot_partition_kernel_vanishes_across_cells():
     n = 16
-    layer = verify.spectral_only(make_layer(cin=1, cout=1, k_max=4, ndim=1, slices=2, seed=33))
+    layer = verify.spectral_only(make_layer(width=1, k_max=4, ndim=1, slices=2, seed=33))
     pv = np.zeros((1, n, 2))
     pv[0, : n // 2, 0] = 1.0
     pv[0, n // 2:, 1] = 1.0
@@ -332,31 +325,29 @@ def test_learnable_temperature_stays_positive_and_gets_gradient():
 LAYOUTS = [("diagonal", 1), ("diagonal", 2), ("cross", 1), ("cross", 2)]
 
 
-def mix_operand_plan(layer, batch=1):
-    """Axis order and 3-D shape in which the mix's matmul reads the weights."""
-    w = layer.multiplier.weights.data
-    lifted = (batch, layer.in_channels, layer.slices) + w.shape[2:2 + layer.ndim]
-    spec = op.mix_spec(layer.kind, layer.ndim)
-    _, _, perm_b, shape_b, _, _ = T._matmul_plan(spec, lifted, w.shape)
+def mix_operand_plan(w, kind, ndim, batch=1):
+    """Axis order and 3-D shape in which the mix's matmul reads the weights w."""
+    lifted = (batch, w.shape[0], w.shape[-1]) + w.shape[2:2 + ndim]
+    _, _, perm_b, shape_b, _, _ = T._matmul_plan(op.mix_spec(kind, ndim), lifted, w.shape)
     return perm_b, shape_b
 
 
 @pytest.mark.parametrize("kind,ndim", LAYOUTS)
 def test_spectral_weights_are_stored_in_the_mix_matmul_order(kind, ndim):
-    layer = make_layer(cin=2, cout=3, ndim=ndim, kind=kind, seed=9)
-    w = layer.multiplier.weights.data
+    # two input and three output channels, so i and o stay distinguishable
+    w = op.make_multiplier(kind, 4, 2, 3, 2, ndim, rng(9)).weights.data
     shape = (2, 3) + (8,) * ndim + ((2, 2) if kind == "cross" else (2,))
-    r = rng(9)      # the multiplier is the layer's first draw, in canonical order
+    r = rng(9)      # drawn in the canonical order
     assert np.array_equal(w, (1.0 / 6) * (r.random(shape) + 1j * r.random(shape)))
     assert not w.flags.c_contiguous
-    perm, shape3 = mix_operand_plan(layer)
+    perm, shape3 = mix_operand_plan(w, kind, ndim)
     assert np.shares_memory(w.transpose(perm).reshape(shape3), w)
 
 
 @pytest.mark.parametrize("kind", ["diagonal", "cross"])
 def test_mix_forward_does_not_copy_the_weights(kind):
     # darcy-2d shapes: batch 1, width 16, 16 x 16 modes, M=2
-    layer = make_layer(cin=16, cout=16, k_max=8, ndim=2, kind=kind)
+    layer = make_layer(width=16, k_max=8, ndim=2, kind=kind)
     w = layer.multiplier.weights.data
     r = rng(60)
     lifted = r.standard_normal((1, 16, 2, 16, 16)) + 1j * r.standard_normal((1, 16, 2, 16, 16))
@@ -376,7 +367,7 @@ def test_spectral_weight_gradient_arrives_in_storage_order(kind, ndim):
     layer = make_layer(ndim=ndim, kind=kind)
     f = rng(61).standard_normal((2, 2) + (16,) * ndim)
     T.tape_backward(sq_norm(layer(T.Tensor(f))))
-    perm, _ = mix_operand_plan(layer)
+    perm, _ = mix_operand_plan(layer.multiplier.weights.data, kind, ndim)
     assert layer.multiplier.weights.grad.transpose(perm).flags.c_contiguous
 
 
@@ -389,7 +380,7 @@ def test_restored_network_keeps_the_stored_layout(kind, ndim, tmp_path):
     for layer, back in zip(net.layers, restored.layers):
         w = back.multiplier.weights.data
         assert np.array_equal(w, layer.multiplier.weights.data)
-        perm, shape3 = mix_operand_plan(back)
+        perm, shape3 = mix_operand_plan(w, kind, ndim)
         assert np.shares_memory(w.transpose(perm).reshape(shape3), w)
 
 
